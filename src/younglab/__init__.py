@@ -1,7 +1,8 @@
 """Exact combinatorics of Young diagrams: Kostka numbers, symmetric-group
 characters, multiplicity recurrences, and Specht modules in polylinear
-forms.  Everything is computed over arbitrary-precision rationals; no
-floating point appears anywhere in the math core.
+forms.  Everything is exact: class functions hold Python integers and the
+linear algebra runs over arbitrary-precision rationals by fraction-free
+integer elimination; no floating point appears anywhere in the math core.
 """
 
 from .partitions import (

@@ -1,6 +1,6 @@
 """Exact class functions on symmetric groups.
 
-Values are exact rationals indexed by cycle type, one value per partition
+Values are Python integers indexed by cycle type, one value per partition
 of the degree in the frozen enumeration order.  Permutation characters of
 row-stabilizer subgroups are computed by distributing cycles over blocks;
 irreducible characters are recovered by orthogonalizing the permutation
@@ -9,7 +9,9 @@ arithmetic and leaves Kostka numbers (computed independently by tableau
 enumeration) available as a cross-check rather than an ingredient.
 
 All pairings are plain products without conjugation: every class function
-built here is rational-valued, which `inner` asserts at run time.
+built here is integer-valued.  `inner` sums integers and divides by n! once,
+returning a Fraction; the orthogonalization requires every multiplicity it
+strips to be an integer.
 """
 
 from __future__ import annotations
@@ -85,22 +87,22 @@ def sign_value(rho: Partition) -> int:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """Exact rational function on the conjugacy classes of degree n."""
+    """Integer-valued function on the conjugacy classes of degree n."""
 
     n: int
-    values: tuple[Fraction, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.values) != len(class_types(self.n)):
             raise DegreeMismatchError("one value per cycle type is required")
 
-    def __call__(self, rho: Partition) -> Fraction:
+    def __call__(self, rho: Partition) -> int:
         return self.values[_type_index(self.n)[rho]]
 
     @property
-    def degree(self) -> Fraction:
+    def degree(self) -> int:
         """Value at the identity class."""
-        return self((1,) * self.n) if self.n else Fraction(1)
+        return self((1,) * self.n) if self.n else 1
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         _same_degree(self, other)
@@ -110,12 +112,8 @@ class ClassFunction:
         _same_degree(self, other)
         return ClassFunction(self.n, tuple(a - b for a, b in zip(self.values, other.values)))
 
-    def scaled(self, c) -> "ClassFunction":
-        c = Fraction(c)
+    def scaled(self, c: int) -> "ClassFunction":
         return ClassFunction(self.n, tuple(c * v for v in self.values))
-
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.values)
 
 
 def _same_degree(f: ClassFunction, g: ClassFunction) -> None:
@@ -124,11 +122,11 @@ def _same_degree(f: ClassFunction, g: ClassFunction) -> None:
 
 
 def trivial_character(n: int) -> ClassFunction:
-    return ClassFunction(n, tuple(Fraction(1) for _ in class_types(n)))
+    return ClassFunction(n, (1,) * len(class_types(n)))
 
 
 def sign_character(n: int) -> ClassFunction:
-    return ClassFunction(n, tuple(Fraction(sign_value(r)) for r in class_types(n)))
+    return ClassFunction(n, tuple(sign_value(r) for r in class_types(n)))
 
 
 def _distribution_count(blocks: Partition, rho: Partition) -> int:
@@ -176,7 +174,7 @@ def perm_character(lam: Partition) -> ClassFunction:
     n = sum(lam)
     return ClassFunction(
         n,
-        tuple(Fraction(_distribution_count(lam, rho)) for rho in class_types(n)),
+        tuple(_distribution_count(lam, rho) for rho in class_types(n)),
     )
 
 
@@ -218,8 +216,9 @@ def irreducible_characters(n: int) -> dict[Partition, ClassFunction]:
 
     Walks the permutation characters in the frozen order (a linear
     extension of reverse dominance) and strips the previously found
-    irreducibles.  Unit norm, integrality, and the branching dimension are
-    enforced; a violation means the processing order is broken.
+    irreducibles.  Integer multiplicities, unit norm, and the branching
+    dimension are enforced; a violation means the processing order is
+    broken.
     """
     chis: dict[Partition, ClassFunction] = {}
     for lam in enumerate_partitions(n):
@@ -227,12 +226,12 @@ def irreducible_characters(n: int) -> dict[Partition, ClassFunction]:
         reduced = psi
         for mu, chi in chis.items():
             m = inner(psi, chi)
+            if m.denominator != 1:
+                raise OrthogonalizationError(f"non-integer multiplicity of {mu} at {lam}")
             if m:
-                reduced = reduced - chi.scaled(m)
+                reduced = reduced - chi.scaled(int(m))
         if inner(reduced, reduced) != 1:
             raise OrthogonalizationError(f"non-unit norm at {lam}")
-        if not reduced.is_integral():
-            raise OrthogonalizationError(f"non-integer values at {lam}")
         if reduced.degree != standard_count(lam):
             raise OrthogonalizationError(f"wrong dimension at {lam}")
         chis[lam] = reduced
@@ -297,7 +296,7 @@ def lemma1_check(lam: Partition) -> bool:
         raise SizeMismatchError("need degree at least 2")
     lhs = restrict(perm_character(lam))
     n1 = lhs.n
-    rhs = ClassFunction(n1, tuple(Fraction(0) for _ in class_types(n1)))
+    rhs = ClassFunction(n1, (0,) * len(class_types(n1)))
     for gamma, c in predecessors(lam):
         rhs = rhs + perm_character(gamma).scaled(c)
     return lhs == rhs

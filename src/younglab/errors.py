@@ -36,3 +36,8 @@ class InvalidFillingError(YounglabError):
 
 class LimitError(YounglabError):
     """A size limit (configured or hard-coded) was exceeded; a usage error."""
+
+
+class SelfCheckError(YounglabError):
+    """A computed result failed the library's own run-time re-check;
+    indicates a bug rather than bad input."""

@@ -4,14 +4,17 @@ This is the shared engine for the multiplicity system and the form spaces.
 Everything is exact: entries are fractions.Fraction, pivots are the first
 nonzero entry of each column, and no floating point appears anywhere.
 
-A fraction-free Bareiss elimination is available as a rank-only fast path
-for integer matrices; its output is cross-checked against the plain
-Gauss-Jordan reduction in the test suite.
+The one elimination routine, `rref`, works on integers: it clears each row
+of denominators and runs fraction-free Gauss-Jordan elimination (Bareiss
+1968), turning the pivot rows into fractions only at the end.  Its output
+is cross-checked against a plain Fraction Gauss-Jordan reduction in the
+test suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, NotInvariantError
@@ -89,65 +92,25 @@ class RationalMatrix:
             for r in self.entries
         )
 
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatchError("inner dimensions differ")
-        cols = other.cols
-        out = []
-        for r in self.entries:
-            out.append(
-                [sum(r[k] * other.entries[k][j] for k in range(self.cols))
-                 for j in range(cols)]
-            )
-        return RationalMatrix(out, cols=cols)
-
 
 def rref(a: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
     """Reduced row echelon form, rank, and pivot columns.
 
     Deterministic: the pivot of each step is the first row with a nonzero
     entry in the current column, and pivots are fully reduced above and
-    below.
+    below.  The elimination is fraction-free: with p the new pivot and prev
+    the one before it, every other row i becomes (p*m_i - m_i[c]*m_r) // prev,
+    rows with a zero in column c included, and each of those divisions is
+    exact (Sylvester's identity: every entry is a minor of the integer
+    matrix).  Pivot rows become fractions only in the final division by
+    their pivots.
     """
-    m = [list(row) for row in a.entries]
-    nrows, ncols = a.rows, a.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        src = next((i for i in range(r, nrows) if m[i][c]), None)
-        if src is None:
-            continue
-        m[r], m[src] = m[src], m[r]
-        mr = m[r]
-        inv = 1 / mr[c]
-        if inv != 1:
-            # rows at and below r are zero left of c, so start there
-            mr[c:] = [x * inv for x in mr[c:]]
-        for i in range(nrows):
-            mi = m[i]
-            f = mi[c]
-            if i != r and f:
-                mi[c:] = [x - f * y for x, y in zip(mi[c:], mr[c:])]
-        pivots.append(c)
-        r += 1
-    return RationalMatrix(m, cols=ncols), len(pivots), pivots
-
-
-def rank(a: RationalMatrix) -> int:
-    return rref(a)[1]
-
-
-def rank_bareiss(a: RationalMatrix) -> int:
-    """Rank by fraction-free elimination; fast path for integer matrices."""
     m: list[list[int]] = []
     for row in a.entries:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
-        m.append([int(x * denom) for x in row])
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
     nrows, ncols = a.rows, a.cols
+    pivots: list[int] = []
     prev = 1
     r = 0
     for c in range(ncols):
@@ -157,19 +120,22 @@ def rank_bareiss(a: RationalMatrix) -> int:
         if src is None:
             continue
         m[r], m[src] = m[src], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+        mr = m[r]
+        p = mr[c]
+        for i in range(nrows):
+            f = m[i][c]
+            # f == 0 and p == prev would leave row i unchanged
+            if i != r and (f or p != prev):
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], mr)]
+        prev = p
+        pivots.append(c)
         r += 1
-    return r
+    reduced = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return RationalMatrix(reduced + m[r:], cols=ncols), r, pivots
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def rank(a: RationalMatrix) -> int:
+    return rref(a)[1]
 
 
 class Subspace:

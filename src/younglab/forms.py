@@ -21,13 +21,13 @@ from itertools import combinations
 from math import comb, factorial
 
 from .characters import ClassFunction, class_types, irreducible_characters, perm_character
-from .errors import InvalidFillingError, LimitError, SizeMismatchError
+from .errors import InvalidFillingError, LimitError, SelfCheckError, SizeMismatchError
 from .exactla import (
     RationalMatrix,
     Subspace,
     intersect,
     kernel,
-    rank_bareiss,
+    rank,
     restricted_trace,
 )
 from .partitions import Partition, standard_count
@@ -144,10 +144,6 @@ class Form:
         return f"Form({format_form(self)})"
 
 
-def act(sigma: Permutation, f: Form) -> Form:
-    return f.act(sigma)
-
-
 def format_form(f: Form) -> str:
     """Deterministic text rendering, terms in the frozen monomial order."""
     if not f.terms:
@@ -212,7 +208,8 @@ def x_monomials(lam: Partition, n: int) -> list[Monomial]:
     expected = factorial(n)
     for part in lam:
         expected //= factorial(part)
-    assert len(set(monos)) == expected
+    if len(set(monos)) != expected:
+        raise SelfCheckError(f"{len(set(monos))} monomials for {lam}, expected {expected}")
     return sorted(monos, key=monomial_sort_key)
 
 
@@ -229,7 +226,7 @@ def monomial_action_character(monomials: list[Monomial], n: int) -> ClassFunctio
                 img[sigma[i]] = e
             if tuple(img) == m:
                 fixed += 1
-        values.append(Fraction(fixed))
+        values.append(fixed)
     return ClassFunction(n, tuple(values))
 
 
@@ -352,7 +349,7 @@ def _derivative_matrix(ambient: list[Monomial], n: int) -> RationalMatrix:
 def d_kernel_dim(ambient: list[Monomial], n: int) -> int:
     """Dimension of the shift-invariant part of the ambient span."""
     matrix = _derivative_matrix(ambient, n)
-    return len(ambient) - rank_bareiss(matrix)
+    return len(ambient) - rank(matrix)
 
 
 def d_kernel_space(ambient: list[Monomial], n: int) -> FormSpace:
@@ -466,6 +463,8 @@ def two_row_decomposition(n: int, k: int) -> dict:
     """
     if n > TWO_ROW_MAX_N:
         raise LimitError(f"n={n} exceeds the supported {TWO_ROW_MAX_N}")
+    if n < 1:
+        raise SizeMismatchError(f"need n >= 1, got n={n}")
     if not 0 <= k <= n // 2:
         raise SizeMismatchError(f"need 0 <= k <= n/2, got k={k}, n={n}")
     ambient = squarefree_monomials(n, k)
@@ -489,7 +488,8 @@ def two_row_decomposition(n: int, k: int) -> dict:
         total == comb(n, k)
         and Subspace(len(ambient), stacked_rows).dim == comb(n, k)
     )
-    pairwise_zero = all(
+    # a direct sum meets pairwise in zero, so intersect only when it is not
+    pairwise_zero = direct_sum or all(
         intersect(components[a].subspace, components[b].subspace).dim == 0
         for a in range(len(components))
         for b in range(a + 1, len(components))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .errors import SelfCheckError
 from .exactla import RationalMatrix, kernel
 from .partitions import (
     Partition,
@@ -254,7 +255,8 @@ def polymorphism_feasibility(n: int) -> dict:
             used = scale - net.adj[u][idx][1]
             if used:
                 witness[(g, m)] = Fraction(used, scale)
-        assert verify_witness(instance, witness)
+        if not verify_witness(instance, witness):
+            raise SelfCheckError(f"flow witness for n={n} fails verification")
         report["witness"] = witness
     else:
         # source side of a minimum cut certifies the upper bound exactly
@@ -274,7 +276,8 @@ def polymorphism_feasibility(n: int) -> dict:
                 cut_value += p1
                 cut_edges.append((m, "sink"))
         report["cut"] = {"value": cut_value, "edges": cut_edges}
-        assert cut_value == flow
+        if cut_value != flow:
+            raise SelfCheckError(f"cut value {cut_value} != max flow {flow} for n={n}")
     return report
 
 

@@ -134,10 +134,6 @@ def dominates(mu: Partition, lam: Partition) -> bool:
     return True
 
 
-def strictly_dominates(mu: Partition, lam: Partition) -> bool:
-    return mu != lam and dominates(mu, lam)
-
-
 def removable_rows(lam: Partition) -> list[int]:
     """1-based rows whose last cell can be removed leaving a partition."""
     rows = []

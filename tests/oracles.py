@@ -2,7 +2,9 @@
 
 These recompute characters from explicit group elements and explicit
 combinatorial objects, staying independent of the cycle-distribution
-formula and of the orthogonalization in the library.
+formula and of the orthogonalization in the library, and reduce matrices
+by plain Fraction Gauss-Jordan elimination, independent of the library's
+fraction-free `rref`.
 """
 
 from fractions import Fraction
@@ -52,7 +54,7 @@ def perm_character_tabloid_oracle(lam: Partition) -> ClassFunction:
             for tab in tabs
             if all(frozenset(g[x] for x in block) == block for block in tab)
         )
-        values.append(Fraction(fixed))
+        values.append(fixed)
     return ClassFunction(n, tuple(values))
 
 
@@ -100,3 +102,29 @@ def ind_sgn_coset_oracle(lam: Partition) -> ClassFunction:
 def class_size_oracle(rho: Partition) -> int:
     """Count permutations of the given cycle type by enumeration."""
     return sum(1 for p in all_permutations(sum(rho)) if cycle_type(p) == rho)
+
+
+def rref_oracle(rows, ncols: int):
+    """Reduced row echelon form by Fraction Gauss-Jordan elimination:
+    (rows as tuples of Fraction, rank, pivot columns).  The pivot of each
+    step is the first row with a nonzero entry in the current column."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        src = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if src is None:
+            continue
+        m[r], m[src] = m[src], m[r]
+        mr = m[r]
+        inv = 1 / mr[c]
+        mr[c:] = [x * inv for x in mr[c:]]
+        for i, mi in enumerate(m):
+            f = mi[c]
+            if i != r and f:
+                mi[c:] = [x - f * y for x, y in zip(mi[c:], mr[c:])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in m), r, pivots

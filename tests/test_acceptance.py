@@ -6,7 +6,6 @@ the sweep is readable both under pytest -v and in captured logs.
 import json
 import time
 from math import comb, factorial
-from pathlib import Path
 
 from oracles import ind_sgn_coset_oracle, perm_character_tabloid_oracle
 from younglab.characters import (
@@ -47,8 +46,6 @@ from younglab.tableaux import (
     kostka,
     theorem4_bijection,
 )
-
-ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "test-artifacts"
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -171,7 +168,7 @@ def test_criterion_05_dimension_recurrence():
     _report(5, "branching dimension recurrence (n <= 12), direct counts (n <= 8)", ok)
 
 
-def test_criterion_06_multiplicity_system():
+def test_criterion_06_multiplicity_system(tmp_path):
     ok = True
     table = {}
     nonzero = []
@@ -188,8 +185,7 @@ def test_criterion_06_multiplicity_system():
             if rep.kernel_dim:
                 nonzero.append((lam, rep.kernel_dim))
 
-    ARTIFACT_DIR.mkdir(exist_ok=True)
-    path = ARTIFACT_DIR / "kernel_dimensions.json"
+    path = tmp_path / "kernel_dimensions.json"
     path.write_text(json.dumps(table, indent=2) + "\n")
     _report(6, "bar-bijective shapes give square unipotent systems (n <= 10)", ok,
             f"{len(nonzero)} shapes with positive kernel recorded in {path.name}")

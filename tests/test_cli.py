@@ -142,6 +142,16 @@ class TestFormsCommand:
         assert code == 2
         assert json.loads(err.splitlines()[0])["kind"] == "usage"
 
+    def test_two_row_degree_zero_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "forms", "--check", "two-row", "--n", "0", "--k", "0"
+        )
+        assert code == 2
+        assert out == ""
+        records = [json.loads(line) for line in err.splitlines()]
+        errors = [r for r in records if "error" in r]
+        assert len(errors) == 1 and errors[0]["kind"] == "usage"
+
 
 class TestErrorsAndDeterminism:
     def test_bad_partition_exit_2(self, capsys):

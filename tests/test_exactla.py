@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import rref_oracle
 from younglab.errors import DimensionMismatchError, NotInvariantError
 from younglab.exactla import (
     RationalMatrix,
@@ -11,7 +12,6 @@ from younglab.exactla import (
     kernel,
     member,
     rank,
-    rank_bareiss,
     restricted_trace,
     rref,
     solve,
@@ -19,7 +19,35 @@ from younglab.exactla import (
 
 
 def random_int_matrix(rng, rows, cols, lo=-5, hi=5):
-    return RationalMatrix([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+    return RationalMatrix(
+        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
+
+
+def random_low_rank_matrix(rng, rows, cols):
+    k = rng.randint(0, min(rows, cols))
+    left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+    right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+    return RationalMatrix(
+        [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
+         for i in range(rows)],
+        cols=cols,
+    )
+
+
+def random_sparse_01_matrix(rng, rows, cols):
+    return RationalMatrix(
+        [[int(rng.random() < 0.25) for _ in range(cols)] for _ in range(rows)],
+        cols=cols,
+    )
+
+
+def random_fraction_matrix(rng, rows, cols):
+    return RationalMatrix(
+        [[Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(cols)]
+         for _ in range(rows)],
+        cols=cols,
+    )
 
 
 class TestRref:
@@ -52,13 +80,19 @@ class TestRref:
             a = random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
             assert rank(a) + kernel(a).dim == a.cols
 
-    def test_bareiss_agrees_with_gauss_jordan(self):
+    def test_agrees_with_gauss_jordan_oracle(self):
         rng = random.Random(13)
-        for _ in range(40):
-            a = random_int_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-            assert rank_bareiss(a) == rank(a)
-        frac = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
-        assert rank_bareiss(frac) == rank(frac)
+        makers = [
+            random_int_matrix,
+            random_low_rank_matrix,
+            random_sparse_01_matrix,
+            random_fraction_matrix,
+        ]
+        for make in makers:
+            for _ in range(100):
+                a = make(rng, rng.randint(0, 8), rng.randint(1, 8))
+                red, rk, pivots = rref(a)
+                assert (red.entries, rk, pivots) == rref_oracle(a.entries, a.cols), make
 
 
 class TestKernelSolve:

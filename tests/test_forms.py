@@ -5,10 +5,10 @@ from math import comb, factorial
 import pytest
 
 from younglab.characters import perm_character
-from younglab.errors import InvalidFillingError, LimitError, SizeMismatchError
+from younglab.errors import InvalidFillingError, LimitError, SelfCheckError, SizeMismatchError
 from younglab.forms import (
     Form,
-    act,
+    d_kernel_dim,
     d_kernel_space,
     elementary_symmetric,
     example4_check,
@@ -83,11 +83,11 @@ class TestAction:
     def test_identity(self):
         rng = random.Random(4)
         f = random_form(rng, 4)
-        assert act(identity(4), f) == f
+        assert f.act(identity(4)) == f
 
     def test_transposition_example(self):
         f = Form(2, {(2, 1): Fraction(1)})  # x1^2 x2
-        swapped = act((1, 0), f)
+        swapped = f.act((1, 0))
         assert swapped == Form(2, {(1, 2): Fraction(1)})
 
     def test_functorial(self):
@@ -96,13 +96,13 @@ class TestAction:
         for _ in range(20):
             f = random_form(rng, 4)
             s, t = rng.choice(perms), rng.choice(perms)
-            assert act(compose(s, t), f) == act(s, act(t, f))
+            assert f.act(compose(s, t)) == f.act(t).act(s)
 
     def test_action_permutes_monomial_set(self):
         monos = set(x_monomials((2, 1, 1), 4))
         for sigma in all_permutations(4):
             acted = {
-                next(iter(act(sigma, Form.monomial(4, m)).terms))
+                next(iter(Form.monomial(4, m).act(sigma).terms))
                 for m in monos
             }
             assert acted == monos
@@ -131,6 +131,13 @@ class TestXMonomials:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             x_monomials((2, 1), 4)
+
+    def test_failed_count_check_raises(self, monkeypatch):
+        import younglab.forms as forms
+
+        monkeypatch.setattr(forms, "_multiset_permutations", lambda items: [])
+        with pytest.raises(SelfCheckError):
+            x_monomials((2, 1), 3)
 
 
 class TestStatement2:
@@ -243,7 +250,7 @@ class TestTheorem5:
 
             for sigma in all_permutations(4):
                 for t in enumerate_standard(lam):
-                    moved = act(sigma, specht_poly(t, 4))
+                    moved = specht_poly(t, 4).act(sigma)
                     vec = form_to_vector(moved, index, len(space.ambient))
                     assert space.subspace.coordinates(vec) is not None
 
@@ -283,6 +290,8 @@ class TestTwoRow:
             two_row_decomposition(9, 1)
         with pytest.raises(SizeMismatchError):
             two_row_decomposition(6, 4)
+        with pytest.raises(SizeMismatchError):
+            two_row_decomposition(0, 0)
 
     def test_square_free_basis(self):
         monos = squarefree_monomials(5, 2)
@@ -316,3 +325,9 @@ class TestDKernel:
         dk = d_kernel_space(ambient, 4)
         sp = specht_module((2, 1, 1), 4)
         assert dk.subspace == sp.subspace
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_dim_matches_kernel_space(self, n):
+        for lam in enumerate_partitions(n):
+            ambient = x_monomials(lam, n)
+            assert d_kernel_dim(ambient, n) == d_kernel_space(ambient, n).dim

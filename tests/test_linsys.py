@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from younglab.errors import SelfCheckError
 from younglab.linsys import (
     build_flow_instance,
     build_system3,
@@ -154,6 +155,13 @@ class TestPolymorphism:
         report = polymorphism_feasibility(n)
         assert report["feasible"]
         assert verify_witness(build_flow_instance(n), report["witness"])
+
+    def test_failed_witness_check_raises(self, monkeypatch):
+        import younglab.linsys as linsys
+
+        monkeypatch.setattr(linsys, "verify_witness", lambda instance, witness: False)
+        with pytest.raises(SelfCheckError):
+            polymorphism_feasibility(3)
 
     def test_instance_mass_balance(self):
         for n in range(2, 10):

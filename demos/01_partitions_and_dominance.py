@@ -11,7 +11,6 @@ from younglab.partitions import (
     dominates,
     enumerate_partitions,
     format_partition,
-    h,
     predecessors,
     standard_count,
     successors,
@@ -48,9 +47,10 @@ print(f"Shapes covering {show(rho)}: "
 
 print()
 lam = (2, 1, 1)
+upset = dominance_upset(lam)
 print(f"Shapes dominating {show(lam)}: "
-      + ", ".join(show(m) for m in dominance_upset(lam))
-      + f"   (h = {h(lam)})")
+      + ", ".join(show(m) for m in upset)
+      + f"   (h = {len(upset)})")
 
 print()
 print("Standard-tableau counts f via branching (paths from the empty shape):")

@@ -11,8 +11,6 @@ from .partitions import (
     conjugate,
     dominates,
     enumerate_partitions,
-    h,
-    hbar,
     parse_partition,
     format_partition,
     partition_count,

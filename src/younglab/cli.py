@@ -2,9 +2,12 @@
 certificates with deterministic output.
 
 Exit status: 0 on success, 1 when a verification sweep finds a
-counterexample, 2 on usage errors.  Errors go to stderr as a single JSON
-object; timing also goes to stderr so that stdout stays byte-identical
-across runs.  Rationals serialize as "p/q" strings ("p" for integers).
+counterexample, 2 on usage errors (``"kind": "usage"``, including a
+``verify --max-n`` outside 1..YOUNGLAB_MAX_N) and on input/output errors
+such as an unwritable ``--out`` path (``"kind": "io"``).  Errors go to
+stderr as a single JSON object; timing also goes to stderr so that stdout
+stays byte-identical across runs.  Rationals serialize as "p/q" strings
+("p" for integers).
 """
 
 from __future__ import annotations
@@ -13,20 +16,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
-from .characters import (
-    class_size,
-    class_types,
-    conjugate_twist_check,
-    eq1_check,
-    irreducible_characters,
-    lemma1_check,
-    theorem1_check,
-    theorem1_components,
-)
+from .characters import class_size, class_types, irreducible_characters
 from .errors import YounglabError
 from .forms import (
     example4_check,
@@ -42,61 +35,20 @@ from .linsys import (
     polymorphism_feasibility,
     statement1_check,
 )
-from .partitions import (
-    enumerate_partitions,
-    format_partition,
-    parse_partition,
-    standard_count,
-    successors,
-)
+from .partitions import enumerate_partitions, format_partition, parse_partition
+from .sweeps import SWEEPS, run_sweep
 from .tableaux import (
     enumerate_ssyt,
     enumerate_standard,
-    eq2_check,
     format_tableau,
     kostka,
     theorem4_bijection,
-)
-
-VERIFY_CHECKS = (
-    "theorem1",
-    "youngs-rule",
-    "eq1",
-    "eq2",
-    "lemma1",
-    "dimension",
-    "conjugate-twist",
 )
 
 
 def frac_str(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of one verification sweep; fails iff a counterexample exists."""
-
-    check_name: str
-    parameters: dict
-    counterexamples: list = field(default_factory=list)
-    artifact: Optional[dict] = None
-
-    @property
-    def status(self) -> str:
-        return "fail" if self.counterexamples else "pass"
-
-    def payload(self) -> dict:
-        out = {
-            "check": self.check_name,
-            "parameters": self.parameters,
-            "status": self.status,
-            "counterexamples": self.counterexamples,
-        }
-        if self.artifact is not None:
-            out["artifact"] = self.artifact
-        return out
 
 
 class _UsageError(Exception):
@@ -232,115 +184,8 @@ def _cmd_character_table(args) -> int:
     return 0
 
 
-def _verify_theorem1(max_n: int) -> VerificationReport:
-    report = VerificationReport("theorem1", {"max_n": max_n})
-    checked = 0
-    for n in range(1, max_n + 1):
-        for lam in enumerate_partitions(n):
-            checked += 1
-            value = theorem1_check(lam)
-            common = theorem1_components(lam)
-            if value != 1 or common != [(lam, 1, 1)]:
-                report.counterexamples.append({
-                    "lambda": list(lam),
-                    "pairing": frac_str(value),
-                    "common": [
-                        {"mu": list(mu), "in_rows": a, "in_columns": b}
-                        for mu, a, b in common
-                    ],
-                })
-    report.artifact = {"shapes_checked": checked}
-    return report
-
-
-def _verify_youngs_rule(max_n: int) -> VerificationReport:
-    from .characters import multiplicity_table
-
-    report = VerificationReport("youngs-rule", {"max_n": max_n})
-    checked = 0
-    for n in range(1, max_n + 1):
-        table = multiplicity_table(n)
-        for mu in enumerate_partitions(n):
-            for lam in enumerate_partitions(n):
-                checked += 1
-                if table(mu, lam) != kostka(mu, lam):
-                    report.counterexamples.append({
-                        "mu": list(mu), "lambda": list(lam),
-                        "multiplicity": table(mu, lam),
-                        "kostka": kostka(mu, lam),
-                    })
-    report.artifact = {"pairs_checked": checked}
-    return report
-
-
-def _verify_eq(which: str, max_n: int) -> VerificationReport:
-    check = eq1_check if which == "eq1" else eq2_check
-    report = VerificationReport(which, {"max_n": max_n})
-    checked = 0
-    for n in range(2, max_n + 1):
-        for lam in enumerate_partitions(n):
-            for rho in enumerate_partitions(n - 1):
-                checked += 1
-                left, right = check(lam, rho)
-                if left != right:
-                    report.counterexamples.append({
-                        "lambda": list(lam), "rho": list(rho),
-                        "left": left, "right": right,
-                    })
-    report.artifact = {"pairs_checked": checked}
-    return report
-
-
-def _verify_lemma1(max_n: int) -> VerificationReport:
-    report = VerificationReport("lemma1", {"max_n": max_n})
-    checked = 0
-    for n in range(2, max_n + 1):
-        for lam in enumerate_partitions(n):
-            checked += 1
-            if not lemma1_check(lam):
-                report.counterexamples.append({"lambda": list(lam)})
-    report.artifact = {"shapes_checked": checked}
-    return report
-
-
-def _verify_dimension(max_n: int) -> VerificationReport:
-    report = VerificationReport("dimension", {"max_n": max_n})
-    checked = 0
-    for n in range(2, max_n + 1):
-        for rho in enumerate_partitions(n - 1):
-            checked += 1
-            total = sum(standard_count(mu) for mu in successors(rho))
-            if total != n * standard_count(rho):
-                report.counterexamples.append({
-                    "rho": list(rho), "n": n,
-                    "left": n * standard_count(rho), "right": total,
-                })
-    report.artifact = {"shapes_checked": checked}
-    return report
-
-
-def _verify_conjugate_twist(max_n: int) -> VerificationReport:
-    report = VerificationReport("conjugate-twist", {"max_n": max_n})
-    for n in range(1, max_n + 1):
-        if not conjugate_twist_check(n):
-            report.counterexamples.append({"n": n})
-    report.artifact = {"degrees_checked": max_n}
-    return report
-
-
-_VERIFY_DISPATCH: dict[str, Callable[[int], VerificationReport]] = {
-    "theorem1": _verify_theorem1,
-    "youngs-rule": _verify_youngs_rule,
-    "eq1": lambda m: _verify_eq("eq1", m),
-    "eq2": lambda m: _verify_eq("eq2", m),
-    "lemma1": _verify_lemma1,
-    "dimension": _verify_dimension,
-    "conjugate-twist": _verify_conjugate_twist,
-}
-
-
 def _cmd_verify(args) -> int:
-    report = _VERIFY_DISPATCH[args.check](args.max_n)
+    report = run_sweep(args.check, args.max_n)
     payload = report.payload()
     lines = [f"{report.check_name}: {report.status.upper()} (max_n={args.max_n})"]
     for ce in report.counterexamples:
@@ -506,7 +351,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_character_table)
 
     p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument("check", choices=VERIFY_CHECKS)
+    p.add_argument("check", choices=tuple(SWEEPS))
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
     add_common(p)
     p.set_defaults(func=_cmd_verify)
@@ -539,11 +384,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         code = args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, YounglabError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "usage"}) + "\n")
         return 2
-    except (YounglabError, ValueError) as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "kind": "usage"}) + "\n")
+    except OSError as exc:
+        sys.stderr.write(json.dumps({"error": str(exc), "kind": "io"}) + "\n")
         return 2
     finally:
         elapsed_ms = int((time.monotonic() - started) * 1000)

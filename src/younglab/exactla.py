@@ -73,9 +73,6 @@ class RationalMatrix:
         )
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],

@@ -29,7 +29,6 @@ from .partitions import (
     predecessors,
     successors,
 )
-from .tableaux import kostka
 
 __all__ = [
     "FlowInstance",
@@ -37,7 +36,6 @@ __all__ = [
     "System3",
     "build_flow_instance",
     "build_system3",
-    "eq3_residual_check",
     "polymorphism_feasibility",
     "statement1_check",
     "verify_witness",
@@ -108,23 +106,6 @@ def statement1_check(lam: Partition) -> Statement1Report:
                 if k < i and entry != 0:
                     unipotent = False
     return Statement1Report(lam, bijective, square, kdim, unipotent)
-
-
-def eq3_residual_check(n: int) -> bool:
-    """With Y = multiplicities minus Kostka numbers, every row sum of the
-    system vanishes; trivially true while the two agree, kept as a wiring
-    test between the character and tableau routes."""
-    from .characters import multiplicity_table
-
-    table = multiplicity_table(n)
-    for lam in enumerate_partitions(n):
-        for rho in enumerate_partitions(n - 1):
-            residual = sum(
-                table(mu, lam) - kostka(mu, lam) for mu in successors(rho)
-            )
-            if residual != 0:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -218,16 +218,6 @@ def bar(lam: Partition) -> Partition:
     return remove_cell(lam, removable_rows(lam)[0])
 
 
-def h(lam: Partition) -> int:
-    """Number of partitions of |lam| that dominance-majorize lam."""
-    return sum(1 for mu in enumerate_partitions(sum(lam)) if dominates(mu, lam))
-
-
-def hbar(lam: Partition) -> int:
-    """h(bar(lam))."""
-    return h(bar(lam))
-
-
 def dominance_upset(lam: Partition) -> list[Partition]:
     """All mu of the same size with mu majorizing lam, in enumeration order."""
     return [mu for mu in enumerate_partitions(sum(lam)) if dominates(mu, lam)]

@@ -1,0 +1,163 @@
+"""Verification sweeps over the degree n, defined once.
+
+Each sweep checks one of the paper's statements on every item of every
+degree up to ``max_n``: shapes, pairs of shapes, or whole degrees.
+``SWEEPS`` maps a sweep's name to its first degree, the artifact key under
+which it reports how many items it checked, the items of degree n, and a
+per-item check that returns a counterexample record (a JSON-ready dict) or
+None.  ``run_sweep`` holds the loop over degrees; the CLI's ``verify``
+command and the acceptance suite both call it.
+
+The checks look the library functions up by their module-global names at
+call time, so rebinding those names (as a tracer or a test does) is seen
+by every sweep.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple, Optional
+
+from .characters import (
+    conjugate_twist_check,
+    eq1_check,
+    lemma1_check,
+    multiplicity_table,
+    theorem1_check,
+    theorem1_components,
+)
+from .errors import LimitError
+from .partitions import enumerate_partitions, max_n as degree_cap, standard_count, successors
+from .tableaux import eq2_check, kostka
+
+__all__ = ["SWEEPS", "Sweep", "VerificationReport", "run_sweep"]
+
+
+@dataclass
+class VerificationReport:
+    """Outcome of one verification sweep; fails iff a counterexample exists."""
+
+    check_name: str
+    parameters: dict
+    counterexamples: list = field(default_factory=list)
+    artifact: Optional[dict] = None
+
+    @property
+    def status(self) -> str:
+        return "fail" if self.counterexamples else "pass"
+
+    def payload(self) -> dict:
+        out = {
+            "check": self.check_name,
+            "parameters": self.parameters,
+            "status": self.status,
+            "counterexamples": self.counterexamples,
+        }
+        if self.artifact is not None:
+            out["artifact"] = self.artifact
+        return out
+
+
+class Sweep(NamedTuple):
+    """One sweep: ``check(item)`` for every item of ``items(n)``, for n from
+    ``first`` to the requested maximum; the item count is reported under
+    ``artifact_key``."""
+
+    first: int
+    artifact_key: str
+    items: Callable[[int], Iterable]
+    check: Callable[[object], Optional[dict]]
+
+
+def _pairs(n: int, m: int):
+    return [(a, b) for a in enumerate_partitions(n) for b in enumerate_partitions(m)]
+
+
+def _theorem1(lam):
+    value = theorem1_check(lam)
+    common = theorem1_components(lam)
+    if value == 1 and common == [(lam, 1, 1)]:
+        return None
+    return {
+        "lambda": list(lam),
+        "pairing": str(value),
+        "common": [
+            {"mu": list(mu), "in_rows": a, "in_columns": b}
+            for mu, a, b in common
+        ],
+    }
+
+
+def _youngs_rule(pair):
+    mu, lam = pair
+    multiplicity = multiplicity_table(sum(mu))(mu, lam)
+    if multiplicity == kostka(mu, lam):
+        return None
+    return {"mu": list(mu), "lambda": list(lam),
+            "multiplicity": multiplicity, "kostka": kostka(mu, lam)}
+
+
+def _recurrence(pair, sides):
+    left, right = sides
+    if left == right:
+        return None
+    lam, rho = pair
+    return {"lambda": list(lam), "rho": list(rho), "left": left, "right": right}
+
+
+def _eq1(pair):
+    return _recurrence(pair, eq1_check(*pair))
+
+
+def _eq2(pair):
+    return _recurrence(pair, eq2_check(*pair))
+
+
+def _lemma1(lam):
+    return None if lemma1_check(lam) else {"lambda": list(lam)}
+
+
+def _dimension(rho):
+    n = sum(rho) + 1
+    left = n * standard_count(rho)
+    right = sum(standard_count(mu) for mu in successors(rho))
+    if left == right:
+        return None
+    return {"rho": list(rho), "n": n, "left": left, "right": right}
+
+
+def _conjugate_twist(n):
+    return None if conjugate_twist_check(n) else {"n": n}
+
+
+SWEEPS: dict[str, Sweep] = {
+    "theorem1": Sweep(1, "shapes_checked", lambda n: enumerate_partitions(n), _theorem1),
+    "youngs-rule": Sweep(1, "pairs_checked", lambda n: _pairs(n, n), _youngs_rule),
+    "eq1": Sweep(2, "pairs_checked", lambda n: _pairs(n, n - 1), _eq1),
+    "eq2": Sweep(2, "pairs_checked", lambda n: _pairs(n, n - 1), _eq2),
+    "lemma1": Sweep(2, "shapes_checked", lambda n: enumerate_partitions(n), _lemma1),
+    "dimension": Sweep(2, "shapes_checked", lambda n: enumerate_partitions(n - 1), _dimension),
+    "conjugate-twist": Sweep(1, "degrees_checked", lambda n: (n,), _conjugate_twist),
+}
+
+
+def run_sweep(name: str, max_n: int) -> VerificationReport:
+    """Run sweep ``name`` over the degrees up to ``max_n``.
+
+    Raises LimitError before any work unless 1 <= max_n <= the configured
+    degree cap (YOUNGLAB_MAX_N).
+    """
+    cap = degree_cap()
+    if not 1 <= max_n <= cap:
+        raise LimitError(f"max_n={max_n} must lie in 1..{cap}")
+    sweep = SWEEPS[name]
+    report = VerificationReport(name, {"max_n": max_n})
+    checked = 0
+    for n in range(sweep.first, max_n + 1):
+        for item in sweep.items(n):
+            checked += 1
+            record = sweep.check(item)
+            if record is not None:
+                report.counterexamples.append(record)
+    report.artifact = {sweep.artifact_key: checked}
+    return report

@@ -9,14 +9,10 @@ from math import comb, factorial
 
 from oracles import ind_sgn_coset_oracle, perm_character_tabloid_oracle
 from younglab.characters import (
-    eq1_check,
     ind_sgn_character,
     inner,
-    lemma1_check,
     multiplicity_table,
     perm_character,
-    theorem1_check,
-    theorem1_components,
 )
 from younglab.forms import (
     example4_check,
@@ -36,14 +32,14 @@ from younglab.linsys import (
 )
 from younglab.partitions import (
     enumerate_partitions,
+    partition_count,
     standard_count,
-    successors,
 )
+from younglab.sweeps import run_sweep
 from younglab.tableaux import (
     enumerate_standard,
     eq2_check,
     format_tableau,
-    kostka,
     theorem4_bijection,
 )
 
@@ -55,15 +51,17 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} ({name}) failed"
 
 
+def _sweep_passes(name: str, max_n: int, expected_items: int) -> bool:
+    """The shared sweep finds no counterexample and checked exactly the
+    expected number of items, so that skipped items cannot pass vacuously."""
+    report = run_sweep(name, max_n)
+    return (report.status == "pass"
+            and list(report.artifact.values()) == [expected_items])
+
+
 def test_criterion_01_common_irreducible_pairing():
     started = time.monotonic()
-    ok = True
-    for n in range(1, 9):
-        for lam in enumerate_partitions(n):
-            if theorem1_check(lam) != 1:
-                ok = False
-            if theorem1_components(lam) != [(lam, 1, 1)]:
-                ok = False
+    ok = _sweep_passes("theorem1", 8, sum(partition_count(n) for n in range(1, 9)))
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 60.0
 
@@ -81,13 +79,9 @@ def test_criterion_01_common_irreducible_pairing():
 
 
 def test_criterion_02_youngs_rule():
-    ok = True
-    for n in range(1, 9):
-        table = multiplicity_table(n)
-        for mu in enumerate_partitions(n):
-            for lam in enumerate_partitions(n):
-                if table(mu, lam) != kostka(mu, lam):
-                    ok = False
+    ok = _sweep_passes(
+        "youngs-rule", 8, sum(partition_count(n) ** 2 for n in range(1, 9))
+    )
     table4 = multiplicity_table(4)
     row = [table4(mu, (2, 1, 1)) for mu in ((4,), (2, 2), (2, 1, 1), (3, 1))]
     ok = ok and row == [1, 1, 1, 2]
@@ -113,14 +107,8 @@ GOLDEN_PAIRS = {
 
 
 def test_criterion_03_recurrences_and_worked_examples():
-    ok = True
-    for n in range(2, 9):
-        for lam in enumerate_partitions(n):
-            for rho in enumerate_partitions(n - 1):
-                left1, right1 = eq1_check(lam, rho)
-                left2, right2 = eq2_check(lam, rho)
-                if not (left1 == right1 and left2 == right2 == left1):
-                    ok = False
+    pairs = sum(partition_count(n) * partition_count(n - 1) for n in range(2, 9))
+    ok = _sweep_passes("eq1", 8, pairs) and _sweep_passes("eq2", 8, pairs)
     for (lam, rho), golden in GOLDEN_PAIRS.items():
         if eq2_check(lam, rho) != (5, 5):
             ok = False
@@ -147,20 +135,14 @@ def test_criterion_03_recurrences_and_worked_examples():
 
 
 def test_criterion_04_restriction_rule():
-    ok = all(
-        lemma1_check(lam)
-        for n in range(2, 9)
-        for lam in enumerate_partitions(n)
-    )
+    ok = _sweep_passes("lemma1", 8, sum(partition_count(n) for n in range(2, 9)))
     _report(4, "restriction decomposes with removal multiplicities (n <= 8)", ok)
 
 
 def test_criterion_05_dimension_recurrence():
-    ok = True
-    for n in range(2, 13):
-        for rho in enumerate_partitions(n - 1):
-            if sum(standard_count(mu) for mu in successors(rho)) != n * standard_count(rho):
-                ok = False
+    ok = _sweep_passes(
+        "dimension", 12, sum(partition_count(n - 1) for n in range(2, 13))
+    )
     for n in range(1, 9):
         for lam in enumerate_partitions(n):
             if len(enumerate_standard(lam)) != standard_count(lam):

@@ -1,9 +1,12 @@
+import argparse
 import json
 
 import pytest
 
-from younglab.cli import main
+from younglab import sweeps
+from younglab.cli import build_parser, main
 from younglab.partitions import parse_partition
+from younglab.sweeps import SWEEPS
 from younglab.tableaux import parse_tableau
 
 
@@ -68,15 +71,52 @@ class TestBasicCommands:
             parse_partition(key)  # round-trip through the library parser
 
 
+def error_records(err):
+    return [r for r in map(json.loads, err.splitlines()) if "error" in r]
+
+
 class TestVerify:
-    @pytest.mark.parametrize("check", [
-        "theorem1", "youngs-rule", "eq1", "eq2", "lemma1",
-        "dimension", "conjugate-twist",
-    ])
+    @pytest.mark.parametrize("check", tuple(SWEEPS))
     def test_all_checks_pass_small(self, capsys, check):
         code, out, _ = run_cli(capsys, "verify", check, "--max-n", "5")
         assert code == 0
         assert "PASS" in out
+
+    def test_choices_are_the_sweep_table(self):
+        assert tuple(SWEEPS) == (
+            "theorem1", "youngs-rule", "eq1", "eq2", "lemma1",
+            "dimension", "conjugate-twist",
+        )
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        check = next(a for a in sub.choices["verify"]._actions if a.dest == "check")
+        assert tuple(check.choices) == tuple(SWEEPS)
+
+    def test_counterexample_fails_the_sweep(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "lemma1_check", lambda lam: lam != (2, 1))
+        code, out, _ = run_cli(capsys, "verify", "lemma1", "--max-n", "4")
+        assert code == 1
+        assert out.splitlines() == [
+            "lemma1: FAIL (max_n=4)", 'counterexample: {"lambda": [2, 1]}',
+        ]
+        code, out, _ = run_cli(
+            capsys, "verify", "lemma1", "--max-n", "4", "--format", "json"
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["status"] == "fail"
+        assert payload["counterexamples"] == [{"lambda": [2, 1]}]
+        assert payload["artifact"] == {"shapes_checked": 2 + 3 + 5}
+
+    @pytest.mark.parametrize("max_n, cap", [("0", None), ("-3", None), ("4", "3")])
+    def test_max_n_out_of_range_is_usage_error(self, capsys, monkeypatch, max_n, cap):
+        if cap is not None:
+            monkeypatch.setenv("YOUNGLAB_MAX_N", cap)
+        code, out, err = run_cli(capsys, "verify", "theorem1", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        errors = error_records(err)
+        assert len(errors) == 1 and errors[0]["kind"] == "usage"
 
     def test_json_report_shape(self, capsys):
         code, out, _ = run_cli(
@@ -148,8 +188,7 @@ class TestFormsCommand:
         )
         assert code == 2
         assert out == ""
-        records = [json.loads(line) for line in err.splitlines()]
-        errors = [r for r in records if "error" in r]
+        errors = error_records(err)
         assert len(errors) == 1 and errors[0]["kind"] == "usage"
 
 
@@ -199,6 +238,17 @@ class TestErrorsAndDeterminism:
         assert out == ""
         payload = json.loads(target.read_text())
         assert payload["partitions"] == [[3], [2, 1], [1, 1, 1]]
+
+    def test_unwritable_out_is_io_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "partitions", "--n", "4", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        errors = error_records(err)
+        assert len(errors) == 1 and errors[0]["kind"] == "io"
+        assert not target.exists()
 
     def test_tsv_format(self, capsys):
         code, out, _ = run_cli(capsys, "partitions", "--n", "3", "--format", "tsv")

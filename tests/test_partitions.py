@@ -10,8 +10,6 @@ from younglab.partitions import (
     dominates,
     enumerate_partitions,
     format_partition,
-    h,
-    hbar,
     parse_partition,
     partition_count,
     predecessors,
@@ -211,16 +209,18 @@ class TestBar:
 
 
 class TestDominanceCounts:
+    # the paper's h(lam) is len(dominance_upset(lam)), and hbar(lam) is
+    # h(bar(lam))
     def test_h_examples(self):
-        assert h((2, 1, 1)) == 4
         assert dominance_upset((2, 1, 1)) == [(4,), (3, 1), (2, 2), (2, 1, 1)]
         for n in range(1, 11):
-            assert h((n,)) == 1
-            assert h((1,) * n) == partition_count(n)
+            assert len(dominance_upset((n,))) == 1
+            assert len(dominance_upset((1,) * n)) == partition_count(n)
 
     def test_hbar(self):
-        assert hbar((2, 2)) == h((2, 1))
-        assert hbar((3, 1)) == 2
+        assert bar((2, 2)) == (2, 1)
+        assert len(dominance_upset(bar((2, 2)))) == 2
+        assert len(dominance_upset(bar((3, 1)))) == 2
 
 
 class TestStandardCount:

@@ -36,7 +36,6 @@ from .characters import (
     perm_character,
     sign_twist,
     theorem1_check,
-    youngs_rule_check,
     eq1_check,
 )
 from .linsys import (

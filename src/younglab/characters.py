@@ -5,8 +5,9 @@ of the degree in the frozen enumeration order.  Permutation characters of
 row-stabilizer subgroups are computed by distributing cycles over blocks;
 irreducible characters are recovered by orthogonalizing the permutation
 characters along the dominance order, which keeps everything inside exact
-arithmetic and leaves Kostka numbers (computed independently by tableau
-enumeration) available as a cross-check rather than an ingredient.
+arithmetic and leaves Kostka numbers (counted independently by the
+horizontal-strip recursion in :mod:`younglab.tableaux`) available as a
+cross-check rather than an ingredient.
 
 All pairings are plain products without conjugation: every class function
 built here is integer-valued.  `inner` sums integers and divides by n! once,
@@ -51,7 +52,6 @@ __all__ = [
     "theorem1_check",
     "theorem1_components",
     "trivial_character",
-    "youngs_rule_check",
 ]
 
 
@@ -263,18 +263,6 @@ def multiplicity_table(n: int) -> MultiplicityTable:
                 raise OrthogonalizationError(f"bad multiplicity at ({mu}, {lam})")
             entries[(mu, lam)] = int(m)
     return MultiplicityTable(n, entries)
-
-
-def youngs_rule_check(n: int) -> bool:
-    """True iff every multiplicity equals the matching Kostka number."""
-    from .tableaux import kostka
-
-    table = multiplicity_table(n)
-    return all(
-        table(mu, lam) == kostka(mu, lam)
-        for mu in enumerate_partitions(n)
-        for lam in enumerate_partitions(n)
-    )
 
 
 def restrict(f: ClassFunction) -> ClassFunction:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import product
 
-from .errors import SizeMismatchError
+from .errors import LimitError, SizeMismatchError
 from .partitions import (
     Partition,
     check_partition,
+    max_n,
     predecessors,
     successors,
 )
@@ -79,17 +81,27 @@ def format_tableau(t: Tableau) -> str:
     return "/".join(",".join(str(x) for x in row) for row in t)
 
 
+def _checked_shape(shape: Partition, weight: Weight) -> Partition:
+    """Validate a (shape, weight) pair before any tableau work: the shape
+    is a partition, the counts are nonnegative, the sizes agree and do not
+    exceed YOUNGLAB_MAX_N.  Returns the normalized shape."""
+    shape = check_partition(shape)
+    if any(c < 0 for c in weight):
+        raise ValueError(f"weight counts must be nonnegative, got {weight}")
+    if sum(shape) != sum(weight):
+        raise SizeMismatchError(f"|{shape}| != |{weight}|")
+    if sum(shape) > max_n():
+        raise LimitError(f"n={sum(shape)} exceeds the configured maximum {max_n()}")
+    return shape
+
+
 def enumerate_ssyt(shape: Partition, weight: Weight) -> list[Tableau]:
     """All semistandard tableaux of the given shape and weight.
 
     Cells are filled in row-major order trying smaller symbols first, so
     the output comes in lexicographic order of the row-reading word.
     """
-    shape = check_partition(shape)
-    if any(c < 0 for c in weight):
-        raise ValueError(f"weight counts must be nonnegative, got {weight}")
-    if sum(shape) != sum(weight):
-        raise SizeMismatchError(f"|{shape}| != |{weight}|")
+    shape = _checked_shape(shape, weight)
     nsym = len(weight)
     cells = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
     rows = [[0] * shape[i] for i in range(len(shape))]
@@ -123,8 +135,27 @@ def kostka(mu: Partition, lam: Weight) -> int:
     weight lam.  The weight may be any composition; the count only depends
     on it up to reordering, but no normalization is applied here so that
     the invariance stays testable.
+
+    Counted without building a tableau: the cells holding the largest
+    symbol form a horizontal strip of lam[-1] cells, so K(mu, lam) is the
+    sum of K(nu, lam[:-1]) over the shapes nu left when such a strip is
+    removed from mu (Macdonald, Symmetric Functions, I.5).
     """
-    return len(enumerate_ssyt(mu, lam))
+    mu = _checked_shape(mu, lam)
+    if not lam:
+        return 1
+    if len(mu) > len(lam):
+        return 0
+    return sum(kostka(nu, lam[:-1]) for nu in _strips(mu, lam[-1]))
+
+
+def _strips(mu: Partition, size: int) -> list[Partition]:
+    """The shapes nu with mu/nu a horizontal strip of `size` cells:
+    mu[i+1] <= nu[i] <= mu[i] and |mu| - |nu| = size, trailing zeros
+    removed."""
+    rest = sum(mu) - size
+    bounds = (range(low, high + 1) for low, high in zip(mu[1:] + (0,), mu))
+    return [tuple(x for x in nu if x) for nu in product(*bounds) if sum(nu) == rest]
 
 
 def eq2_check(lam: Partition, rho: Partition) -> tuple[int, int]:
@@ -166,7 +197,8 @@ class BijectionCertificate:
     covers rho; the right side lists every semistandard tableau of shape rho
     whose weight is lam with one symbol occurrence removed (weights kept as
     compositions).  `canonical` is True when every pair was produced by the
-    per-item rule; otherwise some pairs come from the matching fallback.
+    per-item rule; otherwise some pairs come from the first-fit fallback,
+    which pairs leftover items in listing order without relating them.
     """
 
     lam: Partition
@@ -232,9 +264,10 @@ def theorem4_bijection(lam: Partition, rho: Partition) -> BijectionCertificate:
     Per-item rule: a tableau whose shape covers rho in row r loses the
     rightmost symbol r of its r-th row, and the row closes up.  Whenever
     that is defined and injective it reproduces the worked small cases
-    exactly; any leftover items (the rule can delete nothing when symbol r
-    is missing from row r) are paired by a perfect matching that only joins
-    items whose contents differ by one symbol occurrence.
+    exactly.  Any leftover left item (the rule deletes nothing when symbol
+    r is missing from row r) takes the first right item not yet used,
+    first-fit in listing order; nothing relates the two tableaux of such
+    a pair, so only the bijection itself is certified.
     """
     _check_consecutive(lam, rho)
     left: list[tuple[Tableau, int]] = []  # (tableau, corner row)
@@ -258,10 +291,8 @@ def theorem4_bijection(lam: Partition, rho: Partition) -> BijectionCertificate:
 
     all_canonical = all(a is not None for a in assigned)
     if not all_canonical:
-        # Any right item whose weight is lam minus one occurrence of some
-        # symbol present in the left tableau is an admissible partner; the
-        # groups by weight always admit a completion because the two sides
-        # are equinumerous in total.
+        # First-fit: every leftover left item takes the first unused right
+        # item; this completes because the two sides are equinumerous.
         free = [i for i, used in enumerate(taken) if not used]
         for k, (t, r) in enumerate(left):
             if assigned[k] is not None:

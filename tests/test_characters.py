@@ -24,7 +24,6 @@ from younglab.characters import (
     theorem1_check,
     theorem1_components,
     trivial_character,
-    youngs_rule_check,
 )
 from younglab.errors import DegreeMismatchError
 from younglab.partitions import (
@@ -32,6 +31,7 @@ from younglab.partitions import (
     enumerate_partitions,
     standard_count,
 )
+from younglab.sweeps import run_sweep
 from younglab.tableaux import eq2_check, kostka
 
 
@@ -196,7 +196,7 @@ class TestMultiplicities:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_youngs_rule(self, n):
-        assert youngs_rule_check(n)
+        assert run_sweep("youngs-rule", n).status == "pass"
 
 
 class TestRestriction:

@@ -214,6 +214,18 @@ class TestErrorsAndDeterminism:
         finally:
             enumerate_partitions.cache_clear()
 
+    @pytest.mark.parametrize("argv", [
+        ("kostka", "--mu", "21", "--lambda", "21"),
+        ("ssyt", "--shape", "21", "--weight", "21"),
+    ])
+    def test_tableaux_over_size_cap_is_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("YOUNGLAB_MAX_N", "20")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        errors = error_records(err)
+        assert len(errors) == 1 and errors[0]["kind"] == "usage"
+
     def test_stdout_byte_identical_across_runs(self, capsys):
         _, first, _ = run_cli(
             capsys, "character-table", "--n", "4", "--format", "json"

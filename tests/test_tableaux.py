@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from younglab.errors import SizeMismatchError
+from younglab.errors import LimitError, SizeMismatchError
 from younglab.partitions import (
     dominates,
     enumerate_partitions,
@@ -101,6 +101,45 @@ class TestKostka:
     def test_column_weight_counts_standard_tableaux(self):
         for lam in enumerate_partitions(6):
             assert kostka(lam, (1,) * 6) == standard_count(lam)
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_matches_enumeration_on_weak_compositions(self, n):
+        # n + 1 parts, so every w has a zero, in the middle or at the end
+        for mu in enumerate_partitions(n):
+            for w in weak_compositions(n, n + 1):
+                assert kostka(mu, w) == len(enumerate_ssyt(mu, w))
+
+    @pytest.mark.parametrize("shape, weight, exc", [
+        ((1, 2), (2, 1), ValueError),
+        ((2, 1), (4, -1), ValueError),
+        ((3, 1), (1, 1, 1), SizeMismatchError),
+        ((1, 2), (1,), ValueError),  # shape checked before size
+        ((2, 1), (4, -2), ValueError),  # counts checked before size
+    ])
+    def test_errors_match_enumeration(self, shape, weight, exc):
+        with pytest.raises(exc) as from_count:
+            kostka(shape, weight)
+        with pytest.raises(exc) as from_list:
+            enumerate_ssyt(shape, weight)
+        assert from_count.type is from_list.type
+
+    def test_size_cap_checked_before_work(self, monkeypatch):
+        monkeypatch.setenv("YOUNGLAB_MAX_N", "5")
+        kostka.cache_clear()  # the cap is checked on a cache miss
+        for route in (kostka, enumerate_ssyt):
+            with pytest.raises(LimitError):
+                route((6,), (1,) * 6)
+        assert kostka((5,), (1,) * 5) == 1
+
+
+def weak_compositions(n, parts):
+    """All tuples of `parts` nonnegative integers summing to n."""
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in weak_compositions(n - first, parts - 1):
+            yield (first,) + rest
 
 
 class TestCornerRemoval:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .characters import class_size, class_types, irreducible_characters
-from .errors import YounglabError
+from .errors import SelfCheckError, YounglabError
 from .forms import (
     example4_check,
     format_form,
@@ -117,7 +117,7 @@ def _cmd_bijection(args) -> int:
     rho = parse_partition(args.rho)
     cert = theorem4_bijection(lam, rho)
     if not cert.check():
-        raise YounglabError("bijection certificate failed verification")
+        raise SelfCheckError("bijection certificate failed verification")
     payload = {
         "lambda": list(lam),
         "rho": list(rho),

@@ -621,21 +621,20 @@ def example4_check() -> dict:
             if not want_even and image != -f:
                 parity_ok = False
 
+    # The swap is an involution of the monomials, so its matrix has a 1 in
+    # column image[i] of row i; the even and odd halves are the kernels of
+    # swap - I and swap + I.
     index = {m: i for i, m in enumerate(ambient)}
-    size = len(ambient)
-    entries = [[0] * size for _ in range(size)]
-    for m in ambient:
-        entries[index[_degree_swap(m)]][index[m]] = 1
-    swap = RationalMatrix(entries, cols=size)
-    eye = RationalMatrix.identity(size)
-    minus = RationalMatrix(
-        [[swap.entries[i][j] - eye.entries[i][j] for j in range(size)] for i in range(size)]
-    )
-    plus = RationalMatrix(
-        [[swap.entries[i][j] + eye.entries[i][j] for j in range(size)] for i in range(size)]
-    )
-    even_dim = kernel(minus).dim
-    odd_dim = kernel(plus).dim
+    image = [index[_degree_swap(m)] for m in ambient]
+
+    def swap_plus(sign: int) -> RationalMatrix:
+        return RationalMatrix([
+            [(j == image[i]) + sign * (j == i) for j in range(len(image))]
+            for i in range(len(image))
+        ])
+
+    even_dim = kernel(swap_plus(-1)).dim
+    odd_dim = kernel(swap_plus(1)).dim
 
     return {
         "dims": dims,

@@ -10,11 +10,11 @@ distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .errors import LimitError, SizeMismatchError
+from .errors import LimitError, SelfCheckError, SizeMismatchError
 from .partitions import (
     Partition,
     check_partition,
@@ -191,46 +191,63 @@ class BijectionPair:
 
 @dataclass(frozen=True)
 class BijectionCertificate:
-    """A verified pairing witnessing the two-way count for (lam, rho).
+    """A pairing witnessing the two-way count for (lam, rho).
 
     The left side lists every semistandard tableau of weight lam whose shape
     covers rho; the right side lists every semistandard tableau of shape rho
     whose weight is lam with one symbol occurrence removed (weights kept as
-    compositions).  `canonical` is True when every pair was produced by the
-    per-item rule; otherwise some pairs come from the first-fit fallback,
-    which pairs leftover items in listing order without relating them.
+    compositions).  A pair is `canonical` when the per-item rule produced
+    it; the others pair the leftover items of both sides in listing order,
+    and nothing relates their two tableaux.
     """
 
     lam: Partition
     rho: Partition
-    pairs: tuple[BijectionPair, ...] = field(default_factory=tuple)
-    canonical: bool = True
+    pairs: tuple[BijectionPair, ...] = ()
+
+    @property
+    def canonical(self) -> bool:
+        return all(p.canonical for p in self.pairs)
 
     @property
     def canonical_count(self) -> int:
         return sum(1 for p in self.pairs if p.canonical)
 
     def check(self) -> bool:
-        """Re-verify that the pairing is a bijection between the two sides."""
-        left = sorted(p.mu_tableau for p in self.pairs)
-        right = sorted((p.gamma_weight, p.rho_tableau) for p in self.pairs)
-        if left != sorted(_left_side(self.lam, self.rho)):
+        """Verify that the pairing is a bijection between the two sides,
+        without listing either side.
+
+        Each pair must hold a left item and a right item whose weight is lam
+        minus its removed symbol, no item may repeat, and the number of
+        pairs must equal both counts of `eq2_check` (Kostka numbers from the
+        strip recursion).  Distinct members of a side, as many as the side
+        has, are the whole side.
+        """
+        lam, rho = self.lam, self.rho
+        covers = set(successors(rho))
+        for p in self.pairs:
+            t, s = p.mu_tableau, p.rho_tableau
+            if not (is_semistandard(t) and tableau_shape(t) in covers
+                    and tableau_weight(t) == lam):
+                return False
+            if not (1 <= p.removed_symbol <= len(lam)
+                    and p.gamma_weight == _minus_one(lam, p.removed_symbol)):
+                return False
+            if not (is_semistandard(s) and tableau_shape(s) == rho
+                    and tableau_weight(s) == p.gamma_weight):
+                return False
+        n = len(self.pairs)
+        if len({p.mu_tableau for p in self.pairs}) != n:
             return False
-        if right != sorted(_right_side(self.lam, self.rho)):
+        if len({(p.gamma_weight, p.rho_tableau) for p in self.pairs}) != n:
             return False
-        return len(set(left)) == len(left) and len(set(right)) == len(right)
+        return eq2_check(lam, rho) == (n, n)
 
 
-def _left_side(lam: Partition, rho: Partition) -> list[Tableau]:
-    return [t for mu in successors(rho) for t in enumerate_ssyt(mu, lam)]
-
-
-def _right_side(lam: Partition, rho: Partition) -> list[tuple[Weight, Tableau]]:
-    out = []
-    for i in range(len(lam)):
-        w = strip_weight(lam[:i] + (lam[i] - 1,) + lam[i + 1:])
-        out.extend((w, s) for s in enumerate_ssyt(rho, w))
-    return out
+def _minus_one(lam: Partition, x: int) -> Weight:
+    """The weight lam with one occurrence of symbol x removed, kept as a
+    composition (trailing zeros dropped)."""
+    return strip_weight(lam[:x - 1] + (lam[x - 1] - 1,) + lam[x:])
 
 
 def _corner_row(mu: Partition, rho: Partition) -> int:
@@ -246,7 +263,7 @@ def _canonical_image(t: Tableau, row: int) -> Tableau | None:
     """Delete the rightmost entry equal to `row` in row `row` and close it.
 
     Returns None when the symbol is absent or the result is not
-    semistandard; the caller then falls back to matching.
+    semistandard; the caller then pairs the item in listing order.
     """
     r = row - 1
     cols = [j for j, x in enumerate(t[r]) if x == row]
@@ -264,60 +281,36 @@ def theorem4_bijection(lam: Partition, rho: Partition) -> BijectionCertificate:
     Per-item rule: a tableau whose shape covers rho in row r loses the
     rightmost symbol r of its r-th row, and the row closes up.  Whenever
     that is defined and injective it reproduces the worked small cases
-    exactly.  Any leftover left item (the rule deletes nothing when symbol
-    r is missing from row r) takes the first right item not yet used,
-    first-fit in listing order; nothing relates the two tableaux of such
-    a pair, so only the bijection itself is certified.
+    exactly.  The left items the rule leaves unpaired (it deletes nothing
+    when symbol r is missing from row r) and the right items it does not
+    reach are then paired in listing order: the k-th leftover left item
+    takes the k-th unused right item.  Nothing relates the two tableaux of
+    such a pair, so only the bijection itself is certified.
     """
     _check_consecutive(lam, rho)
-    left: list[tuple[Tableau, int]] = []  # (tableau, corner row)
-    for mu in successors(rho):
-        r = _corner_row(mu, rho)
-        left.extend((t, r) for t in enumerate_ssyt(mu, lam))
-    right = _right_side(lam, rho)
+    left = [
+        (t, _corner_row(mu, rho))
+        for mu in successors(rho)
+        for t in enumerate_ssyt(mu, lam)
+    ]
+    # (gamma weight, tableau) -> removed symbol, in listing order
+    right: dict[tuple[Weight, Tableau], int] = {}
+    for x in range(1, len(lam) + 1):
+        w = _minus_one(lam, x)
+        right.update(((w, s), x) for s in enumerate_ssyt(rho, w))
 
-    taken = [False] * len(right)
-    index = {item: i for i, item in enumerate(right)}
-    assigned: list[tuple[int, Tableau, Weight, bool] | None] = [None] * len(left)
+    pairs: list[BijectionPair | None] = [None] * len(left)
     for k, (t, r) in enumerate(left):
         s = _canonical_image(t, r)
         if s is None:
             continue
-        w = strip_weight(lam[:r - 1] + (lam[r - 1] - 1,) + lam[r:])
-        i = index.get((w, s))
-        if i is not None and not taken[i]:
-            taken[i] = True
-            assigned[k] = (r, s, w, True)
+        w = _minus_one(lam, r)
+        if right.pop((w, s), None):
+            pairs[k] = BijectionPair(t, r, s, w, True)
 
-    all_canonical = all(a is not None for a in assigned)
-    if not all_canonical:
-        # First-fit: every leftover left item takes the first unused right
-        # item; this completes because the two sides are equinumerous.
-        free = [i for i, used in enumerate(taken) if not used]
-        for k, (t, r) in enumerate(left):
-            if assigned[k] is not None:
-                continue
-            for i in free:
-                w, s = right[i]
-                removed = _removed_symbol(lam, w)
-                if lam[removed - 1] > 0:
-                    assigned[k] = (removed, s, w, False)
-                    free.remove(i)
-                    break
-        if any(a is None for a in assigned):
-            raise AssertionError("two-way count sides are not equinumerous")
-
-    pairs = tuple(
-        BijectionPair(t, sym, s, w, canon)
-        for (t, _), (sym, s, w, canon) in zip(left, assigned)
-    )
-    return BijectionCertificate(lam, rho, pairs, all_canonical)
-
-
-def _removed_symbol(lam: Partition, w: Weight) -> int:
-    """The symbol whose count drops from lam to w."""
-    padded = w + (0,) * (len(lam) - len(w))
-    for i, (a, b) in enumerate(zip(lam, padded)):
-        if a != b:
-            return i + 1
-    raise ValueError(f"{w} is not {lam} minus one symbol")
+    leftover = [k for k, p in enumerate(pairs) if p is None]
+    if len(leftover) != len(right):
+        raise SelfCheckError("two-way count sides are not equinumerous")
+    for k, ((w, s), x) in zip(leftover, right.items()):
+        pairs[k] = BijectionPair(left[k][0], x, s, w, False)
+    return BijectionCertificate(lam, rho, tuple(pairs))

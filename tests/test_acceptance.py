@@ -131,7 +131,8 @@ def test_criterion_03_recurrences_and_worked_examples():
                 total += len(cert.pairs)
                 canonical += cert.canonical_count
     _report(3, "both recurrences exact (n <= 8), worked pairings reproduced", ok,
-            f"canonical rule covered {canonical}/{total} items in the n <= 7 sweep")
+            f"canonical rule covered {canonical}/{total} items in the n <= 7 sweep, "
+            "the rest paired in listing order")
 
 
 def test_criterion_04_restriction_rule():

@@ -7,7 +7,7 @@ from younglab import sweeps
 from younglab.cli import build_parser, main
 from younglab.partitions import parse_partition
 from younglab.sweeps import SWEEPS
-from younglab.tableaux import parse_tableau
+from younglab.tableaux import BijectionCertificate, parse_tableau
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +225,16 @@ class TestErrorsAndDeterminism:
         assert out == ""
         errors = error_records(err)
         assert len(errors) == 1 and errors[0]["kind"] == "usage"
+
+    def test_failed_certificate_check_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(BijectionCertificate, "check", lambda self: False)
+        code, out, err = run_cli(capsys, "bijection", "--lambda", "3,2,1", "--rho", "4,1")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        errors = error_records(err)
+        assert len(errors) == 1
+        assert errors[0]["error"] == "bijection certificate failed verification"
 
     def test_stdout_byte_identical_across_runs(self, capsys):
         _, first, _ = run_cli(

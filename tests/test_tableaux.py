@@ -1,8 +1,10 @@
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
-from younglab.errors import LimitError, SizeMismatchError
+from younglab import tableaux
+from younglab.errors import LimitError, SelfCheckError, SizeMismatchError
 from younglab.partitions import (
     dominates,
     enumerate_partitions,
@@ -239,10 +241,58 @@ class TestBijection:
 
     def test_fallback_used_for_standard_weights(self):
         # shape (2,2) over (2,1) with all-distinct entries: row 2 of
-        # ((1,2),(3,4)) has no symbol 2, so the per-item rule cannot apply
+        # ((1,2),(3,4)) has no symbol 2, so the per-item rule cannot apply;
+        # the four leftover items on each side are paired in listing order
         cert = theorem4_bijection((1, 1, 1, 1), (2, 1))
         assert not cert.canonical
         assert cert.check()
+        got = [
+            (format_tableau(p.mu_tableau), p.removed_symbol,
+             format_tableau(p.rho_tableau), p.canonical)
+            for p in cert.pairs
+        ]
+        assert got == [
+            ("1,2,3/4", 1, "2,3/4", True),
+            ("1,2,4/3", 1, "2,4/3", True),
+            ("1,3,4/2", 2, "1,4/3", False),
+            ("1,2/3,4", 3, "1,2/4", False),
+            ("1,3/2,4", 2, "1,3/4", True),
+            ("1,2/3/4", 4, "1,2/3", False),
+            ("1,3/2/4", 4, "1,3/2", False),
+            ("1,4/2/3", 3, "1,4/2", True),
+        ]
+        assert cert.canonical_count == 4
+
+    def test_check_rejects_a_wrong_removed_symbol(self):
+        cert = theorem4_bijection((2, 2, 1), (3, 1))
+        first = cert.pairs[0]
+        wrong = replace(first, removed_symbol=first.removed_symbol + 1)
+        assert not replace(cert, pairs=(wrong,) + cert.pairs[1:]).check()
+
+    def test_check_rejects_a_certificate_missing_items(self, monkeypatch):
+        # both sides lose as many tableaux, so the pairing still completes,
+        # but it no longer covers either side
+        enumerate_all = tableaux.enumerate_ssyt
+        monkeypatch.setattr(
+            tableaux, "enumerate_ssyt", lambda shape, weight: enumerate_all(shape, weight)[:-1]
+        )
+        cert = theorem4_bijection((2, 2, 1), (3, 1))
+        assert len(cert.pairs) == 2
+        assert not cert.check()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_unequal_sides_raise(self, monkeypatch, side):
+        lam, rho = (2, 2, 1), (3, 1)
+        enumerate_all = tableaux.enumerate_ssyt
+
+        def lose_one(shape, weight):
+            found = enumerate_all(shape, weight)
+            on_left = tuple(shape) != rho
+            return found[:-1] if on_left == (side == "left") else found
+
+        monkeypatch.setattr(tableaux, "enumerate_ssyt", lose_one)
+        with pytest.raises(SelfCheckError):
+            theorem4_bijection(lam, rho)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_true_bijection_everywhere(self, n):

@@ -3,8 +3,10 @@ certificates with deterministic output.
 
 Exit status: 0 on success, 1 when a verification sweep finds a
 counterexample, 2 on usage errors (``"kind": "usage"``, including a
-``verify --max-n`` outside 1..YOUNGLAB_MAX_N) and on input/output errors
-such as an unwritable ``--out`` path (``"kind": "io"``).  Errors go to
+``verify --max-n`` outside 1..YOUNGLAB_MAX_N), on input/output errors
+such as an unwritable ``--out`` path (``"kind": "io"``) and when a result
+fails the library's own re-check, a bug rather than bad input
+(``SelfCheckError``, ``"kind": "internal"``).  Errors go to
 stderr as a single JSON object; timing also goes to stderr so that stdout
 stays byte-identical across runs.  Rationals serialize as "p/q" strings
 ("p" for integers).
@@ -384,6 +386,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         code = args.func(args)
+    except SelfCheckError as exc:
+        sys.stderr.write(json.dumps({"error": str(exc), "kind": "internal"}) + "\n")
+        return 2
     except (_UsageError, YounglabError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "usage"}) + "\n")
         return 2

@@ -23,7 +23,7 @@ Vector = tuple[Fraction, ...]
 
 
 def _frac_row(row: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in row)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in row)
 
 
 class RationalMatrix:
@@ -82,12 +82,13 @@ class RationalMatrix:
     def matvec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatchError(f"vector length {len(v)} != cols {self.cols}")
-        vv = _frac_row(v)
-        zero = Fraction(0)
-        return tuple(
-            sum((r[j] * vv[j] for j in range(self.cols) if r[j] and vv[j]), zero)
-            for r in self.entries
-        )
+        out = [Fraction(0)] * self.rows
+        for j, x in enumerate(_frac_row(v)):
+            if x:
+                for i, r in enumerate(self.entries):
+                    if r[j]:
+                        out[i] += r[j] * x
+        return tuple(out)
 
 
 def rref(a: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
@@ -178,9 +179,9 @@ class Subspace:
             c = vv[p]
             coords.append(c)
             if c:
-                row = self.basis.entries[i]
-                for j in range(self.ambient_dim):
-                    vv[j] -= c * row[j]
+                for j, x in enumerate(self.basis.entries[i]):
+                    if x:
+                        vv[j] -= c * x
         if any(vv):
             return None
         return tuple(coords)

@@ -31,7 +31,7 @@ from .exactla import (
     restricted_trace,
 )
 from .partitions import Partition, standard_count
-from .permutations import Permutation, all_permutations, from_cycle_type
+from .permutations import Permutation, from_cycle_type, inverse
 from .tableaux import Tableau, enumerate_standard
 
 Monomial = tuple[int, ...]
@@ -120,10 +120,7 @@ class Form:
         """Substitute x_i -> x_{sigma(i)} (sigma 0-based on positions)."""
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            img = [0] * self.n
-            for i, e in enumerate(m):
-                img[sigma[i]] = e
-            key = tuple(img)
+            key = _substitute(m, sigma)
             out[key] = out.get(key, Fraction(0)) + c
         return Form(self.n, out)
 
@@ -142,6 +139,14 @@ class Form:
 
     def __repr__(self) -> str:
         return f"Form({format_form(self)})"
+
+
+def _substitute(m: Monomial, sigma: Permutation) -> Monomial:
+    """The monomial m after x_i -> x_{sigma(i)}."""
+    img = [0] * len(sigma)
+    for i, e in enumerate(m):
+        img[sigma[i]] = e
+    return tuple(img)
 
 
 def format_form(f: Form) -> str:
@@ -219,14 +224,7 @@ def monomial_action_character(monomials: list[Monomial], n: int) -> ClassFunctio
     values = []
     for rho in class_types(n):
         sigma = from_cycle_type(rho)
-        fixed = 0
-        for m in monomials:
-            img = [0] * n
-            for i, e in enumerate(m):
-                img[sigma[i]] = e
-            if tuple(img) == m:
-                fixed += 1
-        values.append(fixed)
+        values.append(sum(_substitute(m, sigma) == m for m in monomials))
     return ClassFunction(n, tuple(values))
 
 
@@ -266,29 +264,53 @@ def span_of_forms(forms: list[Form], ambient: list[Monomial]) -> FormSpace:
     return FormSpace(tuple(ambient), Subspace(len(ambient), rows))
 
 
-def action_matrix(sigma: Permutation, ambient: list[Monomial]) -> RationalMatrix:
-    """Permutation matrix of the substitution action on the ambient basis."""
-    index = {m: i for i, m in enumerate(ambient)}
+def _generators(n: int) -> tuple[Permutation, ...]:
+    """(1 2) and (1 2 ... n), which generate S_n; S_1 needs none."""
+    if n < 2:
+        return ()
+    return (from_cycle_type((2,) + (1,) * (n - 2)), from_cycle_type((n,)))
+
+
+def action_matrix(
+    sigma: Permutation, ambient: tuple[Monomial, ...], index: dict[Monomial, int]
+) -> RationalMatrix:
+    """Permutation matrix of the substitution action on the ambient basis,
+    where index gives each ambient monomial's position."""
     size = len(ambient)
-    cols = []
-    for m in ambient:
-        img = [0] * len(sigma)
-        for i, e in enumerate(m):
-            img[sigma[i]] = e
-        cols.append(index[tuple(img)])
-    entries = [[0] * size for _ in range(size)]
-    for j, i in enumerate(cols):
-        entries[i][j] = 1
+    entries = [[Fraction(0)] * size for _ in range(size)]
+    for j, m in enumerate(ambient):
+        entries[index[_substitute(m, sigma)]][j] = Fraction(1)
     return RationalMatrix(entries, cols=size)
 
 
 def restricted_character(space: FormSpace, n: int) -> ClassFunction:
     """Character of the substitution action restricted to the subspace;
-    raises NotInvariantError if the subspace is not actually invariant."""
+    raises NotInvariantError if the subspace is not actually invariant.
+
+    Invariance is checked once, by `restricted_trace` on the generators
+    (1 2) and (1 2 ... n): a span invariant under both is invariant under
+    all of S_n.  The traces are then read off the RREF basis b_1..b_d with
+    pivots p_1..p_d.  A vector in the span has coordinates v[p_1..p_d],
+    and the entry of sigma.b_i at p_i is the entry of b_i at the monomial
+    that sigma sends to the p_i-th one, so the trace of sigma is
+    sum_i b_i[index(sigma^-1 . m_{p_i})], O(d) per class.
+    """
+    ambient = space.ambient
+    sub = space.subspace
+    index = {m: i for i, m in enumerate(ambient)}
+    for g in _generators(n):
+        restricted_trace(action_matrix(g, ambient, index), sub)
     values = []
     for rho in class_types(n):
-        matrix = action_matrix(from_cycle_type(rho), list(space.ambient))
-        values.append(restricted_trace(matrix, space.subspace))
+        back = inverse(from_cycle_type(rho))
+        trace = sum(
+            (row[index[_substitute(ambient[p], back)]]
+             for row, p in zip(sub.basis.entries, sub.pivots)),
+            Fraction(0),
+        )
+        if trace.denominator != 1:
+            raise SelfCheckError(f"trace {trace} of class {rho} is not an integer")
+        values.append(int(trace))
     return ClassFunction(n, tuple(values))
 
 
@@ -522,13 +544,16 @@ def _degree_swap(m: Monomial) -> Monomial:
 
 
 def _span_invariant(space: FormSpace, forms: list[Form], n: int) -> bool:
+    """Whether the images of the spanning forms under the generators of
+    S_n stay in the span, which is invariance under all of S_n."""
     index = {m: i for i, m in enumerate(space.ambient)}
-    for sigma in all_permutations(n):
-        for f in forms:
-            vec = form_to_vector(f.act(sigma), index, len(space.ambient))
-            if space.subspace.coordinates(vec) is None:
-                return False
-    return True
+    return all(
+        space.subspace.coordinates(
+            form_to_vector(f.act(g), index, len(space.ambient))
+        ) is not None
+        for g in _generators(n)
+        for f in forms
+    )
 
 
 def example4_check() -> dict:

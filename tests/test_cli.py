@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +239,7 @@ class TestErrorsAndDeterminism:
         errors = error_records(err)
         assert len(errors) == 1
         assert errors[0]["error"] == "bijection certificate failed verification"
+        assert errors[0]["kind"] == "internal"
 
     def test_stdout_byte_identical_across_runs(self, capsys):
         _, first, _ = run_cli(
@@ -285,3 +290,25 @@ class TestErrorsAndDeterminism:
             '{\n  "mu": [\n    5,\n    1\n  ],\n  "lambda": [\n    3,\n    2,\n'
             '    1\n  ],\n  "kostka": 2\n}\n'
         )
+
+
+class TestOptimizedInterpreter:
+    """No runtime check relies on ``assert``: under ``python -O`` the same
+    commands exit 0 with the same stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["forms", "--check", "two-row", "--n", "6", "--k", "3", "--format", "json"],
+        ["verify", "theorem1", "--max-n", "6"],
+    ], ids=["two-row", "theorem1"])
+    def test_stdout_unchanged_under_dash_O(self, argv):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "younglab", *argv], cwd=root,
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            for flags in ([], ["-O"])
+        ]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert runs[1].stdout == runs[0].stdout != ""

@@ -5,7 +5,13 @@ from math import comb, factorial
 import pytest
 
 from younglab.characters import perm_character
-from younglab.errors import InvalidFillingError, LimitError, SelfCheckError, SizeMismatchError
+from younglab.errors import (
+    InvalidFillingError,
+    LimitError,
+    NotInvariantError,
+    SelfCheckError,
+    SizeMismatchError,
+)
 from younglab.forms import (
     Form,
     d_kernel_dim,
@@ -14,6 +20,8 @@ from younglab.forms import (
     example4_check,
     format_form,
     monomial_action_character,
+    restricted_character,
+    span_of_forms,
     specht_module,
     specht_poly,
     squarefree_monomials,
@@ -253,6 +261,50 @@ class TestTheorem5:
                     moved = specht_poly(t, 4).act(sigma)
                     vec = form_to_vector(moved, index, len(space.ambient))
                     assert space.subspace.coordinates(vec) is not None
+
+
+def full_ambient(monomials, n):
+    return span_of_forms([Form.monomial(n, m) for m in monomials], monomials)
+
+
+class TestRestrictedCharacter:
+    def test_transposition_alone_is_not_enough(self):
+        # span{x1 + x2} is fixed by (1 2) but moved by (1 2 3)
+        f = Form.variable(3, 1) + Form.variable(3, 2)
+        assert f.act((1, 0, 2)) == f
+        space = span_of_forms([f], x_monomials((2, 1), 3))
+        with pytest.raises(NotInvariantError):
+            restricted_character(space, 3)
+
+    def test_long_cycle_alone_is_not_enough(self):
+        # (1 2 3 4) sends x1 - x2 + x3 - x4 to its negative; (1 2) moves it
+        x = [Form.variable(4, i) for i in range(1, 5)]
+        f = x[0] - x[1] + x[2] - x[3]
+        assert f.act((1, 2, 3, 0)) == -f
+        space = span_of_forms([f], x_monomials((3, 1), 4))
+        with pytest.raises(NotInvariantError):
+            restricted_character(space, 4)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_full_ambient_matches_fixed_monomial_count(self, n):
+        for lam in enumerate_partitions(n):
+            monos = x_monomials(lam, n)
+            assert restricted_character(full_ambient(monos, n), n) == (
+                monomial_action_character(monos, n)
+            )
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_squarefree_ambient_matches_fixed_monomial_count(self, n):
+        for k in range(n + 1):
+            monos = squarefree_monomials(n, k)
+            assert restricted_character(full_ambient(monos, n), n) == (
+                monomial_action_character(monos, n)
+            )
+
+    def test_values_are_int(self):
+        for lam in enumerate_partitions(4):
+            chi = restricted_character(specht_module(lam, 4), 4)
+            assert all(type(v) is int for v in chi.values)
 
 
 class TestTwoRow:

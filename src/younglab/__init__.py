@@ -1,8 +1,10 @@
 """Exact combinatorics of Young diagrams: Kostka numbers, symmetric-group
 characters, multiplicity recurrences, and Specht modules in polylinear
-forms.  Everything is exact: class functions hold Python integers and the
-linear algebra runs over arbitrary-precision rationals by fraction-free
-integer elimination; no floating point appears anywhere in the math core.
+forms.  Everything is exact: class functions, forms and matrices hold
+Python integers, and the linear algebra runs over the rationals by
+fraction-free integer elimination, making fractions only in the pivot rows
+of a reduced row echelon form; no floating point appears anywhere in the
+math core.
 """
 
 from .partitions import (

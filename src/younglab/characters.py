@@ -205,6 +205,14 @@ def inner(f: ClassFunction, g: ClassFunction) -> Fraction:
     return Fraction(total, factorial(n))
 
 
+def _multiplicity(f: ClassFunction, mu: Partition, chi: ClassFunction) -> int:
+    """inner(f, chi) for the irreducible chi of mu, which must be an integer."""
+    m = inner(f, chi)
+    if m.denominator != 1:
+        raise OrthogonalizationError(f"non-integer multiplicity {m} of {mu}")
+    return m.numerator
+
+
 def theorem1_check(lam: Partition) -> Fraction:
     """Pairing of the two induced characters attached to lam; contract: 1."""
     return inner(perm_character(lam), ind_sgn_character(lam))
@@ -225,11 +233,9 @@ def irreducible_characters(n: int) -> dict[Partition, ClassFunction]:
         psi = perm_character(lam)
         reduced = psi
         for mu, chi in chis.items():
-            m = inner(psi, chi)
-            if m.denominator != 1:
-                raise OrthogonalizationError(f"non-integer multiplicity of {mu} at {lam}")
+            m = _multiplicity(psi, mu, chi)
             if m:
-                reduced = reduced - chi.scaled(int(m))
+                reduced = reduced - chi.scaled(m)
         if inner(reduced, reduced) != 1:
             raise OrthogonalizationError(f"non-unit norm at {lam}")
         if reduced.degree != standard_count(lam):
@@ -258,10 +264,10 @@ def multiplicity_table(n: int) -> MultiplicityTable:
     for lam in enumerate_partitions(n):
         psi = perm_character(lam)
         for mu, chi in chis.items():
-            m = inner(psi, chi)
-            if m.denominator != 1 or m < 0:
+            m = _multiplicity(psi, mu, chi)
+            if m < 0:
                 raise OrthogonalizationError(f"bad multiplicity at ({mu}, {lam})")
-            entries[(mu, lam)] = int(m)
+            entries[(mu, lam)] = m
     return MultiplicityTable(n, entries)
 
 
@@ -317,10 +323,8 @@ def theorem1_components(lam: Partition) -> list[tuple[Partition, int, int]]:
     phi = ind_sgn_character(lam)
     out = []
     for mu, chi in chis.items():
-        a = inner(psi, chi)
-        b = inner(phi, chi)
-        if a and b:
-            if a.denominator != 1 or b.denominator != 1:
-                raise OrthogonalizationError(f"non-integer multiplicity at {mu}")
-            out.append((mu, int(a), int(b)))
+        a = _multiplicity(psi, mu, chi)
+        b = _multiplicity(phi, mu, chi) if a else 0
+        if b:
+            out.append((mu, a, b))
     return out

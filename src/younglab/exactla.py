@@ -1,29 +1,28 @@
 """Dense exact linear algebra over arbitrary-precision rationals.
 
 This is the shared engine for the multiplicity system and the form spaces.
-Everything is exact: entries are fractions.Fraction, pivots are the first
-nonzero entry of each column, and no floating point appears anywhere.
+Everything is exact: matrices keep the int or fractions.Fraction entries
+they are given, pivots are the first nonzero entry of each column, and no
+floating point appears anywhere.
 
 The one elimination routine, `rref`, works on integers: it clears each row
 of denominators and runs fraction-free Gauss-Jordan elimination (Bareiss
-1968), turning the pivot rows into fractions only at the end.  Its output
-is cross-checked against a plain Fraction Gauss-Jordan reduction in the
-test suite.
+1968), turning the pivot rows into fractions only at the end; that final
+division is the only place a Fraction is made here.  Its output is
+cross-checked against a plain Fraction Gauss-Jordan reduction in the test
+suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, NotInvariantError
 
-Vector = tuple[Fraction, ...]
-
-
-def _frac_row(row: Iterable) -> Vector:
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+Vector = tuple[Rational, ...]
 
 
 class RationalMatrix:
@@ -32,7 +31,7 @@ class RationalMatrix:
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, rows: Sequence[Iterable], cols: Optional[int] = None):
-        self.entries: tuple[Vector, ...] = tuple(_frac_row(r) for r in rows)
+        self.entries: tuple[Vector, ...] = tuple(tuple(r) for r in rows)
         self.rows = len(self.entries)
         if self.rows:
             widths = {len(r) for r in self.entries}
@@ -48,9 +47,8 @@ class RationalMatrix:
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
         return RationalMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
+            [[int(i == j) for j in range(n)] for i in range(n)]
         )
 
     @staticmethod
@@ -82,8 +80,8 @@ class RationalMatrix:
     def matvec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatchError(f"vector length {len(v)} != cols {self.cols}")
-        out = [Fraction(0)] * self.rows
-        for j, x in enumerate(_frac_row(v)):
+        out = [0] * self.rows
+        for j, x in enumerate(v):
             if x:
                 for i, r in enumerate(self.entries):
                     if r[j]:
@@ -171,7 +169,7 @@ class Subspace:
 
     def coordinates(self, v: Sequence) -> Optional[Vector]:
         """Coefficients of v in the RREF basis, or None if v is outside."""
-        vv = list(_frac_row(v))
+        vv = list(v)
         if len(vv) != self.ambient_dim:
             raise DimensionMismatchError("vector has wrong length")
         coords = []
@@ -187,10 +185,6 @@ class Subspace:
         return tuple(coords)
 
 
-def member(s: Subspace, v: Sequence) -> bool:
-    return s.coordinates(v) is not None
-
-
 def kernel(a: RationalMatrix) -> Subspace:
     """Exact null space of a."""
     red, _, pivots = rref(a)
@@ -198,30 +192,12 @@ def kernel(a: RationalMatrix) -> Subspace:
     free = [c for c in range(a.cols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [Fraction(0)] * a.cols
-        v[f] = Fraction(1)
+        v = [0] * a.cols
+        v[f] = 1
         for i, p in enumerate(pivots):
             v[p] = -red.entries[i][f]
         basis.append(v)
     return Subspace(a.cols, basis)
-
-
-def solve(a: RationalMatrix, b: Sequence) -> Optional[Vector]:
-    """One exact solution of a x = b, or None when inconsistent."""
-    if len(b) != a.rows:
-        raise DimensionMismatchError("rhs length != rows")
-    bb = _frac_row(b)
-    aug = RationalMatrix(
-        [list(row) + [bb[i]] for i, row in enumerate(a.entries)],
-        cols=a.cols + 1,
-    )
-    red, _, pivots = rref(aug)
-    if a.cols in pivots:
-        return None
-    x = [Fraction(0)] * a.cols
-    for i, p in enumerate(pivots):
-        x[p] = red.entries[i][a.cols]
-    return tuple(x)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -237,7 +213,7 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     null = kernel(stacked.transpose())
     vectors = []
     for u in null.basis.entries:
-        vec = [Fraction(0)] * d
+        vec = [0] * d
         for i in range(s1.dim):
             if u[i]:
                 row = s1.basis.entries[i]
@@ -247,7 +223,7 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace(d, vectors)
 
 
-def restricted_trace(a: RationalMatrix, b: Subspace) -> Fraction:
+def restricted_trace(a: RationalMatrix, b: Subspace) -> Rational:
     """Trace of a restricted to an invariant subspace.
 
     With basis vectors b_i as columns of B, this is the trace of the unique
@@ -256,7 +232,7 @@ def restricted_trace(a: RationalMatrix, b: Subspace) -> Fraction:
     """
     if a.rows != a.cols or a.cols != b.ambient_dim:
         raise DimensionMismatchError("operator does not act on the ambient space")
-    total = Fraction(0)
+    total = 0
     for i in range(b.dim):
         image = a.matvec(b.basis.entries[i])
         coords = b.coordinates(image)

@@ -9,16 +9,17 @@ shift-invariant part, which is the kernel of the total derivative
 D = sum of d/dx_i: over the rationals a form is invariant under adding a
 common constant to all variables exactly when D kills it.
 
-Coefficients are rationals throughout; every rank and equality here is a
-statement over Q.
+Coefficients are kept as given: every form built here is integral, so
+they are Python ints.  Every rank and equality is still a statement over Q,
+and the only fractions are the pivot rows of an RREF basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from numbers import Rational
 
 from .characters import ClassFunction, class_types, irreducible_characters, perm_character
 from .errors import InvalidFillingError, LimitError, SelfCheckError, SizeMismatchError
@@ -47,15 +48,15 @@ def monomial_sort_key(m: Monomial):
 
 
 class Form:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial with exact rational coefficients,
+    kept as given (ints for every form the library builds)."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Rational] = {}
         for m, c in (terms or {}).items():
-            c = Fraction(c)
             if c:
                 if len(m) != n:
                     raise SizeMismatchError(f"monomial {m} is not in {n} variables")
@@ -68,18 +69,18 @@ class Form:
 
     @staticmethod
     def constant(n: int, c) -> "Form":
-        return Form(n, {(0,) * n: Fraction(c)})
+        return Form(n, {(0,) * n: c})
 
     @staticmethod
     def variable(n: int, i: int) -> "Form":
         """x_i, 1-based."""
         e = [0] * n
         e[i - 1] = 1
-        return Form(n, {tuple(e): Fraction(1)})
+        return Form(n, {tuple(e): 1})
 
     @staticmethod
     def monomial(n: int, m: Monomial, c=1) -> "Form":
-        return Form(n, {tuple(m): Fraction(c)})
+        return Form(n, {tuple(m): c})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -93,7 +94,7 @@ class Form:
     def __add__(self, other: "Form") -> "Form":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return Form(self.n, out)
 
     def __neg__(self) -> "Form":
@@ -106,32 +107,32 @@ class Form:
         if isinstance(other, Form):
             if other.n != self.n:
                 raise SizeMismatchError("forms live in different variable counts")
-            out: dict[Monomial, Fraction] = {}
+            out: dict[Monomial, Rational] = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     key = tuple(a + b for a, b in zip(m1, m2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
+                    out[key] = out.get(key, 0) + c1 * c2
             return Form(self.n, out)
-        return Form(self.n, {m: c * Fraction(other) for m, c in self.terms.items()})
+        return Form(self.n, {m: c * other for m, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     def act(self, sigma: Permutation) -> "Form":
         """Substitute x_i -> x_{sigma(i)} (sigma 0-based on positions)."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for m, c in self.terms.items():
             key = _substitute(m, sigma)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         return Form(self.n, out)
 
     def derivative_sum(self) -> "Form":
         """Total derivative: the sum of all partial derivatives."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for m, c in self.terms.items():
             for i, e in enumerate(m):
                 if e:
                     key = m[:i] + (e - 1,) + m[i + 1:]
-                    out[key] = out.get(key, Fraction(0)) + c * e
+                    out[key] = out.get(key, 0) + c * e
         return Form(self.n, out)
 
     def degree(self) -> int:
@@ -250,7 +251,7 @@ class FormSpace:
 
 
 def form_to_vector(f: Form, index: dict[Monomial, int], size: int):
-    v = [Fraction(0)] * size
+    v = [0] * size
     for m, c in f.terms.items():
         if m not in index:
             raise SizeMismatchError(f"term {m} outside the ambient basis")
@@ -277,9 +278,9 @@ def action_matrix(
     """Permutation matrix of the substitution action on the ambient basis,
     where index gives each ambient monomial's position."""
     size = len(ambient)
-    entries = [[Fraction(0)] * size for _ in range(size)]
+    entries = [[0] * size for _ in range(size)]
     for j, m in enumerate(ambient):
-        entries[index[_substitute(m, sigma)]][j] = Fraction(1)
+        entries[index[_substitute(m, sigma)]][j] = 1
     return RationalMatrix(entries, cols=size)
 
 
@@ -306,7 +307,7 @@ def restricted_character(space: FormSpace, n: int) -> ClassFunction:
         trace = sum(
             (row[index[_substitute(ambient[p], back)]]
              for row, p in zip(sub.basis.entries, sub.pivots)),
-            Fraction(0),
+            0,
         )
         if trace.denominator != 1:
             raise SelfCheckError(f"trace {trace} of class {rho} is not an integer")
@@ -347,24 +348,17 @@ def specht_module(lam: Partition, n: int) -> FormSpace:
 
 def _derivative_matrix(ambient: list[Monomial], n: int) -> RationalMatrix:
     """Matrix of the total derivative from the ambient span to the span of
-    the image monomials."""
+    the image monomials, one row per image in the order the images first
+    appear (a single zero row when there are none)."""
     images: dict[Monomial, int] = {}
-    columns: list[dict[int, Fraction]] = []
-    for m in ambient:
-        col: dict[int, Fraction] = {}
-        for i, e in enumerate(m):
-            if e:
-                key = m[:i] + (e - 1,) + m[i + 1:]
-                if key not in images:
-                    images[key] = len(images)
-                idx = images[key]
-                col[idx] = col.get(idx, Fraction(0)) + e
-        columns.append(col)
-    rows = len(images)
-    entries = [[Fraction(0)] * len(ambient) for _ in range(max(rows, 1))]
+    columns = [Form.monomial(n, m).derivative_sum().terms for m in ambient]
+    for col in columns:
+        for key in col:
+            images.setdefault(key, len(images))
+    entries = [[0] * len(ambient) for _ in range(max(len(images), 1))]
     for j, col in enumerate(columns):
-        for i, c in col.items():
-            entries[i][j] = c
+        for key, c in col.items():
+            entries[images[key]][j] = c
     return RationalMatrix(entries, cols=len(ambient))
 
 
@@ -418,12 +412,12 @@ def elementary_symmetric(n: int, variables: list[int], p: int) -> Form:
     (1-based indices)."""
     if p == 0:
         return Form.constant(n, 1)
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int] = {}
     for combo in combinations(sorted(variables), p):
         e = [0] * n
         for i in combo:
             e[i - 1] = 1
-        out[tuple(e)] = Fraction(1)
+        out[tuple(e)] = 1
     return Form(n, out)
 
 
@@ -574,7 +568,7 @@ def example4_check() -> dict:
     total = x[0] + x[1] + x[2] + x[3]
 
     d_form = Form(n, {
-        m: Fraction(1) for m in ambient
+        m: 1 for m in ambient
     })
     c1 = (x[0] - x[1]) * (x[2] - x[3]) * total
     c2 = (x[0] - x[2]) * (x[1] - x[3]) * total

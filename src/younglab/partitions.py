@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 from functools import cache
-from typing import NamedTuple
 
 from .errors import EmptyPartitionError, LimitError, SizeMismatchError
 
@@ -58,14 +57,6 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(p: Partition) -> str:
     return ",".join(str(x) for x in p)
-
-
-class CoverEdge(NamedTuple):
-    """A covering relation of the Young graph: upper = lower plus one cell."""
-
-    lower: Partition
-    upper: Partition
-    row_index: int  # 1-based row of the added cell
 
 
 @cache
@@ -197,15 +188,6 @@ def successors(rho: Partition) -> list[Partition]:
     out = [add_cell(rho, row) for row in addable_rows(rho)]
     order = {p: i for i, p in enumerate(enumerate_partitions(sum(rho) + 1))}
     return sorted(out, key=order.__getitem__)
-
-
-def cover_edges(n: int) -> list[CoverEdge]:
-    """All covering relations between partitions of n-1 and of n."""
-    edges = []
-    for rho in enumerate_partitions(n - 1):
-        for row in addable_rows(rho):
-            edges.append(CoverEdge(rho, add_cell(rho, row), row))
-    return edges
 
 
 def bar(lam: Partition) -> Partition:

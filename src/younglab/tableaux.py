@@ -64,11 +64,6 @@ def is_semistandard(t: Tableau) -> bool:
     return True
 
 
-def reading_word(t: Tableau) -> tuple[int, ...]:
-    """Row-reading word: rows concatenated top to bottom."""
-    return tuple(x for row in t for x in row)
-
-
 def parse_tableau(text: str) -> Tableau:
     """Parse the "1,1,1,2/2,3" text format (rows joined by "/")."""
     rows = []

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -8,6 +9,8 @@ from oracles import (
     perm_character_tabloid_oracle,
 )
 from younglab.characters import (
+    ClassFunction,
+    _multiplicity,
     class_size,
     class_types,
     conjugate_twist_check,
@@ -25,7 +28,7 @@ from younglab.characters import (
     theorem1_components,
     trivial_character,
 )
-from younglab.errors import DegreeMismatchError
+from younglab.errors import DegreeMismatchError, OrthogonalizationError
 from younglab.partitions import (
     conjugate,
     enumerate_partitions,
@@ -123,6 +126,12 @@ class TestInner:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
             inner(trivial_character(3), trivial_character(4))
+
+    def test_non_integer_multiplicity_raises(self):
+        half = ClassFunction(2, (1, 0))
+        assert inner(trivial_character(2), half) == Fraction(1, 2)
+        with pytest.raises(OrthogonalizationError):
+            _multiplicity(trivial_character(2), (2,), half)
 
 
 class TestTheorem1:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,10 @@ from younglab.cli import build_parser, main
 from younglab.partitions import parse_partition
 from younglab.sweeps import SWEEPS
 from younglab.tableaux import BijectionCertificate, parse_tableau
+
+
+def sha256_hex(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_cli(capsys, *argv):
@@ -282,14 +287,24 @@ class TestErrorsAndDeterminism:
         assert code == 0
         assert out.splitlines() == ["3", "2,1", "1,1,1"]
 
-    def test_golden_json_bytes(self, capsys):
-        # frozen byte-level snapshot of a small payload
-        _, out, _ = run_cli(capsys, "kostka", "--mu", "5,1", "--lambda", "3,2,1",
-                            "--format", "json")
-        assert out == (
+    @pytest.mark.parametrize("argv,digest", [
+        (("kostka", "--mu", "5,1", "--lambda", "3,2,1"), sha256_hex(
             '{\n  "mu": [\n    5,\n    1\n  ],\n  "lambda": [\n    3,\n    2,\n'
             '    1\n  ],\n  "kostka": 2\n}\n'
-        )
+        )),
+        (("linsys", "--lambda", "3,2,1"),
+         "b2e761c3af0e9b61130f28a7f81feb8d1f606911fc39f20e50703f637f41daa8"),
+        (("polymorphism", "--n", "5"),
+         "96d47c0b0d57f28e532847a6eeed20ba966ebc0ba4c28b74f7e8152440905a93"),
+        (("forms", "--check", "example4"),
+         "658bf5084d5bdacaf18ba4a9993c18620a582f79e70b7484b3e08445ee577268"),
+        (("forms", "--check", "specht", "--lambda", "2,2,1"),
+         "db4217aeb5b50008f54a63e13c4e9e4447c8018263e88f86d72d3cdfc5aa4c0b"),
+    ], ids=["kostka", "linsys", "polymorphism", "example4", "specht"])
+    def test_golden_json_bytes(self, capsys, argv, digest):
+        # frozen byte-level snapshots: SHA-256 of the JSON payload on stdout
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert sha256_hex(out) == digest
 
 
 class TestOptimizedInterpreter:

@@ -5,6 +5,8 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
+from fractions import Fraction  # noqa: E402
+
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from younglab.exactla import RationalMatrix, rref  # noqa: E402
@@ -48,3 +50,14 @@ def test_rref_is_invariant_under_invertible_row_operations(case):
     before = rref(RationalMatrix(entries, cols=cols))
     after = rref(RationalMatrix(apply_row_operations(entries, ops), cols=cols))
     assert after == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_and_row_operations())
+def test_rref_of_int_entries_matches_rref_of_the_same_fractions(case):
+    entries, _ = case
+    cols = len(entries[0])
+    as_fractions = [[Fraction(x) for x in row] for row in entries]
+    red, rk, pivots = rref(RationalMatrix(entries, cols=cols))
+    red_f, rk_f, pivots_f = rref(RationalMatrix(as_fractions, cols=cols))
+    assert (red.entries, rk, pivots) == (red_f.entries, rk_f, pivots_f)

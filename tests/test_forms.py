@@ -14,8 +14,10 @@ from younglab.errors import (
 )
 from younglab.forms import (
     Form,
+    _derivative_matrix,
     d_kernel_dim,
     d_kernel_space,
+    difference_product_generators,
     elementary_symmetric,
     example4_check,
     format_form,
@@ -371,7 +373,42 @@ class TestExample4:
         assert report["c_relation"]
 
 
+class TestIntegerCoefficients:
+    """Every form the library builds is integral and keeps int coefficients."""
+
+    @staticmethod
+    def all_int(forms):
+        return all(type(c) is int for f in forms for c in f.terms.values())
+
+    def test_specht_polys(self):
+        from younglab.tableaux import enumerate_standard
+
+        for lam in enumerate_partitions(5):
+            assert self.all_int(specht_poly(t, 5) for t in enumerate_standard(lam))
+
+    def test_difference_products(self):
+        for n in range(1, 7):
+            for k in range(n // 2 + 1):
+                for l in range(k + 1):
+                    assert self.all_int(difference_product_generators(n, l, k))
+
+    def test_elementary_symmetric(self):
+        assert self.all_int(
+            elementary_symmetric(5, [1, 2, 4, 5], p) for p in range(5)
+        )
+
+
 class TestDKernel:
+    def test_derivative_matrix_rows_in_first_seen_order(self):
+        # D(x1 x2) = x2 + x1 and D(x1 x3) = x3 + x1 give the rows x2, x1, x3
+        ambient = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+        assert _derivative_matrix(ambient, 3).entries == (
+            (1, 0, 1), (1, 1, 0), (0, 1, 1),
+        )
+
+    def test_derivative_matrix_of_constants_is_one_zero_row(self):
+        assert _derivative_matrix([(0, 0)], 2).entries == ((0,),)
+
     def test_kernel_space_matches_specht_for_2_1_1(self):
         ambient = x_monomials((2, 1, 1), 4)
         dk = d_kernel_space(ambient, 4)

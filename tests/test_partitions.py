@@ -5,7 +5,6 @@ from younglab.partitions import (
     addable_rows,
     bar,
     conjugate,
-    cover_edges,
     dominance_upset,
     dominates,
     enumerate_partitions,
@@ -165,11 +164,6 @@ class TestYoungGraph:
             for rho in enumerate_partitions(n - 1):
                 for mu in successors(rho):
                     assert rho in [g for g, _ in predecessors(mu)]
-
-    def test_cover_edges_row_indices(self):
-        for edge in cover_edges(6):
-            assert edge.row_index in addable_rows(edge.lower)
-            assert edge.upper in successors(edge.lower)
 
     def test_removable_addable(self):
         assert removable_rows((3, 2, 1)) == [1, 2, 3]

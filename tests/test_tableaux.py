@@ -19,7 +19,6 @@ from younglab.tableaux import (
     is_semistandard,
     kostka,
     parse_tableau,
-    reading_word,
     strip_weight,
     tableau_shape,
     tableau_weight,
@@ -60,7 +59,10 @@ class TestEnumerateSsyt:
     def test_reading_word_order(self):
         for lam in enumerate_partitions(6):
             for w in enumerate_partitions(6):
-                words = [reading_word(t) for t in enumerate_ssyt(lam, w)]
+                words = [
+                    tuple(x for row in t for x in row)
+                    for t in enumerate_ssyt(lam, w)
+                ]
                 assert words == sorted(words)
 
     def test_size_mismatch(self):

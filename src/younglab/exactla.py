@@ -51,10 +51,6 @@ class RationalMatrix:
             [[int(i == j) for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix([[0] * cols for _ in range(rows)], cols=cols)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalMatrix)
@@ -70,12 +66,6 @@ class RationalMatrix:
             " ".join(str(x) for x in row) for row in self.entries
         )
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
 
     def matvec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
@@ -198,29 +188,6 @@ def kernel(a: RationalMatrix) -> Subspace:
             v[p] = -red.entries[i][f]
         basis.append(v)
     return Subspace(a.cols, basis)
-
-
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient space."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionMismatchError("ambient dimensions differ")
-    d = s1.ambient_dim
-    if s1.dim == 0 or s2.dim == 0:
-        return Subspace(d, [])
-    stacked = RationalMatrix(
-        list(s1.basis.entries) + list(s2.basis.entries), cols=d
-    )
-    null = kernel(stacked.transpose())
-    vectors = []
-    for u in null.basis.entries:
-        vec = [0] * d
-        for i in range(s1.dim):
-            if u[i]:
-                row = s1.basis.entries[i]
-                for j in range(d):
-                    vec[j] += u[i] * row[j]
-        vectors.append(vec)
-    return Subspace(d, vectors)
 
 
 def restricted_trace(a: RationalMatrix, b: Subspace) -> Rational:

@@ -23,14 +23,7 @@ from numbers import Rational
 
 from .characters import ClassFunction, class_types, irreducible_characters, perm_character
 from .errors import InvalidFillingError, LimitError, SelfCheckError, SizeMismatchError
-from .exactla import (
-    RationalMatrix,
-    Subspace,
-    intersect,
-    kernel,
-    rank,
-    restricted_trace,
-)
+from .exactla import RationalMatrix, Subspace, rank, restricted_trace
 from .partitions import Partition, standard_count
 from .permutations import Permutation, from_cycle_type, inverse
 from .tableaux import Tableau, enumerate_standard
@@ -49,7 +42,8 @@ def monomial_sort_key(m: Monomial):
 
 class Form:
     """Sparse multivariate polynomial with exact rational coefficients,
-    kept as given (ints for every form the library builds)."""
+    kept as given (ints for every form the library builds); a float or
+    other non-Rational coefficient raises TypeError."""
 
     __slots__ = ("n", "terms")
 
@@ -58,6 +52,8 @@ class Form:
         clean: dict[Monomial, Rational] = {}
         for m, c in (terms or {}).items():
             if c:
+                if not isinstance(c, Rational):
+                    raise TypeError(f"coefficient {c!r} is not an exact rational")
                 if len(m) != n:
                     raise SizeMismatchError(f"monomial {m} is not in {n} variables")
                 clean[tuple(m)] = c
@@ -368,10 +364,6 @@ def d_kernel_dim(ambient: list[Monomial], n: int) -> int:
     return len(ambient) - rank(matrix)
 
 
-def d_kernel_space(ambient: list[Monomial], n: int) -> FormSpace:
-    return FormSpace(tuple(ambient), kernel(_derivative_matrix(ambient, n)))
-
-
 def theorem5_check(lam: Partition, n: int) -> dict:
     """Verify the Specht-module facts for one shape at degree n <= 5.
 
@@ -468,14 +460,25 @@ def two_row_partition(n: int, l: int) -> Partition:
     return (n - l, l) if l else (n,)
 
 
+def _independent(spaces: list[Subspace], size: int) -> bool:
+    """Whether the sum of subspaces of Q^size is direct: as
+    dim(A + B) = dim A + dim B - dim(A meet B), exactly when their
+    dimensions add up to the rank of their stacked RREF bases."""
+    rows = [row for space in spaces for row in space.basis.entries]
+    return rank(RationalMatrix(rows, cols=size)) == sum(space.dim for space in spaces)
+
+
 def two_row_decomposition(n: int, k: int) -> dict:
     """Decompose the squarefree degree-k space into its l-components.
 
     Checks: component dimensions equal the two-row standard-tableau
-    counts, the components meet pairwise in zero and fill the whole space,
-    each carries the matching irreducible character (multiplicity one),
-    and for even n with k = n/2 the top component is exactly the
-    shift-invariant part.
+    counts; the dimensions add up to C(n, k) and to the rank of the
+    stacked bases, so the components are independent and fill the whole
+    space (when they do not, each pair is tested for independence the same
+    way); each carries the matching irreducible character (multiplicity
+    one); and for even n with k = n/2 the total derivative kills every
+    top generator and the top component has the dimension of its kernel,
+    so it is exactly the shift-invariant part.
     """
     if n > TWO_ROW_MAX_N:
         raise LimitError(f"n={n} exceeds the supported {TWO_ROW_MAX_N}")
@@ -489,26 +492,23 @@ def two_row_decomposition(n: int, k: int) -> dict:
     dims_ok = True
     characters_ok = True
     for l in range(k + 1):
-        space = span_of_forms(difference_product_generators(n, l, k), ambient)
+        generators = difference_product_generators(n, l, k)
+        space = span_of_forms(generators, ambient)
         components.append(space)
         if space.dim != standard_count(two_row_partition(n, l)):
             dims_ok = False
         if restricted_character(space, n) != chis[two_row_partition(n, l)]:
             characters_ok = False
 
-    total = sum(space.dim for space in components)
-    stacked_rows = [
-        row for space in components for row in space.subspace.basis.entries
-    ]
+    size = len(ambient)
     direct_sum = (
-        total == comb(n, k)
-        and Subspace(len(ambient), stacked_rows).dim == comb(n, k)
+        sum(space.dim for space in components) == comb(n, k)
+        and _independent([space.subspace for space in components], size)
     )
-    # a direct sum meets pairwise in zero, so intersect only when it is not
+    # a direct sum meets pairwise in zero, so test pairs only when it is not
     pairwise_zero = direct_sum or all(
-        intersect(components[a].subspace, components[b].subspace).dim == 0
-        for a in range(len(components))
-        for b in range(a + 1, len(components))
+        _independent([a.subspace, b.subspace], size)
+        for a, b in combinations(components, 2)
     )
     report = {
         "n": n,
@@ -521,8 +521,12 @@ def two_row_decomposition(n: int, k: int) -> dict:
         "top_is_shift_invariant": None,
     }
     if n % 2 == 0 and k == n // 2:
+        # generators holds the l = k ones from the last pass; the top
+        # component lies in the kernel of D and has its dimension, so
+        # equals it
         report["top_is_shift_invariant"] = (
-            components[k].subspace == d_kernel_space(ambient, n).subspace
+            all(not f.derivative_sum() for f in generators)
+            and components[k].dim == d_kernel_dim(ambient, n)
         )
     return report
 
@@ -537,28 +541,18 @@ def _degree_swap(m: Monomial) -> Monomial:
     return tuple(e)
 
 
-def _span_invariant(space: FormSpace, forms: list[Form], n: int) -> bool:
-    """Whether the images of the spanning forms under the generators of
-    S_n stay in the span, which is invariance under all of S_n."""
-    index = {m: i for i, m in enumerate(space.ambient)}
-    return all(
-        space.subspace.coordinates(
-            form_to_vector(f.act(g), index, len(space.ambient))
-        ) is not None
-        for g in _generators(n)
-        for f in forms
-    )
-
-
 def example4_check() -> dict:
     """Reproduce the full decomposition of the 12-dimensional space of
     x_i^2 x_j forms in four variables.
 
-    Five explicitly given bases span invariant subspaces of dimensions
-    1, 2, 3, 3, 3, summing directly to the whole space, with restricted
-    characters given by the shapes (4), (2,2), (2,1,1), (3,1), (3,1); the
-    degree-swap involution splits the space into 6-dimensional even and
-    odd halves, and the third two-row-style product is a signed sum of the
+    Five explicitly given bases span subspaces of dimensions 1, 2, 3, 3, 3
+    whose dimensions add up to 12 and to the rank of their stacked bases,
+    so they sum directly to the whole space.  Each is invariant and has the
+    restricted character of the shapes (4), (2,2), (2,1,1), (3,1), (3,1);
+    `restricted_character` checks the invariance and raises
+    NotInvariantError when it fails.  The degree-swap involution splits
+    the space into even and odd halves of dimension 12 - rank(swap -+ I),
+    6 each, and the third two-row-style product is a signed sum of the
     other two.
     """
     n = 4
@@ -611,19 +605,16 @@ def example4_check() -> dict:
     spaces = {name: span_of_forms(fs, ambient) for name, fs in groups.items()}
 
     dims = {name: space.dim for name, space in spaces.items()}
-    invariant = {
-        name: _span_invariant(spaces[name], groups[name], n) for name in groups
-    }
     characters = {
         name: restricted_character(spaces[name], n) == chis[expected_shapes[name]]
         for name in groups
     }
-    stacked = [
-        row for space in spaces.values() for row in space.subspace.basis.entries
-    ]
+    # restricted_character raised NotInvariantError unless every span is
+    # invariant under both generators of S_4, so each one is invariant
+    invariant = dict.fromkeys(groups, True)
     direct_sum = (
         sum(dims.values()) == 12
-        and Subspace(len(ambient), stacked).dim == 12
+        and _independent([space.subspace for space in spaces.values()], len(ambient))
     )
 
     def swapped(f: Form) -> Form:
@@ -642,7 +633,7 @@ def example4_check() -> dict:
 
     # The swap is an involution of the monomials, so its matrix has a 1 in
     # column image[i] of row i; the even and odd halves are the kernels of
-    # swap - I and swap + I.
+    # swap - I and swap + I, of dimension 12 minus their ranks.
     index = {m: i for i, m in enumerate(ambient)}
     image = [index[_degree_swap(m)] for m in ambient]
 
@@ -652,8 +643,8 @@ def example4_check() -> dict:
             for i in range(len(image))
         ])
 
-    even_dim = kernel(swap_plus(-1)).dim
-    odd_dim = kernel(swap_plus(1)).dim
+    even_dim = 12 - rank(swap_plus(-1))
+    odd_dim = 12 - rank(swap_plus(1))
 
     return {
         "dims": dims,

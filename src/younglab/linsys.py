@@ -263,16 +263,16 @@ def polymorphism_feasibility(n: int) -> dict:
 
 
 def verify_witness(instance: FlowInstance, witness: dict) -> bool:
-    """Exact check of support, nonnegativity, and all row/column sums."""
+    """Exact check of support, nonnegativity, and all row/column sums,
+    in one pass over the witness."""
     allowed = set(instance.edges)
-    if any(key not in allowed or value < 0 for key, value in witness.items()):
-        return False
-    for g in instance.left:
-        row = sum((v for (a, _), v in witness.items() if a == g), Fraction(0))
-        if row != instance.supply:
+    rows = dict.fromkeys(instance.left, 0)
+    cols = dict.fromkeys(instance.right, 0)
+    for key, value in witness.items():
+        if key not in allowed or value < 0:
             return False
-    for m in instance.right:
-        col = sum((v for (_, b), v in witness.items() if b == m), Fraction(0))
-        if col != instance.demand:
-            return False
-    return True
+        g, m = key
+        rows[g] += value
+        cols[m] += value
+    return (all(row == instance.supply for row in rows.values())
+            and all(col == instance.demand for col in cols.values()))

@@ -184,10 +184,9 @@ def predecessors(lam: Partition) -> list[tuple[Partition, int]]:
 
 
 def successors(rho: Partition) -> list[Partition]:
-    """All partitions covering rho in the Young graph, in enumeration order."""
-    out = [add_cell(rho, row) for row in addable_rows(rho)]
-    order = {p: i for i, p in enumerate(enumerate_partitions(sum(rho) + 1))}
-    return sorted(out, key=order.__getitem__)
+    """All partitions covering rho in the Young graph, in enumeration order
+    (a cell added to a higher row gives a lex-larger partition)."""
+    return [add_cell(rho, row) for row in addable_rows(rho)]
 
 
 def bar(lam: Partition) -> Partition:

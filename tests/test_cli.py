@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -327,3 +328,13 @@ class TestOptimizedInterpreter:
         ]
         assert [run.returncode for run in runs] == [0, 0]
         assert runs[1].stdout == runs[0].stdout != ""
+
+    def test_library_has_no_assert_statements(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "younglab"
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []

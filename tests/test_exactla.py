@@ -8,7 +8,6 @@ from younglab.errors import DimensionMismatchError, NotInvariantError
 from younglab.exactla import (
     RationalMatrix,
     Subspace,
-    intersect,
     kernel,
     rank,
     restricted_trace,
@@ -61,7 +60,7 @@ class TestRref:
         assert red == eye and rk == 4 and pivots == [0, 1, 2, 3]
 
     def test_zero_fixed(self):
-        z = RationalMatrix.zero(3, 2)
+        z = RationalMatrix([[0, 0]] * 3)
         red, rk, pivots = rref(z)
         assert red == z and rk == 0 and pivots == []
 
@@ -130,29 +129,6 @@ class TestSubspace:
         s1 = Subspace(3, [[1, 1, 0], [0, 0, 1]])
         s2 = Subspace(3, [[2, 2, 2], [0, 0, 5], [1, 1, 1]])
         assert s1 == s2 and s1.dim == 2
-
-    def test_intersection(self):
-        xy = Subspace(3, [[1, 0, 0], [0, 1, 0]])
-        yz = Subspace(3, [[0, 1, 0], [0, 0, 1]])
-        meet = intersect(xy, yz)
-        assert meet.dim == 1
-        assert meet.coordinates([0, 1, 0]) is not None
-
-    def test_intersection_contains_only_common_vectors(self):
-        rng = random.Random(21)
-        for _ in range(15):
-            d = rng.randint(2, 5)
-            s1 = Subspace(d, [[rng.randint(-3, 3) for _ in range(d)] for _ in range(2)])
-            s2 = Subspace(d, [[rng.randint(-3, 3) for _ in range(d)] for _ in range(2)])
-            meet = intersect(s1, s2)
-            for v in meet.basis.entries:
-                assert s1.coordinates(v) is not None
-                assert s2.coordinates(v) is not None
-
-    def test_trivial_intersection(self):
-        s1 = Subspace(2, [[1, 0]])
-        s2 = Subspace(2, [[0, 1]])
-        assert intersect(s1, s2).dim == 0
 
 
 class TestRestrictedTrace:

@@ -12,11 +12,13 @@ from younglab.errors import (
     SelfCheckError,
     SizeMismatchError,
 )
+import younglab.forms as forms
+from younglab.exactla import Subspace, kernel
 from younglab.forms import (
     Form,
     _derivative_matrix,
+    _independent,
     d_kernel_dim,
-    d_kernel_space,
     difference_product_generators,
     elementary_symmetric,
     example4_check,
@@ -81,6 +83,27 @@ class TestFormArithmetic:
     def test_derivative_kills_differences(self):
         x1, x3 = Form.variable(4, 1), Form.variable(4, 3)
         assert not (x1 - x3).derivative_sum()
+
+    def test_float_coefficients_rejected(self):
+        x1 = Form.variable(2, 1)
+        with pytest.raises(TypeError):
+            x1 * 0.5
+        with pytest.raises(TypeError):
+            0.5 * x1
+        with pytest.raises(TypeError):
+            Form.constant(2, 1.5)
+        with pytest.raises(TypeError):
+            Form.monomial(2, (1, 1), 2.0)
+        with pytest.raises(TypeError):
+            Form(2, {(1, 0): 1, (0, 1): 0.25})
+
+    def test_exact_coefficients_accepted(self):
+        x1 = Form.variable(2, 1)
+        assert (x1 * Fraction(1, 2)).terms == {(1, 0): Fraction(1, 2)}
+        assert (3 * x1).terms == {(1, 0): 3}
+        assert Form.constant(2, Fraction(3, 4)).terms == {(0, 0): Fraction(3, 4)}
+        # a zero coefficient is dropped whatever its type
+        assert not x1 * 0.0
 
     def test_format(self):
         f = Form(3, {(2, 1, 0): Fraction(1), (0, 0, 1): Fraction(-3, 2)})
@@ -335,6 +358,43 @@ class TestTwoRow:
         if n % 2 == 0 and k == n // 2:
             assert report["top_is_shift_invariant"]
 
+    @staticmethod
+    def patched_report(monkeypatch, n, k, replace):
+        """The report with the generators of component l taken from
+        replace(l), which returns a component index or None for none."""
+        original = forms.difference_product_generators
+
+        def generators(n_, l, k_):
+            source = replace(l)
+            return [] if source is None else original(n_, source, k_)
+
+        monkeypatch.setattr(forms, "difference_product_generators", generators)
+        return two_row_decomposition(n, k)
+
+    def test_repeated_component_is_not_pairwise_zero(self, monkeypatch):
+        report = self.patched_report(monkeypatch, 6, 2, lambda l: 0 if l == 1 else l)
+        assert report["dims"] == [1, 1, 9]
+        assert report["direct_sum"] is False
+        assert report["pairwise_zero"] is False
+
+    def test_empty_component_is_pairwise_zero_but_not_direct(self, monkeypatch):
+        report = self.patched_report(monkeypatch, 6, 2, lambda l: None if l == 1 else l)
+        assert report["dims"] == [1, 0, 9]
+        assert report["direct_sum"] is False
+        assert report["pairwise_zero"] is True
+
+    def test_top_outside_kernel_is_not_shift_invariant(self, monkeypatch):
+        # the (5,1) component has the dimension of ker D but is not inside it
+        report = self.patched_report(monkeypatch, 6, 3, lambda l: 1 if l == 3 else l)
+        assert report["dims"] == [1, 5, 9, 5]
+        assert report["top_is_shift_invariant"] is False
+
+    def test_top_below_kernel_dimension_is_not_shift_invariant(self, monkeypatch):
+        # an empty top is killed by D but is smaller than its kernel
+        report = self.patched_report(monkeypatch, 4, 2, lambda l: None if l == 2 else l)
+        assert report["dims"] == [1, 3, 0]
+        assert report["top_is_shift_invariant"] is False
+
     def test_two_row_partition_names(self):
         assert two_row_partition(6, 0) == (6,)
         assert two_row_partition(6, 3) == (3, 3)
@@ -410,13 +470,48 @@ class TestDKernel:
         assert _derivative_matrix([(0, 0)], 2).entries == ((0,),)
 
     def test_kernel_space_matches_specht_for_2_1_1(self):
+        # canonical RREF equality: the Specht span is exactly ker D
         ambient = x_monomials((2, 1, 1), 4)
-        dk = d_kernel_space(ambient, 4)
+        dk = kernel(_derivative_matrix(ambient, 4))
         sp = specht_module((2, 1, 1), 4)
-        assert dk.subspace == sp.subspace
+        assert dk == sp.subspace
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_dim_matches_kernel_space(self, n):
         for lam in enumerate_partitions(n):
             ambient = x_monomials(lam, n)
-            assert d_kernel_dim(ambient, n) == d_kernel_space(ambient, n).dim
+            assert d_kernel_dim(ambient, n) == kernel(_derivative_matrix(ambient, n)).dim
+
+
+class TestIndependent:
+    def test_planes_sharing_an_axis_are_not_independent(self):
+        xy = Subspace(3, [[1, 0, 0], [0, 1, 0]])
+        yz = Subspace(3, [[0, 1, 0], [0, 0, 1]])
+        assert not _independent([xy, yz], 3)
+
+    def test_distinct_axes_are_independent(self):
+        x = Subspace(3, [[1, 0, 0]])
+        y = Subspace(3, [[0, 2, 0]])
+        assert _independent([x, y], 3)
+        assert _independent([x, y, Subspace(3, [[1, 1, 1]])], 3)
+        assert not _independent([x, y, Subspace(3, [[1, 1, 0]])], 3)
+
+    def test_zero_space_is_independent_of_anything(self):
+        zero = Subspace(3, [])
+        xy = Subspace(3, [[1, 0, 0], [0, 1, 0]])
+        assert _independent([zero, xy], 3)
+        assert _independent([zero, zero], 3)
+        assert _independent([], 3)
+
+    def test_sharing_a_vector_is_not_independent(self):
+        rng = random.Random(21)
+        for _ in range(15):
+            d = rng.randint(2, 5)
+            a = Subspace(d, [[rng.randint(-3, 3) for _ in range(d)] for _ in range(2)])
+            if not a.dim:
+                continue
+            # positive weights on the RREF rows keep the pivots, so it is nonzero
+            weights = [rng.randint(1, 3) for _ in range(a.dim)]
+            shared = [sum(w * x for w, x in zip(weights, col)) for col in zip(*a.basis.entries)]
+            other = [rng.randint(-3, 3) for _ in range(d)]
+            assert not _independent([a, Subspace(d, [shared, other])], d)

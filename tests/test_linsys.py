@@ -146,6 +146,38 @@ class TestPolymorphism:
             instance, {((1, 1), (3,)): Fraction(1, 2)}  # not a covering pair
         )
 
+    def test_wrong_column_sum_rejected(self):
+        # every row sums to 1/2, (3) gets its 1/3, but (2,1) gets 1/2 and
+        # (1,1,1) only 1/6
+        instance = build_flow_instance(3)
+        witness = {
+            ((2,), (3,)): Fraction(1, 3),
+            ((2,), (2, 1)): Fraction(1, 6),
+            ((1, 1), (2, 1)): Fraction(1, 3),
+            ((1, 1), (1, 1, 1)): Fraction(1, 6),
+        }
+        assert not verify_witness(instance, witness)
+
+    def test_negative_entry_rejected_though_sums_balance(self):
+        # alternately add and subtract t round the 6-cycle
+        # (3,1)-(3,2)-(2,2)-(2,2,1)-(2,1,1)-(3,1,1)-(3,1) of the cover graph:
+        # every row and column sum stays right, but the unused edge
+        # (2,1,1)-(2,2,1) goes negative
+        instance = build_flow_instance(5)
+        witness = dict(polymorphism_feasibility(5)["witness"])
+        assert verify_witness(instance, witness)
+        cycle = [((3, 1), (3, 2)), ((2, 2), (3, 2)), ((2, 2), (2, 2, 1)),
+                 ((2, 1, 1), (2, 2, 1)), ((2, 1, 1), (3, 1, 1)), ((3, 1), (3, 1, 1))]
+        t = Fraction(1, 35)
+        for i, edge in enumerate(cycle):
+            witness[edge] = witness.get(edge, 0) + (t if i % 2 == 0 else -t)
+        assert witness[((2, 1, 1), (2, 2, 1))] < 0
+        for g in instance.left:
+            assert sum(v for (a, _), v in witness.items() if a == g) == instance.supply
+        for m in instance.right:
+            assert sum(v for (_, b), v in witness.items() if b == m) == instance.demand
+        assert not verify_witness(instance, witness)
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_sweep_feasible_and_verified(self, n):
         report = polymorphism_feasibility(n)

@@ -159,6 +159,16 @@ class TestYoungGraph:
         assert successors((4, 1)) == [(5, 1), (4, 2), (4, 1, 1)]
         assert successors((3, 1)) == [(4, 1), (3, 2), (3, 1, 1)]
 
+    def test_successors_are_the_covers_in_enumeration_order(self):
+        def covers(mu, rho):
+            padded = rho + (0,) * (len(mu) - len(rho))
+            return len(padded) == len(mu) and all(a >= b for a, b in zip(mu, padded))
+
+        for n in range(13):
+            for rho in enumerate_partitions(n):
+                expected = [mu for mu in enumerate_partitions(n + 1) if covers(mu, rho)]
+                assert successors(rho) == expected
+
     def test_successors_predecessors_are_adjoint(self):
         for n in range(1, 10):
             for rho in enumerate_partitions(n - 1):

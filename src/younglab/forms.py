@@ -413,18 +413,6 @@ def elementary_symmetric(n: int, variables: list[int], p: int) -> Form:
     return Form(n, out)
 
 
-def _pairings(indices: tuple[int, ...]) -> list[list[tuple[int, int]]]:
-    """All perfect matchings of an even index set into ordered pairs."""
-    if not indices:
-        return [[]]
-    first, rest = indices[0], indices[1:]
-    out = []
-    for i, partner in enumerate(rest):
-        for sub in _pairings(rest[:i] + rest[i + 1:]):
-            out.append([(first, partner)] + sub)
-    return out
-
-
 def squarefree_monomials(n: int, k: int) -> list[Monomial]:
     """All degree-k squarefree monomials in n variables, frozen order."""
     monos = []
@@ -442,17 +430,23 @@ def difference_product_generators(n: int, l: int, k: int) -> list[Form]:
     symmetric polynomial of degree k-l in the unused variables.
 
     Sign flips and pair reorderings do not change the span, so only one
-    representative per unordered pairing is produced.
+    representative per unordered pairing is produced: the first unpaired
+    index is paired with each later one in turn, and pairings that share a
+    prefix share the product of its differences.
     """
     out = []
+
+    def pair_off(f: Form, rest: tuple[int, ...]) -> None:
+        if not rest:
+            out.append(f)
+            return
+        first = Form.variable(n, rest[0])
+        for i in range(1, len(rest)):
+            pair_off(f * (first - Form.variable(n, rest[i])), rest[1:i] + rest[i + 1:])
+
     for support in combinations(range(1, n + 1), 2 * l):
         complement = [i for i in range(1, n + 1) if i not in support]
-        tail = elementary_symmetric(n, complement, k - l)
-        for pairing in _pairings(support):
-            f = tail
-            for a, b in pairing:
-                f = f * (Form.variable(n, a) - Form.variable(n, b))
-            out.append(f)
+        pair_off(elementary_symmetric(n, complement, k - l), support)
     return out
 
 

@@ -1,12 +1,16 @@
 """Verification sweeps over the degree n, defined once.
 
 Each sweep checks one of the paper's statements on every item of every
-degree up to ``max_n``: shapes, pairs of shapes, or whole degrees.
-``SWEEPS`` maps a sweep's name to its first degree, the artifact key under
-which it reports how many items it checked, the items of degree n, and a
-per-item check that returns a counterexample record (a JSON-ready dict) or
-None.  ``run_sweep`` holds the loop over degrees; the CLI's ``verify``
-command and the acceptance suite both call it.
+degree up to ``max_n``: shapes, pairs of shapes, (n, k) pairs, or whole
+degrees.  ``SWEEPS`` maps a sweep's name to its first degree, the artifact
+key under which it reports how many items it checked, the items of degree
+n, a per-item check that returns a counterexample record (a JSON-ready
+dict) or None, and the sweep's own degree cap, if its constructions have
+one (``statement2`` 6, ``theorem5`` 5, ``two-row`` 8).  ``run_sweep`` holds
+the loop over degrees; the CLI's ``verify`` command and the acceptance
+suite both call it.  The pass rules of a Specht and a two-row report,
+``theorem5_passes`` and ``two_row_passes``, are also the verdicts of the
+CLI's ``forms`` command.
 
 The checks look the library functions up by their module-global names at
 call time, so rebinding those names (as a tracer or a test does) is seen
@@ -16,6 +20,7 @@ by every sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .characters import (
@@ -27,10 +32,20 @@ from .characters import (
     theorem1_components,
 )
 from .errors import LimitError
+from .forms import (
+    STATEMENT2_MAX_N,
+    THEOREM5_MAX_N,
+    TWO_ROW_MAX_N,
+    statement2_check,
+    theorem5_check,
+    two_row_decomposition,
+)
+from .linsys import build_flow_instance, polymorphism_feasibility, statement1_check, verify_witness
 from .partitions import enumerate_partitions, max_n as degree_cap, standard_count, successors
 from .tableaux import eq2_check, kostka
 
-__all__ = ["SWEEPS", "Sweep", "VerificationReport", "run_sweep"]
+__all__ = ["SWEEPS", "Sweep", "VerificationReport", "run_sweep",
+           "theorem5_passes", "two_row_passes"]
 
 
 @dataclass
@@ -60,13 +75,14 @@ class VerificationReport:
 
 class Sweep(NamedTuple):
     """One sweep: ``check(item)`` for every item of ``items(n)``, for n from
-    ``first`` to the requested maximum; the item count is reported under
-    ``artifact_key``."""
+    ``first`` to the requested maximum, which may not exceed ``last``; the
+    item count is reported under ``artifact_key``."""
 
     first: int
     artifact_key: str
     items: Callable[[int], Iterable]
     check: Callable[[object], Optional[dict]]
+    last: Optional[int] = None
 
 
 def _pairs(n: int, m: int):
@@ -130,6 +146,52 @@ def _conjugate_twist(n):
     return None if conjugate_twist_check(n) else {"n": n}
 
 
+def _statement1(lam):
+    rep = statement1_check(lam)
+    if rep.bar_bijective:
+        ok = rep.square and rep.unipotent and rep.kernel_dim == 0
+    else:
+        # a first row longer than half the degree forces the bijection
+        ok = 2 * lam[0] <= sum(lam)
+    return None if ok else {"lambda": list(lam)}
+
+
+def _statement2(lam):
+    return None if statement2_check(lam, sum(lam)) else {"lambda": list(lam)}
+
+
+def theorem5_passes(report: dict) -> bool:
+    """Verdict on a ``theorem5_check`` report."""
+    return (report["independent"] and report["kernel_matches"]
+            and report["character_matches"])
+
+
+def _theorem5(lam):
+    return None if theorem5_passes(theorem5_check(lam, sum(lam))) else {"lambda": list(lam)}
+
+
+def two_row_passes(report: dict) -> bool:
+    """Verdict on a ``two_row_decomposition`` report."""
+    return (report["dims_match"] and report["direct_sum"]
+            and report["pairwise_zero"] and report["characters_match"]
+            and sum(report["dims"]) == comb(report["n"], report["k"])
+            and report["top_is_shift_invariant"] is not False)
+
+
+def _two_row(pair):
+    n, k = pair
+    return None if two_row_passes(two_row_decomposition(n, k)) else {"n": n, "k": k}
+
+
+def _transport(n):
+    result = polymorphism_feasibility(n)
+    if result["feasible"]:
+        ok = verify_witness(build_flow_instance(n), result["witness"])
+    else:
+        ok = result["cut"] is not None and result["cut"]["value"] == result["max_flow"]
+    return None if ok else {"n": n}
+
+
 SWEEPS: dict[str, Sweep] = {
     "theorem1": Sweep(1, "shapes_checked", lambda n: enumerate_partitions(n), _theorem1),
     "youngs-rule": Sweep(1, "pairs_checked", lambda n: _pairs(n, n), _youngs_rule),
@@ -138,6 +200,14 @@ SWEEPS: dict[str, Sweep] = {
     "lemma1": Sweep(2, "shapes_checked", lambda n: enumerate_partitions(n), _lemma1),
     "dimension": Sweep(2, "shapes_checked", lambda n: enumerate_partitions(n - 1), _dimension),
     "conjugate-twist": Sweep(1, "degrees_checked", lambda n: (n,), _conjugate_twist),
+    "statement1": Sweep(2, "shapes_checked", lambda n: enumerate_partitions(n), _statement1),
+    "statement2": Sweep(1, "shapes_checked", lambda n: enumerate_partitions(n), _statement2,
+                        STATEMENT2_MAX_N),
+    "theorem5": Sweep(1, "shapes_checked", lambda n: enumerate_partitions(n), _theorem5,
+                      THEOREM5_MAX_N),
+    "two-row": Sweep(2, "spaces_checked", lambda n: [(n, k) for k in range(n // 2 + 1)],
+                     _two_row, TWO_ROW_MAX_N),
+    "transport": Sweep(2, "degrees_checked", lambda n: (n,), _transport),
 }
 
 
@@ -145,12 +215,12 @@ def run_sweep(name: str, max_n: int) -> VerificationReport:
     """Run sweep ``name`` over the degrees up to ``max_n``.
 
     Raises LimitError before any work unless 1 <= max_n <= the configured
-    degree cap (YOUNGLAB_MAX_N).
+    degree cap (YOUNGLAB_MAX_N) and max_n <= the sweep's own cap.
     """
-    cap = degree_cap()
+    sweep = SWEEPS[name]
+    cap = degree_cap() if sweep.last is None else min(degree_cap(), sweep.last)
     if not 1 <= max_n <= cap:
         raise LimitError(f"max_n={max_n} must lie in 1..{cap}")
-    sweep = SWEEPS[name]
     report = VerificationReport(name, {"max_n": max_n})
     checked = 0
     for n in range(sweep.first, max_n + 1):

@@ -31,10 +31,10 @@ def tableau_shape(t: Tableau) -> Partition:
     return tuple(len(row) for row in t)
 
 
-def tableau_weight(t: Tableau, nsymbols: int = 0) -> Weight:
-    """Occurrence counts of the symbols 1..max (or 1..nsymbols if larger)."""
+def tableau_weight(t: Tableau) -> Weight:
+    """Occurrence counts of the symbols 1..max."""
     top = max((max(row) for row in t if row), default=0)
-    counts = [0] * max(top, nsymbols)
+    counts = [0] * top
     for row in t:
         for x in row:
             counts[x - 1] += 1

@@ -96,6 +96,7 @@ class TestVerify:
         assert tuple(SWEEPS) == (
             "theorem1", "youngs-rule", "eq1", "eq2", "lemma1",
             "dimension", "conjugate-twist",
+            "statement1", "statement2", "theorem5", "two-row", "transport",
         )
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))

@@ -1,0 +1,117 @@
+"""The sweep table: each sweep's degree cap and the failure path of the
+checks that reach the form spaces, the deviation systems and the transport.
+The counterexamples are made by rebinding the library name a check calls,
+which the sweeps look up at call time."""
+
+import dataclasses
+
+import pytest
+
+from younglab import sweeps
+from younglab.errors import LimitError
+from younglab.partitions import max_n as degree_cap
+from younglab.sweeps import SWEEPS, run_sweep
+
+OWN_CAPS = {"statement2": 6, "theorem5": 5, "two-row": 8}
+
+
+def _not_reached(item):
+    raise AssertionError(f"sweep did work on {item!r} before its range check")
+
+
+def test_own_caps():
+    assert {name: s.last for name, s in SWEEPS.items() if s.last is not None} == OWN_CAPS
+
+
+@pytest.mark.parametrize("name", tuple(SWEEPS))
+def test_max_n_above_the_cap_is_rejected_before_any_work(monkeypatch, name):
+    cap = min(degree_cap(), OWN_CAPS.get(name, degree_cap()))
+    sweep = SWEEPS[name]
+    monkeypatch.setitem(
+        SWEEPS, name, sweep._replace(items=_not_reached, check=_not_reached)
+    )
+    with pytest.raises(LimitError):
+        run_sweep(name, cap + 1)
+
+
+def _fails_on(report, record, checked):
+    assert report.status == "fail"
+    assert report.counterexamples == [record]
+    assert list(report.artifact.values()) == [checked]
+
+
+@pytest.mark.parametrize("change", [
+    {"kernel_dim": 1},
+    {"square": False},
+    {"unipotent": False},
+    {"bar_bijective": False},  # 2 * 3 > 4, so the bijection is forced
+])
+def test_statement1_counterexample(monkeypatch, change):
+    real = sweeps.statement1_check
+    monkeypatch.setattr(
+        sweeps, "statement1_check",
+        lambda lam: dataclasses.replace(real(lam), **change) if lam == (3, 1) else real(lam),
+    )
+    _fails_on(run_sweep("statement1", 4), {"lambda": [3, 1]}, 2 + 3 + 5)
+
+
+def test_statement2_counterexample(monkeypatch):
+    monkeypatch.setattr(sweeps, "statement2_check", lambda lam, n: lam != (2, 1))
+    _fails_on(run_sweep("statement2", 3), {"lambda": [2, 1]}, 1 + 2 + 3)
+
+
+@pytest.mark.parametrize("key", ["independent", "kernel_matches", "character_matches"])
+def test_theorem5_counterexample(monkeypatch, key):
+    real = sweeps.theorem5_check
+    monkeypatch.setattr(
+        sweeps, "theorem5_check",
+        lambda lam, n: {**real(lam, n), key: lam != (2, 1)},
+    )
+    _fails_on(run_sweep("theorem5", 3), {"lambda": [2, 1]}, 1 + 2 + 3)
+
+
+@pytest.mark.parametrize("change", [
+    {"dims_match": False},
+    {"direct_sum": False},
+    {"pairwise_zero": False},
+    {"characters_match": False},
+    {"top_is_shift_invariant": False},
+    {"dims": [1, 3, 1]},
+])
+def test_two_row_counterexample(monkeypatch, change):
+    real = sweeps.two_row_decomposition
+    monkeypatch.setattr(
+        sweeps, "two_row_decomposition",
+        lambda n, k: {**real(n, k), **change} if (n, k) == (4, 2) else real(n, k),
+    )
+    _fails_on(run_sweep("two-row", 4), {"n": 4, "k": 2}, 2 + 2 + 3)
+
+
+def test_transport_witness_that_fails_verification(monkeypatch):
+    real = sweeps.verify_witness
+    monkeypatch.setattr(
+        sweeps, "verify_witness",
+        lambda instance, witness: instance.n != 3 and real(instance, witness),
+    )
+    _fails_on(run_sweep("transport", 4), {"n": 3}, 3)
+
+
+@pytest.mark.parametrize("cut, passes", [
+    ({"value": 5, "edges": []}, True),
+    ({"value": 6, "edges": []}, False),
+    (None, False),
+])
+def test_transport_infeasible_needs_a_matching_cut(monkeypatch, cut, passes):
+    real = sweeps.polymorphism_feasibility
+    infeasible = {"feasible": False, "max_flow": 5, "required": 6,
+                  "witness": None, "cut": cut}
+    monkeypatch.setattr(
+        sweeps, "polymorphism_feasibility",
+        lambda n: {"n": n, **infeasible} if n == 3 else real(n),
+    )
+    report = run_sweep("transport", 4)
+    if passes:
+        assert report.status == "pass"
+        assert report.artifact == {"degrees_checked": 3}
+    else:
+        _fails_on(report, {"n": 3}, 3)

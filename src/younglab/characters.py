@@ -1,13 +1,15 @@
 """Exact class functions on symmetric groups.
 
 Values are Python integers indexed by cycle type, one value per partition
-of the degree in the frozen enumeration order.  Permutation characters of
-row-stabilizer subgroups are computed by distributing cycles over blocks;
-irreducible characters are recovered by orthogonalizing the permutation
-characters along the dominance order, which keeps everything inside exact
-arithmetic and leaves Kostka numbers (counted independently by the
-horizontal-strip recursion in :mod:`younglab.tableaux`) available as a
-cross-check rather than an ingredient.
+of the degree in the frozen enumeration order.  The permutation character
+of a row-stabilizer subgroup counts the ways to put the cycles of a class
+into the rows (the coefficient of x^lam in p_rho), placing one cycle at a
+time and keeping only the multiset of room left in the rows.  Irreducible
+characters are recovered by orthogonalizing the permutation characters
+along the dominance order, which keeps everything inside exact arithmetic
+and leaves Kostka numbers (counted independently by the horizontal-strip
+recursion in :mod:`younglab.tableaux`) available as a cross-check rather
+than an ingredient.
 
 All pairings are plain products without conjugation: every class function
 built here is integer-valued.  `inner` sums integers and divides by n! once,
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import factorial
 
 from .errors import DegreeMismatchError, OrthogonalizationError, SizeMismatchError
 from .partitions import (
@@ -131,39 +133,30 @@ def sign_character(n: int) -> ClassFunction:
 
 def _distribution_count(blocks: Partition, rho: Partition) -> int:
     """Ways to split the cycles of a permutation of type rho into ordered
-    groups with prescribed sums.
+    groups with prescribed sums: the coefficient of x^blocks in p_rho.
 
-    Cycles of equal length are distinguishable (they have distinct
-    supports), hence the binomial factors.
+    The cycles are placed one at a time.  A state is the multiset of room
+    left in the blocks (a descending tuple, zeros dropped), mapped to the
+    number of partial placements that reach it; a cycle of length r goes
+    into any of the room.count(c) blocks with room c >= r.  The blocks are
+    distinguishable, so those placements differ, and the number of ways
+    to finish depends only on the multiset of room, so placements that
+    reach equal multisets can be merged.  The value is the count at ().
     """
-    lengths = sorted(set(rho), reverse=True)
-    counts = tuple(rho.count(length) for length in lengths)
-
-    @cache
-    def fill(bi: int, avail: tuple[int, ...]) -> int:
-        if bi == len(blocks):
-            return 1 if not any(avail) else 0
-        total = 0
-        target = blocks[bi]
-
-        def pick(li: int, remaining: int, ways: int, left: list[int]) -> None:
-            nonlocal total
-            if remaining == 0:
-                total += ways * fill(bi + 1, tuple(left))
-                return
-            if li == len(lengths):
-                return
-            cap = min(left[li], remaining // lengths[li])
-            for k in range(cap + 1):
-                left[li] -= k
-                pick(li + 1, remaining - k * lengths[li],
-                     ways * comb(left[li] + k, k), left)
-                left[li] += k
-
-        pick(0, target, 1, list(avail))
-        return total
-
-    return fill(0, counts)
+    states = {blocks: 1}
+    for r in rho:
+        reached: dict[Partition, int] = {}
+        for room, ways in states.items():
+            for c in set(room):
+                if c >= r:
+                    left = list(room)
+                    left.remove(c)
+                    if c > r:
+                        left.append(c - r)
+                    key = tuple(sorted(left, reverse=True))
+                    reached[key] = reached.get(key, 0) + ways * room.count(c)
+        states = reached
+    return states.get((), 0)
 
 
 @cache

@@ -3,10 +3,11 @@ certificates with deterministic output.
 
 Exit status: 0 on success, 1 when a verification sweep finds a
 counterexample, 2 on usage errors (``"kind": "usage"``, including a
-``verify --max-n`` outside 1..min(YOUNGLAB_MAX_N, the sweep's cap)), on
-input/output errors such as an unwritable ``--out`` path
-(``"kind": "io"``) and when a result fails the library's own re-check, a
-bug rather than bad input (``SelfCheckError``, ``"kind": "internal"``).
+``verify --max-n`` outside the sweep's first degree up to
+min(YOUNGLAB_MAX_N, the sweep's cap)), on input/output errors such as an
+unwritable ``--out`` path (``"kind": "io"``) and when a result fails the
+library's own re-check, a bug rather than bad input (``SelfCheckError``,
+``"kind": "internal"``).
 Errors go to stderr as a single JSON object; timing also goes to stderr so
 that stdout stays byte-identical across runs.  Rationals serialize as
 "p/q" strings ("p" for integers).

@@ -171,26 +171,11 @@ def format_form(f: Form) -> str:
     return "".join(chunks)
 
 
-def _multiset_permutations(items: list[int]) -> list[tuple[int, ...]]:
-    """Distinct permutations of a multiset, generated recursively."""
-    out: list[tuple[int, ...]] = []
-    items = sorted(items)
-    n = len(items)
-    cur = [0] * n
-
-    def rec(remaining: list[int], depth: int) -> None:
-        if depth == n:
-            out.append(tuple(cur))
-            return
-        prev = None
-        for idx, value in enumerate(remaining):
-            if value == prev:
-                continue
-            prev = value
-            cur[depth] = value
-            rec(remaining[:idx] + remaining[idx + 1:], depth + 1)
-
-    rec(items, 0)
+def _arrangements(items: list[int]) -> set[tuple[int, ...]]:
+    """Distinct orderings of a multiset, inserting one item at a time."""
+    out = {()}
+    for x in items:
+        out = {a[:i] + (x,) + a[i:] for a in out for i in range(len(a) + 1)}
     return out
 
 
@@ -199,19 +184,22 @@ def x_monomials(lam: Partition, n: int) -> list[Monomial]:
 
     There are n!/prod(lam_i!) of them: equal rows carry different
     exponents, so all assignments stay distinct.  Returned in the frozen
-    monomial order.
+    monomial order.  Raises LimitError for n > STATEMENT2_MAX_N before any
+    other check.
     """
+    if n > STATEMENT2_MAX_N:
+        raise LimitError(f"n={n} exceeds the supported {STATEMENT2_MAX_N}")
     if sum(lam) != n:
         raise SizeMismatchError(f"|{lam}| != {n}")
     exponents: list[int] = []
     for i, part in enumerate(lam):
         exponents.extend([i] * part)
-    monos = _multiset_permutations(exponents)
+    monos = _arrangements(exponents)
     expected = factorial(n)
     for part in lam:
         expected //= factorial(part)
-    if len(set(monos)) != expected:
-        raise SelfCheckError(f"{len(set(monos))} monomials for {lam}, expected {expected}")
+    if len(monos) != expected:
+        raise SelfCheckError(f"{len(monos)} monomials for {lam}, expected {expected}")
     return sorted(monos, key=monomial_sort_key)
 
 
@@ -228,8 +216,6 @@ def monomial_action_character(monomials: list[Monomial], n: int) -> ClassFunctio
 def statement2_check(lam: Partition, n: int) -> bool:
     """The substitution action on the lam monomials has the same character
     as the row-induced module: the two are equivalent permutation modules."""
-    if n > STATEMENT2_MAX_N:
-        raise LimitError(f"n={n} exceeds the supported {STATEMENT2_MAX_N}")
     monos = x_monomials(lam, n)
     return monomial_action_character(monos, n) == perm_character(lam)
 
@@ -334,9 +320,8 @@ def specht_poly(t: Tableau, n: int) -> Form:
 
 def specht_module(lam: Partition, n: int) -> FormSpace:
     """Span of the Specht polynomials of the standard tableaux of lam,
-    inside the ambient monomial basis of the shape."""
-    if sum(lam) != n:
-        raise SizeMismatchError(f"|{lam}| != {n}")
+    inside the ambient monomial basis of the shape (n <= STATEMENT2_MAX_N,
+    checked first by `x_monomials`)."""
     ambient = x_monomials(lam, n)
     forms = [specht_poly(t, n) for t in enumerate_standard(lam)]
     return span_of_forms(forms, ambient)

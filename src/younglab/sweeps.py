@@ -19,7 +19,7 @@ by every sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -54,23 +54,21 @@ class VerificationReport:
 
     check_name: str
     parameters: dict
-    counterexamples: list = field(default_factory=list)
-    artifact: Optional[dict] = None
+    counterexamples: list
+    artifact: dict
 
     @property
     def status(self) -> str:
         return "fail" if self.counterexamples else "pass"
 
     def payload(self) -> dict:
-        out = {
+        return {
             "check": self.check_name,
             "parameters": self.parameters,
             "status": self.status,
             "counterexamples": self.counterexamples,
+            "artifact": self.artifact,
         }
-        if self.artifact is not None:
-            out["artifact"] = self.artifact
-        return out
 
 
 class Sweep(NamedTuple):
@@ -214,20 +212,21 @@ SWEEPS: dict[str, Sweep] = {
 def run_sweep(name: str, max_n: int) -> VerificationReport:
     """Run sweep ``name`` over the degrees up to ``max_n``.
 
-    Raises LimitError before any work unless 1 <= max_n <= the configured
-    degree cap (YOUNGLAB_MAX_N) and max_n <= the sweep's own cap.
+    Raises LimitError before any work unless max_n lies between the
+    sweep's first degree and min(YOUNGLAB_MAX_N, the sweep's own cap), so
+    that no sweep passes over an empty range.
     """
     sweep = SWEEPS[name]
     cap = degree_cap() if sweep.last is None else min(degree_cap(), sweep.last)
-    if not 1 <= max_n <= cap:
-        raise LimitError(f"max_n={max_n} must lie in 1..{cap}")
-    report = VerificationReport(name, {"max_n": max_n})
+    if not sweep.first <= max_n <= cap:
+        raise LimitError(f"max_n={max_n} must lie in {sweep.first}..{cap}")
+    counterexamples = []
     checked = 0
     for n in range(sweep.first, max_n + 1):
         for item in sweep.items(n):
             checked += 1
             record = sweep.check(item)
             if record is not None:
-                report.counterexamples.append(record)
-    report.artifact = {sweep.artifact_key: checked}
-    return report
+                counterexamples.append(record)
+    return VerificationReport(name, {"max_n": max_n}, counterexamples,
+                              {sweep.artifact_key: checked})

@@ -8,7 +8,7 @@ fraction-free `rref`.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations as iperms
+from itertools import combinations, permutations as iperms, product
 
 from younglab.characters import ClassFunction, class_types
 from younglab.partitions import Partition
@@ -56,6 +56,24 @@ def perm_character_tabloid_oracle(lam: Partition) -> ClassFunction:
         )
         values.append(fixed)
     return ClassFunction(n, tuple(values))
+
+
+def double_coset_count(lam: Partition, mu: Partition) -> int:
+    """Nonnegative integer matrices with row sums lam and column sums mu,
+    enumerated row by row.  By Mackey's formula this is the number of
+    double cosets of the row stabilizers of lam and mu in S_n, and the
+    pairing of their permutation characters."""
+
+    def count(i: int, cols: tuple[int, ...]) -> int:
+        if i == len(lam):
+            return int(not any(cols))
+        return sum(
+            count(i + 1, tuple(c - x for c, x in zip(cols, row)))
+            for row in product(*(range(min(c, lam[i]) + 1) for c in cols))
+            if sum(row) == lam[i]
+        )
+
+    return count(0, tuple(mu))
 
 
 def column_group(lam: Partition) -> list[Permutation]:

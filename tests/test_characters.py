@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     class_size_oracle,
+    double_coset_count,
     ind_sgn_coset_oracle,
     perm_character_tabloid_oracle,
 )
@@ -86,6 +87,14 @@ class TestPermCharacter:
     def test_matches_tabloid_oracle(self, n):
         for lam in enumerate_partitions(n):
             assert perm_character(lam) == perm_character_tabloid_oracle(lam)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_pairings_count_double_cosets(self, n):
+        shapes = enumerate_partitions(n)
+        for lam in shapes:
+            for mu in shapes:
+                pairing = inner(perm_character(lam), perm_character(mu))
+                assert pairing == double_coset_count(lam, mu)
 
 
 class TestSignTwist:

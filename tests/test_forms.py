@@ -168,9 +168,21 @@ class TestXMonomials:
     def test_failed_count_check_raises(self, monkeypatch):
         import younglab.forms as forms
 
-        monkeypatch.setattr(forms, "_multiset_permutations", lambda items: [])
+        monkeypatch.setattr(forms, "_arrangements", lambda items: [])
         with pytest.raises(SelfCheckError):
             x_monomials((2, 1), 3)
+
+    def test_limit_before_any_work(self, monkeypatch):
+        def not_reached(items):
+            raise AssertionError("arrangements built above the cap")
+
+        monkeypatch.setattr(forms, "_arrangements", not_reached)
+        with pytest.raises(LimitError):
+            x_monomials((1,) * 7, 7)
+        with pytest.raises(LimitError):
+            specht_module((1,) * 7, 7)
+        with pytest.raises(LimitError):
+            x_monomials((1,) * 7, 8)  # the cap comes before the size check
 
 
 class TestStatement2:

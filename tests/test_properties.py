@@ -1,5 +1,5 @@
-"""Property tests for partitions, tableaux and the Theorem-4 certificates,
-run when hypothesis is installed."""
+"""Property tests for partitions, dominance, tableaux and the Theorem-4
+certificates, run when hypothesis is installed."""
 
 import pytest
 
@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from younglab.partitions import (  # noqa: E402
     conjugate,
+    dominates,
     enumerate_partitions,
     format_partition,
     parse_partition,
@@ -39,6 +40,18 @@ def test_partition_text_round_trip(lam):
 def test_conjugate_is_an_involution(lam):
     assert sum(conjugate(lam)) == sum(lam)
     assert conjugate(conjugate(lam)) == lam
+
+
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(*[st.sampled_from(enumerate_partitions(n))] * 3)
+))
+def test_dominance_is_a_partial_order(triple):
+    a, b, c = triple
+    assert dominates(a, a)
+    if dominates(a, b) and dominates(b, a):
+        assert a == b
+    if dominates(a, b) and dominates(b, c):
+        assert dominates(a, c)
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""The sweep table: each sweep's degree cap and the failure path of the
+"""The sweep table: each sweep's degree range and the failure path of the
 checks that reach the form spaces, the deviation systems and the transport.
 The counterexamples are made by rebinding the library name a check calls,
 which the sweeps look up at call time."""
@@ -32,6 +32,16 @@ def test_max_n_above_the_cap_is_rejected_before_any_work(monkeypatch, name):
     )
     with pytest.raises(LimitError):
         run_sweep(name, cap + 1)
+
+
+@pytest.mark.parametrize("name", [name for name, s in SWEEPS.items() if s.first >= 2])
+def test_max_n_below_the_first_degree_is_rejected_before_any_work(monkeypatch, name):
+    sweep = SWEEPS[name]
+    monkeypatch.setitem(
+        SWEEPS, name, sweep._replace(items=_not_reached, check=_not_reached)
+    )
+    with pytest.raises(LimitError):
+        run_sweep(name, sweep.first - 1)
 
 
 def _fails_on(report, record, checked):

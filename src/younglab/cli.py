@@ -190,10 +190,11 @@ def _cmd_character_table(args) -> int:
 def _cmd_verify(args) -> int:
     report = run_sweep(args.check, args.max_n)
     payload = report.payload()
-    lines = [f"{report.check_name}: {report.status.upper()} (max_n={args.max_n})"]
+    max_n = report.parameters["max_n"]
+    lines = [f"{report.check_name}: {report.status.upper()} (max_n={max_n})"]
     for ce in report.counterexamples:
         lines.append(f"counterexample: {json.dumps(ce)}")
-    tsv = [f"{report.check_name}\t{report.status}\t{args.max_n}"]
+    tsv = [f"{report.check_name}\t{report.status}\t{max_n}"]
     _emit(args, payload, lines, tsv)
     return 0 if report.status == "pass" else 1
 
@@ -342,7 +343,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("check", choices=tuple(SWEEPS))
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p.add_argument("--max-n", type=int, default=None, dest="max_n")
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -410,29 +410,20 @@ def squarefree_monomials(n: int, k: int) -> list[Monomial]:
 
 
 def difference_product_generators(n: int, l: int, k: int) -> list[Form]:
-    """Spanning set of the l-th component of the squarefree degree-k space:
-    products of l differences of paired variables times the elementary
-    symmetric polynomial of degree k-l in the unused variables.
+    """Basis of the l-th component of the squarefree degree-k space: for
+    each standard tableau t of shape (n-l, l), the Specht polynomial of t
+    times e_{k-l} of the rest of its first row.
 
-    Sign flips and pair reorderings do not change the span, so only one
-    representative per unordered pairing is produced: the first unpaired
-    index is paired with each later one in turn, and pairings that share a
-    prefix share the product of its differences.
+    The component is spanned by the pairing products, each sigma.g up to
+    sign for one standard product g, so it is the span of g's S_n-orbit.
+    The standard span holds g, and `restricted_character` raises
+    NotInvariantError unless it is S_n-invariant; so a report of
+    `two_row_decomposition` means that span is the whole component.
     """
-    out = []
-
-    def pair_off(f: Form, rest: tuple[int, ...]) -> None:
-        if not rest:
-            out.append(f)
-            return
-        first = Form.variable(n, rest[0])
-        for i in range(1, len(rest)):
-            pair_off(f * (first - Form.variable(n, rest[i])), rest[1:i] + rest[i + 1:])
-
-    for support in combinations(range(1, n + 1), 2 * l):
-        complement = [i for i in range(1, n + 1) if i not in support]
-        pair_off(elementary_symmetric(n, complement, k - l), support)
-    return out
+    return [
+        specht_poly(t, n) * elementary_symmetric(n, list(t[0][l:]), k - l)
+        for t in enumerate_standard(two_row_partition(n, l))
+    ]
 
 
 def two_row_partition(n: int, l: int) -> Partition:
@@ -450,7 +441,9 @@ def _independent(spaces: list[Subspace], size: int) -> bool:
 def two_row_decomposition(n: int, k: int) -> dict:
     """Decompose the squarefree degree-k space into its l-components.
 
-    Checks: component dimensions equal the two-row standard-tableau
+    Component l is spanned by `difference_product_generators`; once that
+    span is invariant it holds the S_n-orbit of a pairing product, so it is
+    the whole component.  Checks: component dimensions equal the two-row standard-tableau
     counts; the dimensions add up to C(n, k) and to the rank of the
     stacked bases, so the components are independent and fill the whole
     space (when they do not, each pair is tested for independence the same

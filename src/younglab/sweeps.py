@@ -209,8 +209,9 @@ SWEEPS: dict[str, Sweep] = {
 }
 
 
-def run_sweep(name: str, max_n: int) -> VerificationReport:
-    """Run sweep ``name`` over the degrees up to ``max_n``.
+def run_sweep(name: str, max_n: Optional[int] = None) -> VerificationReport:
+    """Run sweep ``name`` over the degrees up to ``max_n``, by default the
+    smaller of 8 and the cap below.
 
     Raises LimitError before any work unless max_n lies between the
     sweep's first degree and min(YOUNGLAB_MAX_N, the sweep's own cap), so
@@ -218,6 +219,7 @@ def run_sweep(name: str, max_n: int) -> VerificationReport:
     """
     sweep = SWEEPS[name]
     cap = degree_cap() if sweep.last is None else min(degree_cap(), sweep.last)
+    max_n = min(8, cap) if max_n is None else max_n
     if not sweep.first <= max_n <= cap:
         raise LimitError(f"max_n={max_n} must lie in {sweep.first}..{cap}")
     counterexamples = []

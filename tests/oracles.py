@@ -4,13 +4,15 @@ These recompute characters from explicit group elements and explicit
 combinatorial objects, staying independent of the cycle-distribution
 formula and of the orthogonalization in the library, and reduce matrices
 by plain Fraction Gauss-Jordan elimination, independent of the library's
-fraction-free `rref`.
+fraction-free `rref`.  The two-row components are spanned here by their
+product over every pairing, not by standard tableaux.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations as iperms, product
 
 from younglab.characters import ClassFunction, class_types
+from younglab.forms import Form
 from younglab.partitions import Partition
 from younglab.permutations import (
     Permutation,
@@ -146,3 +148,34 @@ def rref_oracle(rows, ncols: int):
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in m), r, pivots
+
+
+def _pairings(items: tuple[int, ...]):
+    """Every partition of items into unordered pairs, the first item paired
+    with each later one in turn."""
+    if not items:
+        yield ()
+        return
+    for i in range(1, len(items)):
+        for rest in _pairings(items[1:i] + items[i + 1:]):
+            yield ((items[0], items[i]),) + rest
+
+
+def pairing_generators_oracle(n: int, l: int, k: int) -> list[Form]:
+    """Spanning set of the l-th component of the squarefree degree-k space:
+    for each 2l-subset of the variables and each pairing of it, the product
+    of the l differences x_a - x_b times the sum of every squarefree
+    degree-(k-l) monomial in the other variables."""
+    out = []
+    for support in combinations(range(1, n + 1), 2 * l):
+        rest = [i for i in range(1, n + 1) if i not in support]
+        tail = Form(n, {
+            tuple(int(i in c) for i in range(1, n + 1)): 1
+            for c in combinations(rest, k - l)
+        })
+        for pairing in _pairings(support):
+            f = tail
+            for a, b in pairing:
+                f = f * (Form.variable(n, a) - Form.variable(n, b))
+            out.append(f)
+    return out

@@ -129,6 +129,19 @@ class TestVerify:
         errors = error_records(err)
         assert len(errors) == 1 and errors[0]["kind"] == "usage"
 
+    @pytest.mark.parametrize("check, cap, max_n", [
+        ("theorem5", None, 5), ("statement2", None, 6), ("theorem1", None, 8),
+        ("theorem1", "4", 4),
+    ])
+    def test_default_max_n_is_capped(self, capsys, monkeypatch, check, cap, max_n):
+        if cap is not None:
+            monkeypatch.setenv("YOUNGLAB_MAX_N", cap)
+        code, out, _ = run_cli(capsys, "verify", check, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["parameters"] == {"max_n": max_n}
+        code, out, _ = run_cli(capsys, "verify", check)
+        assert out == f"{check}: PASS (max_n={max_n})\n"
+
     def test_json_report_shape(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "theorem1", "--max-n", "4", "--format", "json"
@@ -302,7 +315,12 @@ class TestErrorsAndDeterminism:
          "658bf5084d5bdacaf18ba4a9993c18620a582f79e70b7484b3e08445ee577268"),
         (("forms", "--check", "specht", "--lambda", "2,2,1"),
          "db4217aeb5b50008f54a63e13c4e9e4447c8018263e88f86d72d3cdfc5aa4c0b"),
-    ], ids=["kostka", "linsys", "polymorphism", "example4", "specht"])
+        (("forms", "--check", "two-row", "--n", "8", "--k", "4"),
+         "875fc2c209e843882e742fca3dece4750cf6da084175aa8cedcb6f7ecc4799f4"),
+        (("verify", "two-row", "--max-n", "8"),
+         "a4d47c0b94088e8a6a12f34cc4355a9c42f77cce4a61162fa211c4455b2ab7ed"),
+    ], ids=["kostka", "linsys", "polymorphism", "example4", "specht", "two-row",
+            "verify-two-row"])
     def test_golden_json_bytes(self, capsys, argv, digest):
         # frozen byte-level snapshots: SHA-256 of the JSON payload on stdout
         _, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -316,7 +334,8 @@ class TestOptimizedInterpreter:
     @pytest.mark.parametrize("argv", [
         ["forms", "--check", "two-row", "--n", "6", "--k", "3", "--format", "json"],
         ["verify", "theorem1", "--max-n", "6"],
-    ], ids=["two-row", "theorem1"])
+        ["verify", "theorem5"],
+    ], ids=["two-row", "theorem1", "theorem5"])
     def test_stdout_unchanged_under_dash_O(self, argv):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -38,6 +38,8 @@ from younglab.forms import (
 from younglab.partitions import enumerate_partitions, standard_count
 from younglab.permutations import all_permutations, compose, identity
 
+from oracles import pairing_generators_oracle
+
 
 def prod(xs):
     out = 1
@@ -369,6 +371,22 @@ class TestTwoRow:
         assert report["characters_match"]
         if n % 2 == 0 and k == n // 2:
             assert report["top_is_shift_invariant"]
+
+    def test_span_matches_all_pairings_oracle(self):
+        for n in range(1, 9):
+            for k in range(n // 2 + 1):
+                ambient = squarefree_monomials(n, k)
+                for l in range(k + 1):
+                    library = span_of_forms(difference_product_generators(n, l, k), ambient)
+                    oracle = span_of_forms(pairing_generators_oracle(n, l, k), ambient)
+                    assert library.subspace == oracle.subspace, (n, k, l)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_generator_per_standard_tableau(self, n):
+        for k in range(n // 2 + 1):
+            for l in range(k + 1):
+                generators = difference_product_generators(n, l, k)
+                assert len(generators) == standard_count(two_row_partition(n, l))
 
     @staticmethod
     def patched_report(monkeypatch, n, k, replace):

@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 from .characters import class_size, class_types, irreducible_characters
@@ -305,6 +306,15 @@ def _cmd_forms(args) -> int:
     return 0 if ok else 1
 
 
+def _describe(exc: Exception) -> str:
+    """Type, message and innermost frame of an unexpected exception."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
+    return f"{type(exc).__name__}: {exc} (at {where})"
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="younglab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -370,6 +380,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and return its exit status.  An exception that is
+    not a YounglabError, ValueError or OSError is a bug too: it ends as one
+    ``"kind": "internal"`` line and exit 2, never a traceback."""
     parser = build_parser()
     started = time.monotonic()
     try:
@@ -383,6 +396,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except OSError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "io"}) + "\n")
+        return 2
+    except Exception as exc:  # a bug: report it as one line, not a traceback
+        sys.stderr.write(json.dumps({"error": _describe(exc), "kind": "internal"}) + "\n")
         return 2
     finally:
         elapsed_ms = int((time.monotonic() - started) * 1000)

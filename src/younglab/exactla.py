@@ -1,14 +1,17 @@
-"""Dense exact linear algebra over arbitrary-precision rationals.
+"""Exact linear algebra over arbitrary-precision rationals.
 
 This is the shared engine for the multiplicity system and the form spaces.
 Everything is exact: matrices keep the int or fractions.Fraction entries
-they are given, pivots are the first nonzero entry of each column, and no
-floating point appears anywhere.
+they are given, and no floating point appears anywhere.
 
-The one elimination routine, `rref`, works on integers: it clears each row
-of denominators and runs fraction-free Gauss-Jordan elimination (Bareiss
-1968), turning the pivot rows into fractions only at the end; that final
-division is the only place a Fraction is made here.  Its output is
+There is one elimination body.  Its forward pass, ``_echelon``, clears each
+row of denominators, stores it as a sparse {column: int} dict and reduces
+it against the pivot rows found so far with one integer row-combination
+step, ``_clear``; the inputs (0/1 deviation systems, derivative matrices,
+generator spans) are mostly zeros, so a step touches only nonzero entries.
+``rank`` is the forward pass alone and makes no Fraction.  ``rref`` adds a
+back-substitution with the same step and then divides each pivot row by
+its pivot, the only place a Fraction is made here.  Its output is
 cross-checked against a plain Fraction Gauss-Jordan reduction in the test
 suite.
 """
@@ -16,7 +19,8 @@ suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import compress
+from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
@@ -79,49 +83,90 @@ class RationalMatrix:
         return tuple(out)
 
 
+def _clear(v: dict[int, int], c: int, b: dict[int, int]) -> None:
+    """The one row-combination step: v becomes p*v - f*b, with f = v[c]
+    and p = b[c] divided by their gcd, which clears column c of v."""
+    f, p = v[c], b[c]
+    g = gcd(f, p)
+    if g != 1:
+        f //= g
+        p //= g
+    if p != 1:
+        for j in v:
+            v[j] *= p
+    for j, y in b.items():
+        x = v.get(j, 0) - f * y
+        if x:
+            v[j] = x
+        else:
+            del v[j]
+
+
+def _primitive(v: dict[int, int]) -> None:
+    """Divide v by its content, the gcd of its entries."""
+    g = gcd(*v.values())
+    if g != 1:
+        for j in v:
+            v[j] //= g
+
+
+def _echelon(a: RationalMatrix) -> dict[int, dict[int, int]]:
+    """Forward pass: the rows of a, cleared of denominators, inserted one at
+    a time as sparse {column: int} rows and reduced against the pivot rows
+    kept so far.  Returns the primitive pivot rows keyed by their leading
+    (pivot) column; their number is the rank of a."""
+    pivots: dict[int, dict[int, int]] = {}
+    columns = range(a.cols)
+    for row in a.entries:
+        nonzero = [(j, row[j]) for j in compress(columns, row)]
+        d = lcm(*(x.denominator for _, x in nonzero))
+        v = {j: x.numerator * (d // x.denominator) for j, x in nonzero}
+        while v:
+            c = min(v)
+            if c not in pivots:
+                _primitive(v)
+                pivots[c] = v
+                break
+            # the pivot row is zero left of c, so v's leading column rises
+            _clear(v, c, pivots[c])
+    return pivots
+
+
 def rref(a: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
     """Reduced row echelon form, rank, and pivot columns.
 
-    Deterministic: the pivot of each step is the first row with a nonzero
-    entry in the current column, and pivots are fully reduced above and
-    below.  The elimination is fraction-free: with p the new pivot and prev
-    the one before it, every other row i becomes (p*m_i - m_i[c]*m_r) // prev,
-    rows with a zero in column c included, and each of those divisions is
-    exact (Sylvester's identity: every entry is a minor of the integer
-    matrix).  Pivot rows become fractions only in the final division by
-    their pivots.
+    The forward pass ``_echelon`` runs in integers over sparse rows; the
+    back-substitution then clears every pivot row at the pivot columns to
+    its right, in descending pivot order and with the same integer step, so
+    each row is cleared only by rows that are already reduced.  The final
+    division of each pivot row by its pivot is the only Fraction made.
+    The result does not depend on the order of elimination because the
+    RREF of a matrix is unique: pivot rows come first, by pivot column,
+    then the zero rows.
     """
-    m: list[list[int]] = []
-    for row in a.entries:
-        d = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (d // x.denominator) for x in row])
-    nrows, ncols = a.rows, a.cols
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        src = next((i for i in range(r, nrows) if m[i][c]), None)
-        if src is None:
-            continue
-        m[r], m[src] = m[src], m[r]
-        mr = m[r]
-        p = mr[c]
-        for i in range(nrows):
-            f = m[i][c]
-            # f == 0 and p == prev would leave row i unchanged
-            if i != r and (f or p != prev):
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], mr)]
-        prev = p
-        pivots.append(c)
-        r += 1
-    reduced = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    return RationalMatrix(reduced + m[r:], cols=ncols), r, pivots
+    pivots = _echelon(a)
+    order = sorted(pivots)
+    for c in reversed(order):
+        v = pivots[c]
+        for k in [k for k in v if k != c and k in pivots]:
+            _clear(v, k, pivots[k])
+        _primitive(v)
+    zero = Fraction(0)
+    reduced = []
+    for c in order:
+        v = pivots[c]
+        p = v[c]
+        row = [zero] * a.cols
+        for j, x in v.items():
+            row[j] = Fraction(x, p)
+        reduced.append(row)
+    zeros = [[0] * a.cols] * (a.rows - len(order))
+    return RationalMatrix(reduced + zeros, cols=a.cols), len(order), order
 
 
 def rank(a: RationalMatrix) -> int:
-    return rref(a)[1]
+    """Rank of a, from the forward pass alone (no Fraction)."""
+    return len(_echelon(a))
 
 
 class Subspace:

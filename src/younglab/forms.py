@@ -31,7 +31,7 @@ from .tableaux import Tableau, enumerate_standard
 Monomial = tuple[int, ...]
 
 STATEMENT2_MAX_N = 6
-THEOREM5_MAX_N = 5
+THEOREM5_MAX_N = 6
 TWO_ROW_MAX_N = 8
 
 

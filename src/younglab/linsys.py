@@ -17,10 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import SelfCheckError
-from .exactla import RationalMatrix, kernel
+from .exactla import RationalMatrix, rank
+# not used here: perfbench/tests/test_perfbench.py reaches younglab.linsys.kernel
+from .exactla import kernel  # noqa: F401
 from .partitions import (
     Partition,
     bar,
@@ -88,7 +91,7 @@ def statement1_check(lam: Partition) -> Statement1Report:
     images = [bar(mu) for mu in cols]
     bijective = len(set(images)) == len(images) and set(images) == set(rows)
     square = len(rows) == len(cols)
-    kdim = kernel(system.matrix).dim
+    kdim = system.matrix.cols - rank(system.matrix)
 
     unipotent = False
     if bijective:
@@ -264,15 +267,22 @@ def polymorphism_feasibility(n: int) -> dict:
 
 def verify_witness(instance: FlowInstance, witness: dict) -> bool:
     """Exact check of support, nonnegativity, and all row/column sums,
-    in one pass over the witness."""
+    in one pass over the witness.  The sums are taken in integers over one
+    common denominator D of the witness, supply and demand."""
     allowed = set(instance.edges)
+    supply, demand = instance.supply, instance.demand
+    d = lcm(supply.denominator, demand.denominator,
+            *(value.denominator for value in witness.values()))
     rows = dict.fromkeys(instance.left, 0)
     cols = dict.fromkeys(instance.right, 0)
     for key, value in witness.items():
-        if key not in allowed or value < 0:
+        if key not in allowed or value.numerator < 0:
             return False
         g, m = key
-        rows[g] += value
-        cols[m] += value
-    return (all(row == instance.supply for row in rows.values())
-            and all(col == instance.demand for col in cols.values()))
+        scaled = value.numerator * (d // value.denominator)
+        rows[g] += scaled
+        cols[m] += scaled
+    supply_d = supply.numerator * (d // supply.denominator)
+    demand_d = demand.numerator * (d // demand.denominator)
+    return (all(row == supply_d for row in rows.values())
+            and all(col == demand_d for col in cols.values()))

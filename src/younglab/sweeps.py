@@ -6,7 +6,7 @@ degrees.  ``SWEEPS`` maps a sweep's name to its first degree, the artifact
 key under which it reports how many items it checked, the items of degree
 n, a per-item check that returns a counterexample record (a JSON-ready
 dict) or None, and the sweep's own degree cap, if its constructions have
-one (``statement2`` 6, ``theorem5`` 5, ``two-row`` 8).  ``run_sweep`` holds
+one (``statement2`` 6, ``theorem5`` 6, ``two-row`` 8).  ``run_sweep`` holds
 the loop over degrees; the CLI's ``verify`` command and the acceptance
 suite both call it.  The pass rules of a Specht and a two-row report,
 ``theorem5_passes`` and ``two_row_passes``, are also the verdicts of the
@@ -215,10 +215,14 @@ def run_sweep(name: str, max_n: Optional[int] = None) -> VerificationReport:
 
     Raises LimitError before any work unless max_n lies between the
     sweep's first degree and min(YOUNGLAB_MAX_N, the sweep's own cap), so
-    that no sweep passes over an empty range.
+    that no sweep passes over an empty range; when that cap is itself below
+    the first degree, the error says so whatever max_n is.
     """
     sweep = SWEEPS[name]
     cap = degree_cap() if sweep.last is None else min(degree_cap(), sweep.last)
+    if cap < sweep.first:
+        raise LimitError(f"the degree cap {cap} leaves no degree to check: "
+                         f"{name} starts at n={sweep.first}")
     max_n = min(8, cap) if max_n is None else max_n
     if not sweep.first <= max_n <= cap:
         raise LimitError(f"max_n={max_n} must lie in {sweep.first}..{cap}")

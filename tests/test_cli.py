@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from younglab import sweeps
+from younglab import cli, sweeps
 from younglab.cli import build_parser, main
 from younglab.partitions import parse_partition
 from younglab.sweeps import SWEEPS
@@ -119,6 +119,20 @@ class TestVerify:
         assert payload["counterexamples"] == [{"lambda": [2, 1]}]
         assert payload["artifact"] == {"shapes_checked": 2 + 3 + 5}
 
+    @pytest.mark.parametrize("check, cap, max_n", [
+        ("two-row", "1", None), ("theorem1", "0", None), ("two-row", "1", "1"),
+    ])
+    def test_cap_below_the_first_degree_is_usage_error(self, capsys, monkeypatch,
+                                                       check, cap, max_n):
+        monkeypatch.setenv("YOUNGLAB_MAX_N", cap)
+        argv = ["verify", check] + ([] if max_n is None else ["--max-n", max_n])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        errors = error_records(err)
+        assert len(errors) == 1 and errors[0]["kind"] == "usage"
+        assert f"degree cap {cap} leaves no degree to check" in errors[0]["error"]
+
     @pytest.mark.parametrize("max_n, cap", [("0", None), ("-3", None), ("4", "3")])
     def test_max_n_out_of_range_is_usage_error(self, capsys, monkeypatch, max_n, cap):
         if cap is not None:
@@ -130,7 +144,7 @@ class TestVerify:
         assert len(errors) == 1 and errors[0]["kind"] == "usage"
 
     @pytest.mark.parametrize("check, cap, max_n", [
-        ("theorem5", None, 5), ("statement2", None, 6), ("theorem1", None, 8),
+        ("theorem5", None, 6), ("statement2", None, 6), ("theorem1", None, 8),
         ("theorem1", "4", 4),
     ])
     def test_default_max_n_is_capped(self, capsys, monkeypatch, check, cap, max_n):
@@ -260,6 +274,19 @@ class TestErrorsAndDeterminism:
         assert len(errors) == 1
         assert errors[0]["error"] == "bijection certificate failed verification"
         assert errors[0]["kind"] == "internal"
+
+    def test_unexpected_exception_is_one_internal_error_line(self, capsys, monkeypatch):
+        def broken(mu, lam):
+            raise RuntimeError("broken on purpose")
+
+        monkeypatch.setattr(cli, "kostka", broken)
+        code, out, err = run_cli(capsys, "kostka", "--mu", "2,1", "--lambda", "2,1")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        errors = error_records(err)
+        assert len(errors) == 1 and errors[0]["kind"] == "internal"
+        assert errors[0]["error"].startswith("RuntimeError: broken on purpose (at ")
 
     def test_stdout_byte_identical_across_runs(self, capsys):
         _, first, _ = run_cli(

@@ -96,6 +96,24 @@ class TestRref:
                 a = make(rng, rng.randint(0, 8), rng.randint(1, 8))
                 red, rk, pivots = rref(a)
                 assert (red.entries, rk, pivots) == rref_oracle(a.entries, a.cols), make
+                assert rank(a) == rk, make
+
+    @pytest.mark.parametrize("density", [0.03, 0.14, 0.3])
+    def test_sparse_rank_and_rref_agree_with_oracle(self, density):
+        # the sizes and densities of the library's inputs: 0/1 deviation
+        # systems, derivative matrices with small integer entries
+        rng = random.Random(int(density * 100))
+        for _ in range(40):
+            rows, cols = rng.randint(1, 24), rng.randint(1, 24)
+            a = RationalMatrix(
+                [[rng.choice((1, 1, -1, 2, -3)) if rng.random() < density else 0
+                  for _ in range(cols)] for _ in range(rows)],
+                cols=cols,
+            )
+            expected = rref_oracle(a.entries, a.cols)
+            red, rk, pivots = rref(a)
+            assert (red.entries, rk, pivots) == expected
+            assert rank(a) == expected[1]
 
 
 class TestKernelSolve:

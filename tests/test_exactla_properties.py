@@ -9,7 +9,8 @@ from fractions import Fraction  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from younglab.exactla import RationalMatrix, rref  # noqa: E402
+from oracles import rref_oracle  # noqa: E402
+from younglab.exactla import RationalMatrix, rank, rref  # noqa: E402
 
 SIZES = st.integers(min_value=1, max_value=6)
 
@@ -61,3 +62,24 @@ def test_rref_of_int_entries_matches_rref_of_the_same_fractions(case):
     red, rk, pivots = rref(RationalMatrix(entries, cols=cols))
     red_f, rk_f, pivots_f = rref(RationalMatrix(as_fractions, cols=cols))
     assert (red.entries, rk, pivots) == (red_f.entries, rk_f, pivots_f)
+
+
+@st.composite
+def sparse_matrix(draw):
+    """A random 0/1 or small-integer matrix, mostly zeros."""
+    rows, cols = draw(st.integers(0, 10)), draw(st.integers(1, 10))
+    values = draw(st.sampled_from([st.just(1), st.integers(-3, 3)]))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), values)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows)), cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrix())
+def test_rank_and_rref_of_sparse_matrices_match_the_oracle(case):
+    entries, cols = case
+    a = RationalMatrix(entries, cols=cols)
+    expected = rref_oracle(entries, cols)
+    red, rk, pivots = rref(a)
+    assert (red.entries, rk, pivots) == expected
+    assert rank(a) == expected[1]

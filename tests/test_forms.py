@@ -284,9 +284,18 @@ class TestTheorem5:
             assert report["kernel_matches"]
             assert report["character_matches"]
 
+    def test_six_cells_all_columns(self):
+        # the sign representation: one Specht polynomial, the Vandermonde
+        # product, spans the shift-invariant part of the 720 monomials
+        report = theorem5_check((1,) * 6, 6)
+        assert report["rank"] == 1 == report["d_kernel_dim"]
+        assert report["independent"]
+        assert report["kernel_matches"]
+        assert report["character_matches"]
+
     def test_limit(self):
         with pytest.raises(LimitError):
-            theorem5_check((6,), 6)
+            theorem5_check((7,), 7)
 
     def test_specht_span_invariant_under_action(self):
         for lam in enumerate_partitions(4):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import rref_oracle
 from younglab.errors import SelfCheckError
 from younglab.linsys import (
     build_flow_instance,
@@ -82,6 +83,13 @@ class TestStatement1:
                 assert report.square
                 assert report.unipotent
                 assert report.kernel_dim == 0
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_kernel_dim_is_columns_minus_oracle_rank(self, n):
+        for lam in enumerate_partitions(n):
+            matrix = build_system3(lam).matrix
+            _, oracle_rank, _ = rref_oracle(matrix.entries, matrix.cols)
+            assert statement1_check(lam).kernel_dim == matrix.cols - oracle_rank
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_index_sizes_match_dominance_counts(self, n):

@@ -12,7 +12,7 @@ from younglab.errors import LimitError
 from younglab.partitions import max_n as degree_cap
 from younglab.sweeps import SWEEPS, run_sweep
 
-OWN_CAPS = {"statement2": 6, "theorem5": 5, "two-row": 8}
+OWN_CAPS = {"statement2": 6, "theorem5": 6, "two-row": 8}
 
 
 def _not_reached(item):
@@ -42,6 +42,18 @@ def test_max_n_below_the_first_degree_is_rejected_before_any_work(monkeypatch, n
     )
     with pytest.raises(LimitError):
         run_sweep(name, sweep.first - 1)
+
+
+@pytest.mark.parametrize("name", tuple(SWEEPS))
+@pytest.mark.parametrize("max_n", [None, 5])
+def test_cap_below_the_first_degree_leaves_nothing_to_check(monkeypatch, name, max_n):
+    sweep = SWEEPS[name]
+    monkeypatch.setenv("YOUNGLAB_MAX_N", str(sweep.first - 1))
+    monkeypatch.setitem(
+        SWEEPS, name, sweep._replace(items=_not_reached, check=_not_reached)
+    )
+    with pytest.raises(LimitError, match="leaves no degree to check"):
+        run_sweep(name, max_n)
 
 
 def _fails_on(report, record, checked):

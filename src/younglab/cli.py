@@ -7,7 +7,7 @@ counterexample, 2 on usage errors (``"kind": "usage"``, including a
 min(YOUNGLAB_MAX_N, the sweep's cap)), on input/output errors such as an
 unwritable ``--out`` path (``"kind": "io"``) and when a result fails the
 library's own re-check, a bug rather than bad input (``SelfCheckError``,
-``"kind": "internal"``).
+``NotInvariantError``, ``OrthogonalizationError``, ``"kind": "internal"``).
 Errors go to stderr as a single JSON object; timing also goes to stderr so
 that stdout stays byte-identical across runs.  Rationals serialize as
 "p/q" strings ("p" for integers).
@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .characters import class_size, class_types, irreducible_characters
-from .errors import SelfCheckError, YounglabError
+from .errors import NotInvariantError, OrthogonalizationError, SelfCheckError, YounglabError
 from .forms import (
     example4_check,
     format_form,
@@ -388,7 +388,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         code = args.func(args)
-    except SelfCheckError as exc:
+    except (SelfCheckError, NotInvariantError, OrthogonalizationError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "internal"}) + "\n")
         return 2
     except (_UsageError, YounglabError, ValueError) as exc:

@@ -6,7 +6,7 @@ degrees.  ``SWEEPS`` maps a sweep's name to its first degree, the artifact
 key under which it reports how many items it checked, the items of degree
 n, a per-item check that returns a counterexample record (a JSON-ready
 dict) or None, and the sweep's own degree cap, if its constructions have
-one (``statement2`` 6, ``theorem5`` 6, ``two-row`` 8).  ``run_sweep`` holds
+one (``statement2`` 6, ``theorem5`` 6, ``two-row`` 10).  ``run_sweep`` holds
 the loop over degrees; the CLI's ``verify`` command and the acceptance
 suite both call it.  The pass rules of a Specht and a two-row report,
 ``theorem5_passes`` and ``two_row_passes``, are also the verdicts of the

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from younglab import cli, sweeps
+from younglab import characters, cli, forms, sweeps
 from younglab.cli import build_parser, main
 from younglab.partitions import parse_partition
 from younglab.sweeps import SWEEPS
@@ -274,6 +274,30 @@ class TestErrorsAndDeterminism:
         assert len(errors) == 1
         assert errors[0]["error"] == "bijection certificate failed verification"
         assert errors[0]["kind"] == "internal"
+
+    def test_span_that_is_not_invariant_is_an_internal_error(self, capsys, monkeypatch):
+        original = forms.difference_product_generators
+        monkeypatch.setattr(forms, "difference_product_generators",
+                            lambda n, l, k: original(n, l, k)[:1])
+        code, out, err = run_cli(capsys, "forms", "--check", "two-row", "--n", "4", "--k", "2")
+        assert code == 2
+        assert out == ""
+        errors = error_records(err)
+        assert len(errors) == 1 and errors[0]["kind"] == "internal"
+        assert "not invariant" in errors[0]["error"]
+
+    def test_failed_orthogonalization_is_an_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(characters, "standard_count", lambda lam: 0)
+        characters.irreducible_characters.cache_clear()
+        try:
+            code, out, err = run_cli(capsys, "character-table", "--n", "4")
+        finally:
+            characters.irreducible_characters.cache_clear()
+        assert code == 2
+        assert out == ""
+        errors = error_records(err)
+        assert len(errors) == 1 and errors[0]["kind"] == "internal"
+        assert errors[0]["error"] == "wrong dimension at (4,)"
 
     def test_unexpected_exception_is_one_internal_error_line(self, capsys, monkeypatch):
         def broken(mu, lam):

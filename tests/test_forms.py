@@ -22,6 +22,7 @@ from younglab.forms import (
     difference_product_generators,
     elementary_symmetric,
     example4_check,
+    form_to_vector,
     format_form,
     monomial_action_character,
     restricted_character,
@@ -37,6 +38,7 @@ from younglab.forms import (
 )
 from younglab.partitions import enumerate_partitions, standard_count
 from younglab.permutations import all_permutations, compose, identity
+from younglab.tableaux import enumerate_standard
 
 from oracles import pairing_generators_oracle
 
@@ -221,8 +223,6 @@ class TestSpechtPoly:
         for n in range(1, 6):
             for lam in enumerate_partitions(n):
                 monos = set(x_monomials(lam, n))
-                from younglab.tableaux import enumerate_standard
-
                 for t in enumerate_standard(lam):
                     sp = specht_poly(t, n)
                     assert set(sp.terms) <= monos
@@ -301,9 +301,6 @@ class TestTheorem5:
         for lam in enumerate_partitions(4):
             space = specht_module(lam, 4)
             index = {m: i for i, m in enumerate(space.ambient)}
-            from younglab.forms import form_to_vector
-            from younglab.tableaux import enumerate_standard
-
             for sigma in all_permutations(4):
                 for t in enumerate_standard(lam):
                     moved = specht_poly(t, 4).act(sigma)
@@ -355,6 +352,69 @@ class TestRestrictedCharacter:
             assert all(type(v) is int for v in chi.values)
 
 
+def specht_module_forms(lam, n):
+    return [specht_poly(t, n) for t in enumerate_standard(lam)]
+
+
+class TestInvarianceAgainstOracle:
+    """`restricted_character` raises NotInvariantError exactly when some
+    permutation of all n! moves a spanning form out of the span.  The
+    oracle acts by `Form.act` and asks `Subspace.coordinates`; it uses
+    neither the generators of S_n nor `rank`."""
+
+    @staticmethod
+    def invariant_by_oracle(spanning, space, n):
+        index = {m: i for i, m in enumerate(space.ambient)}
+        size = len(space.ambient)
+        return all(
+            space.subspace.coordinates(form_to_vector(f.act(sigma), index, size)) is not None
+            for sigma in all_permutations(n)
+            for f in spanning
+        )
+
+    @staticmethod
+    def random_span(rng, n, ambient, blocks):
+        """1-3 random integer combinations of the forms of one block, a
+        quarter of them with one ambient monomial added."""
+        block = rng.choice(blocks)
+        spanning = []
+        for _ in range(rng.randint(1, 3)):
+            f = sum((rng.randint(-2, 2) * g for g in block), Form.zero(n))
+            if rng.random() < 0.25:
+                f = f + Form.monomial(n, rng.choice(ambient), rng.choice((-1, 1)))
+            spanning.append(f)
+        return spanning
+
+    @pytest.mark.parametrize("n,ambient,blocks", [
+        (2, x_monomials((1, 1), 2), [specht_module_forms((1, 1), 2)]),
+        (3, x_monomials((2, 1), 3), [specht_module_forms((2, 1), 3)]),
+        (4, x_monomials((2, 1, 1), 4), [specht_module_forms((2, 1, 1), 4)]),
+        (4, squarefree_monomials(4, 2), [
+            difference_product_generators(4, l, 2) for l in range(3)
+        ]),
+    ], ids=["x(1,1)", "x(2,1)", "x(2,1,1)", "squarefree(4,2)"])
+    def test_raises_exactly_when_some_permutation_moves_the_span(self, n, ambient, blocks):
+        # the trivial line and the single monomials join the given
+        # invariant blocks
+        blocks = blocks + [
+            [Form(n, dict.fromkeys(ambient, 1))],
+            [Form.monomial(n, m) for m in ambient],
+        ]
+        rng = random.Random(f"invariance {n} {len(ambient)}")
+        outcomes = set()
+        for _ in range(60):
+            spanning = self.random_span(rng, n, ambient, blocks)
+            space = span_of_forms(spanning, ambient)
+            invariant = self.invariant_by_oracle(spanning, space, n)
+            outcomes.add(invariant)
+            if invariant:
+                restricted_character(space, n)
+            else:
+                with pytest.raises(NotInvariantError):
+                    restricted_character(space, n)
+        assert outcomes == {True, False}
+
+
 class TestTwoRow:
     def test_k0_trivial(self):
         report = two_row_decomposition(5, 0)
@@ -371,7 +431,7 @@ class TestTwoRow:
 
     @pytest.mark.parametrize("n,k", [
         (n, k) for n in range(2, 7) for k in range(0, n // 2 + 1)
-    ])
+    ] + [(9, 4), (10, 5)])  # and the top of the cap
     def test_sweep_small(self, n, k):
         report = two_row_decomposition(n, k)
         assert report["dims_match"]
@@ -440,7 +500,7 @@ class TestTwoRow:
 
     def test_limits(self):
         with pytest.raises(LimitError):
-            two_row_decomposition(9, 1)
+            two_row_decomposition(11, 1)
         with pytest.raises(SizeMismatchError):
             two_row_decomposition(6, 4)
         with pytest.raises(SizeMismatchError):

@@ -12,7 +12,7 @@ from younglab.errors import LimitError
 from younglab.partitions import max_n as degree_cap
 from younglab.sweeps import SWEEPS, run_sweep
 
-OWN_CAPS = {"statement2": 6, "theorem5": 6, "two-row": 8}
+OWN_CAPS = {"statement2": 6, "theorem5": 6, "two-row": 10}
 
 
 def _not_reached(item):

@@ -4,17 +4,22 @@ Values are Python integers indexed by cycle type, one value per partition
 of the degree in the frozen enumeration order.  The permutation character
 of a row-stabilizer subgroup counts the ways to put the cycles of a class
 into the rows (the coefficient of x^lam in p_rho), placing one cycle at a
-time and keeping only the multiset of room left in the rows.  Irreducible
-characters are recovered by orthogonalizing the permutation characters
-along the dominance order, which keeps everything inside exact arithmetic
-and leaves Kostka numbers (counted independently by the horizontal-strip
-recursion in :mod:`younglab.tableaux`) available as a cross-check rather
-than an ingredient.
+time.  The number of ways to finish depends only on the multiset of room
+left in the rows and on the cycles still to place, so one memo per call of
+`perm_character` serves every cycle type with a common tail of cycles.
+Irreducible characters are recovered by orthogonalizing the permutation
+characters along the dominance order, which keeps everything inside exact
+arithmetic and leaves Kostka numbers (counted independently by the
+horizontal-strip recursion in :mod:`younglab.tableaux`) available as a
+cross-check rather than an ingredient.
 
 All pairings are plain products without conjugation: every class function
-built here is integer-valued.  `inner` sums integers and divides by n! once,
-returning a Fraction; the orthogonalization requires every multiplicity it
-strips to be an integer.
+built here is integer-valued.  The orthogonalization stores each
+irreducible's class-size-weighted values |C_rho| chi(rho) once per degree,
+so a multiplicity is one integer dot product, taken over the classes where
+the other factor is nonzero, and one exact division by n!.  The
+multiplicities it strips are the multiplicity table, and each must be a
+nonnegative integer; `inner` returns the same pairing as a Fraction.
 """
 
 from __future__ import annotations
@@ -22,7 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from math import factorial
+from typing import Callable
+from operator import mul
 
 from .errors import DegreeMismatchError, OrthogonalizationError, SizeMismatchError
 from .partitions import (
@@ -110,10 +118,6 @@ class ClassFunction:
         _same_degree(self, other)
         return ClassFunction(self.n, tuple(a + b for a, b in zip(self.values, other.values)))
 
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        _same_degree(self, other)
-        return ClassFunction(self.n, tuple(a - b for a, b in zip(self.values, other.values)))
-
     def scaled(self, c: int) -> "ClassFunction":
         return ClassFunction(self.n, tuple(c * v for v in self.values))
 
@@ -131,44 +135,40 @@ def sign_character(n: int) -> ClassFunction:
     return ClassFunction(n, tuple(sign_value(r) for r in class_types(n)))
 
 
-def _distribution_count(blocks: Partition, rho: Partition) -> int:
-    """Ways to split the cycles of a permutation of type rho into ordered
-    groups with prescribed sums: the coefficient of x^blocks in p_rho.
-
-    The cycles are placed one at a time.  A state is the multiset of room
-    left in the blocks (a descending tuple, zeros dropped), mapped to the
-    number of partial placements that reach it; a cycle of length r goes
-    into any of the room.count(c) blocks with room c >= r.  The blocks are
-    distinguishable, so those placements differ, and the number of ways
-    to finish depends only on the multiset of room, so placements that
-    reach equal multisets can be merged.  The value is the count at ().
-    """
-    states = {blocks: 1}
-    for r in rho:
-        reached: dict[Partition, int] = {}
-        for room, ways in states.items():
-            for c in set(room):
-                if c >= r:
-                    left = list(room)
-                    left.remove(c)
-                    if c > r:
-                        left.append(c - r)
-                    key = tuple(sorted(left, reverse=True))
-                    reached[key] = reached.get(key, 0) + ways * room.count(c)
-        states = reached
-    return states.get((), 0)
-
-
 @cache
 def perm_character(lam: Partition) -> ClassFunction:
     """Character of the permutation action on ordered set partitions with
     block sizes lam (the module induced from the trivial character of the
-    row stabilizer)."""
+    row stabilizer).
+
+    Its value at rho is the number of ways to split the cycles of rho into
+    the rows with prescribed sums: the coefficient of x^lam in p_rho.  The
+    cycles are placed one at a time; a cycle of length r goes into any of
+    the room.count(c) rows with room c >= r.  The rows are
+    distinguishable, so those placements differ, and the number of ways to
+    finish depends only on the multiset of room left (a descending tuple,
+    zeros dropped) and the cycles still to place.  One memo keyed by that
+    pair serves every rho of this call and is dropped when it returns.
+    """
+    @cache
+    def ways(room: Partition, cycles: Partition) -> int:
+        if not cycles:
+            return 1
+        r, rest = cycles[0], cycles[1:]
+        total = 0
+        for c in set(room):
+            if c >= r:
+                left = list(room)
+                left.remove(c)
+                if c > r:
+                    left.append(c - r)
+                total += room.count(c) * ways(tuple(sorted(left, reverse=True)), rest)
+        return total
+
     n = sum(lam)
-    return ClassFunction(
-        n,
-        tuple(_distribution_count(lam, rho) for rho in class_types(n)),
-    )
+    values = tuple(ways(lam, rho) for rho in class_types(n))
+    ways.cache_clear()
+    return ClassFunction(n, values)
 
 
 def sign_twist(f: ClassFunction) -> ClassFunction:
@@ -190,20 +190,28 @@ def ind_sgn_character(lam: Partition) -> ClassFunction:
 def inner(f: ClassFunction, g: ClassFunction) -> Fraction:
     """Class-size-weighted pairing (1/n!) sum |C_rho| f(rho) g(rho)."""
     _same_degree(f, g)
-    n = f.n
-    total = sum(
-        size * a * b
-        for size, a, b in zip(_class_sizes(n), f.values, g.values)
-    )
-    return Fraction(total, factorial(n))
+    weighted = map(mul, _class_sizes(f.n), g.values)
+    return Fraction(sum(map(mul, f.values, weighted)), factorial(f.n))
 
 
-def _multiplicity(f: ClassFunction, mu: Partition, chi: ClassFunction) -> int:
-    """inner(f, chi) for the irreducible chi of mu, which must be an integer."""
-    m = inner(f, chi)
-    if m.denominator != 1:
-        raise OrthogonalizationError(f"non-integer multiplicity {m} of {mu}")
-    return m.numerator
+def _multiplicities(f: ClassFunction) -> Callable[[Partition, tuple[int, ...]], int]:
+    """The multiplicity in f of the irreducible of mu, as a function of mu
+    and the irreducible's class-size-weighted values w; it must be an
+    integer.  Only the classes where f is nonzero are multiplied: a
+    permutation character vanishes on most classes."""
+    values = f.values
+    nonzero = [v for v in values if v]
+    nfact = factorial(f.n)
+
+    def multiplicity(mu: Partition, w: tuple[int, ...]) -> int:
+        total = sum(map(mul, nonzero, compress(w, values)))
+        m, r = divmod(total, nfact)
+        if r:
+            raise OrthogonalizationError(
+                f"non-integer multiplicity {Fraction(total, nfact)} of {mu}")
+        return m
+
+    return multiplicity
 
 
 def theorem1_check(lam: Partition) -> Fraction:
@@ -211,38 +219,16 @@ def theorem1_check(lam: Partition) -> Fraction:
     return inner(perm_character(lam), ind_sgn_character(lam))
 
 
-@cache
-def irreducible_characters(n: int) -> dict[Partition, ClassFunction]:
-    """All irreducible characters, keyed by partition in the frozen order.
-
-    Walks the permutation characters in the frozen order (a linear
-    extension of reverse dominance) and strips the previously found
-    irreducibles.  Integer multiplicities, unit norm, and the branching
-    dimension are enforced; a violation means the processing order is
-    broken.
-    """
-    chis: dict[Partition, ClassFunction] = {}
-    for lam in enumerate_partitions(n):
-        psi = perm_character(lam)
-        reduced = psi
-        for mu, chi in chis.items():
-            m = _multiplicity(psi, mu, chi)
-            if m:
-                reduced = reduced - chi.scaled(m)
-        if inner(reduced, reduced) != 1:
-            raise OrthogonalizationError(f"non-unit norm at {lam}")
-        if reduced.degree != standard_count(lam):
-            raise OrthogonalizationError(f"wrong dimension at {lam}")
-        chis[lam] = reduced
-    return chis
-
-
 @dataclass(frozen=True)
 class MultiplicityTable:
-    """Multiplicities of irreducibles inside the row-induced modules."""
+    """Multiplicities of irreducibles inside the row-induced modules, with
+    the irreducible characters found alongside them and their
+    class-size-weighted values, keyed by partition in the frozen order."""
 
     n: int
     entries: dict[tuple[Partition, Partition], int]
+    characters: dict[Partition, ClassFunction]
+    weighted: dict[Partition, tuple[int, ...]]
 
     def __call__(self, mu: Partition, lam: Partition) -> int:
         return self.entries[(mu, lam)]
@@ -251,17 +237,55 @@ class MultiplicityTable:
 @cache
 def multiplicity_table(n: int) -> MultiplicityTable:
     """M(mu, lam) = pairing of the lam permutation character with the mu
-    irreducible, for all pairs of partitions of n."""
-    chis = irreducible_characters(n)
+    irreducible, for all pairs of partitions of n, and the irreducibles.
+
+    Walks the permutation characters in the frozen order (a linear
+    extension of reverse dominance) and strips the irreducibles found so
+    far; the multiplicities stripped are M(mu, lam) for every earlier mu.
+    What is left is the lam irreducible, so M(lam, lam) = 1, and psi^lam
+    lies in the span of the irreducibles up to lam, so M(mu, lam) = 0 for
+    every later mu.  Nonnegative integer multiplicities, unit norm, and
+    the branching dimension are enforced; a violation means the processing
+    order is broken.
+    """
+    nfact = factorial(n)
+    sizes = _class_sizes(n)
+    shapes = enumerate_partitions(n)
+    chis: dict[Partition, ClassFunction] = {}
+    weighted: dict[Partition, tuple[int, ...]] = {}
     entries: dict[tuple[Partition, Partition], int] = {}
-    for lam in enumerate_partitions(n):
+    columns: list[list[int]] = [[] for _ in sizes]  # irreducibles so far, by class
+    for i, lam in enumerate(shapes):
         psi = perm_character(lam)
-        for mu, chi in chis.items():
-            m = _multiplicity(psi, mu, chi)
+        multiplicity = _multiplicities(psi)
+        ms = []
+        for mu, w in weighted.items():
+            m = multiplicity(mu, w)
             if m < 0:
                 raise OrthogonalizationError(f"bad multiplicity at ({mu}, {lam})")
             entries[(mu, lam)] = m
-    return MultiplicityTable(n, entries)
+            ms.append(m)
+        reduced = tuple(v - sum(map(mul, ms, col)) for v, col in zip(psi.values, columns))
+        chi = ClassFunction(n, reduced)
+        w = tuple(map(mul, sizes, reduced))
+        if sum(map(mul, reduced, w)) != nfact:
+            raise OrthogonalizationError(f"non-unit norm at {lam}")
+        if chi.degree != standard_count(lam):
+            raise OrthogonalizationError(f"wrong dimension at {lam}")
+        chis[lam] = chi
+        weighted[lam] = w
+        for col, v in zip(columns, reduced):
+            col.append(v)
+        entries[(lam, lam)] = 1
+        entries.update(((mu, lam), 0) for mu in shapes[i + 1:])
+    return MultiplicityTable(n, entries, chis, weighted)
+
+
+@cache
+def irreducible_characters(n: int) -> dict[Partition, ClassFunction]:
+    """All irreducible characters, keyed by partition in the frozen order:
+    those found by the orthogonalization in `multiplicity_table`."""
+    return multiplicity_table(n).characters
 
 
 def restrict(f: ClassFunction) -> ClassFunction:
@@ -310,14 +334,12 @@ def conjugate_twist_check(n: int) -> bool:
 def theorem1_components(lam: Partition) -> list[tuple[Partition, int, int]]:
     """Irreducibles common to both induced modules of lam, with their
     multiplicities in each; the contract is the single entry (lam, 1, 1)."""
-    n = sum(lam)
-    chis = irreducible_characters(n)
-    psi = perm_character(lam)
-    phi = ind_sgn_character(lam)
+    table = multiplicity_table(sum(lam))
+    multiplicity = _multiplicities(ind_sgn_character(lam))
     out = []
-    for mu, chi in chis.items():
-        a = _multiplicity(psi, mu, chi)
-        b = _multiplicity(phi, mu, chi) if a else 0
+    for mu, w in table.weighted.items():
+        a = table(mu, lam)
+        b = multiplicity(mu, w) if a else 0
         if b:
             out.append((mu, a, b))
     return out

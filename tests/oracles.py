@@ -1,15 +1,19 @@
 """Brute-force oracles used by the test suite only.
 
-These recompute characters from explicit group elements and explicit
-combinatorial objects, staying independent of the cycle-distribution
-formula and of the orthogonalization in the library, and reduce matrices
+These recompute characters from explicit group elements, explicit
+combinatorial objects and expanded polynomials, staying independent of the
+cycle-distribution formula and of the orthogonalization in the library,
+pair class functions by Fraction sums over enumerated class sizes
+rather than by the library's `inner`, and reduce matrices
 by plain Fraction Gauss-Jordan elimination, independent of the library's
 fraction-free `rref`.  The two-row components are spanned here by their
 product over every pairing, not by standard tableaux.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations as iperms, product
+from math import factorial
 
 from younglab.characters import ClassFunction, class_types
 from younglab.forms import Form
@@ -122,6 +126,39 @@ def ind_sgn_coset_oracle(lam: Partition) -> ClassFunction:
 def class_size_oracle(rho: Partition) -> int:
     """Count permutations of the given cycle type by enumeration."""
     return sum(1 for p in all_permutations(sum(rho)) if cycle_type(p) == rho)
+
+
+@cache
+def _class_sizes_oracle(n: int) -> dict[Partition, int]:
+    return {rho: class_size_oracle(rho) for rho in class_types(n)}
+
+
+def pairing_oracle(f: ClassFunction, g: ClassFunction) -> Fraction:
+    """(1/n!) sum over cycle types rho of |C_rho| f(rho) g(rho), each class
+    size counted by enumeration and the sum taken term by term in
+    Fractions."""
+    n = f.n
+    sizes = _class_sizes_oracle(n)
+    total = Fraction(0)
+    for rho in class_types(n):
+        total += Fraction(sizes[rho] * f(rho) * g(rho), factorial(n))
+    return total
+
+
+def power_sum_expansion_oracle(rho: Partition, k: int) -> dict[tuple[int, ...], int]:
+    """The power sum p_rho = prod over parts r of (x_1^r + ... + x_k^r),
+    expanded in full as a dict from exponent vectors to coefficients; the
+    coefficient of x^lam is the value at rho of the lam permutation
+    character."""
+    poly = {(0,) * k: 1}
+    for r in rho:
+        expanded: dict[tuple[int, ...], int] = {}
+        for exps, c in poly.items():
+            for i in range(k):
+                key = exps[:i] + (exps[i] + r,) + exps[i + 1:]
+                expanded[key] = expanded.get(key, 0) + c
+        poly = expanded
+    return poly
 
 
 def rref_oracle(rows, ncols: int):

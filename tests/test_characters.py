@@ -7,11 +7,14 @@ from oracles import (
     class_size_oracle,
     double_coset_count,
     ind_sgn_coset_oracle,
+    pairing_oracle,
     perm_character_tabloid_oracle,
+    power_sum_expansion_oracle,
 )
+from younglab import characters
 from younglab.characters import (
     ClassFunction,
-    _multiplicity,
+    _multiplicities,
     class_size,
     class_types,
     conjugate_twist_check,
@@ -88,6 +91,16 @@ class TestPermCharacter:
         for lam in enumerate_partitions(n):
             assert perm_character(lam) == perm_character_tabloid_oracle(lam)
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_power_sum_coefficients(self, n):
+        shapes = enumerate_partitions(n)
+        for rho in shapes:
+            for k in range(1, n + 1):
+                poly = power_sum_expansion_oracle(rho, k)
+                for lam in shapes:
+                    if len(lam) == k:
+                        assert perm_character(lam)(rho) == poly.get(lam, 0)
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_pairings_count_double_cosets(self, n):
         shapes = enumerate_partitions(n)
@@ -139,8 +152,10 @@ class TestInner:
     def test_non_integer_multiplicity_raises(self):
         half = ClassFunction(2, (1, 0))
         assert inner(trivial_character(2), half) == Fraction(1, 2)
-        with pytest.raises(OrthogonalizationError):
-            _multiplicity(trivial_character(2), (2,), half)
+        weighted = (1 * 1, 1 * 0)  # class sizes of (2,) and (1, 1) times half
+        with pytest.raises(OrthogonalizationError,
+                           match=r"^non-integer multiplicity 1/2 of \(2,\)$"):
+            _multiplicities(trivial_character(2))((2,), weighted)
 
 
 class TestTheorem1:
@@ -156,6 +171,19 @@ class TestTheorem1:
         for lam in enumerate_partitions(n):
             assert theorem1_check(lam) == 1
             assert theorem1_components(lam) == [(lam, 1, 1)]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_components_match_pairing_oracle(self, n):
+        chis = irreducible_characters(n)
+        for lam in enumerate_partitions(n):
+            psi = perm_character_tabloid_oracle(lam)
+            phi = ind_sgn_coset_oracle(lam)
+            common = []
+            for mu, chi in chis.items():
+                a, b = pairing_oracle(psi, chi), pairing_oracle(phi, chi)
+                if a and b:
+                    common.append((mu, a, b))
+            assert common == [(lam, 1, 1)] == theorem1_components(lam)
 
 
 class TestIrreducibles:
@@ -212,9 +240,48 @@ class TestMultiplicities:
                 elif not dominates(mu, lam):
                     assert table(mu, lam) == 0
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_table_matches_pairing_oracle(self, n):
+        # every entry, including the zeros after lam in the frozen order
+        table = multiplicity_table(n)
+        chis = irreducible_characters(n)
+        for lam in enumerate_partitions(n):
+            psi = perm_character_tabloid_oracle(lam)
+            for mu in enumerate_partitions(n):
+                assert table(mu, lam) == pairing_oracle(psi, chis[mu])
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_youngs_rule(self, n):
         assert run_sweep("youngs-rule", n).status == "pass"
+
+
+class TestOrthogonalizationFaults:
+    """Each check of the orthogonalization fires on a faulty permutation
+    character.  In degree 3, at the classes (3), (2, 1), (1, 1, 1) of sizes
+    2, 3, 1, the true psi^(2, 1) is (0, 1, 3)."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        multiplicity_table.cache_clear()
+        irreducible_characters.cache_clear()
+        yield
+        multiplicity_table.cache_clear()
+        irreducible_characters.cache_clear()
+
+    @pytest.mark.parametrize("values, message", [
+        ((0, 0, 3), "non-integer multiplicity 1/2 of (3,)"),
+        ((0, 2, 6), "non-unit norm at (2, 1)"),
+        ((0, -1, -3), "bad multiplicity at ((3,), (2, 1))"),
+    ], ids=["non-integer", "non-unit-norm", "negative"])
+    def test_fault_raises(self, monkeypatch, values, message):
+        real = characters.perm_character
+        monkeypatch.setattr(
+            characters, "perm_character",
+            lambda lam: ClassFunction(3, values) if lam == (2, 1) else real(lam),
+        )
+        with pytest.raises(OrthogonalizationError) as excinfo:
+            irreducible_characters(3)
+        assert str(excinfo.value) == message
 
 
 class TestRestriction:

@@ -289,15 +289,37 @@ class TestErrorsAndDeterminism:
     def test_failed_orthogonalization_is_an_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(characters, "standard_count", lambda lam: 0)
         characters.irreducible_characters.cache_clear()
+        characters.multiplicity_table.cache_clear()
         try:
             code, out, err = run_cli(capsys, "character-table", "--n", "4")
         finally:
             characters.irreducible_characters.cache_clear()
+            characters.multiplicity_table.cache_clear()
         assert code == 2
         assert out == ""
         errors = error_records(err)
         assert len(errors) == 1 and errors[0]["kind"] == "internal"
         assert errors[0]["error"] == "wrong dimension at (4,)"
+
+    def test_negative_multiplicity_is_an_internal_error(self, capsys, monkeypatch):
+        real = characters.perm_character
+        # psi^(3, 1) negated pairs to -1 with the trivial character
+        monkeypatch.setattr(
+            characters, "perm_character",
+            lambda lam: real(lam).scaled(-1) if lam == (3, 1) else real(lam),
+        )
+        characters.irreducible_characters.cache_clear()
+        characters.multiplicity_table.cache_clear()
+        try:
+            code, out, err = run_cli(capsys, "character-table", "--n", "4")
+        finally:
+            characters.irreducible_characters.cache_clear()
+            characters.multiplicity_table.cache_clear()
+        assert code == 2
+        assert out == ""
+        errors = error_records(err)
+        assert len(errors) == 1 and errors[0]["kind"] == "internal"
+        assert errors[0]["error"] == "bad multiplicity at ((4,), (3, 1))"
 
     def test_unexpected_exception_is_one_internal_error_line(self, capsys, monkeypatch):
         def broken(mu, lam):
@@ -370,8 +392,17 @@ class TestErrorsAndDeterminism:
          "875fc2c209e843882e742fca3dece4750cf6da084175aa8cedcb6f7ecc4799f4"),
         (("verify", "two-row", "--max-n", "8"),
          "a4d47c0b94088e8a6a12f34cc4355a9c42f77cce4a61162fa211c4455b2ab7ed"),
+        (("character-table", "--n", "8"),
+         "7c2e1a139efa6fe64e82b48434df0e605a5686bdaaeb1deeca2e906dd9009621"),
+        (("verify", "theorem1", "--max-n", "10"),
+         "a73d14be318d09ac8abce4cb8e22bbcf15b8bdad7b1c14d58ef7d6dd11bcfcee"),
+        (("verify", "youngs-rule", "--max-n", "8"),
+         "82b05eb8d9c81fe6a39c96316ae444b05aa38b8639d870970c4cac4142899048"),
+        (("verify", "eq1", "--max-n", "8"),
+         "d691fdf89e9958015912c428078722994909a6c91bde208162102ff7ebb3827d"),
     ], ids=["kostka", "linsys", "polymorphism", "example4", "specht", "two-row",
-            "verify-two-row"])
+            "verify-two-row", "character-table", "verify-theorem1",
+            "verify-youngs-rule", "verify-eq1"])
     def test_golden_json_bytes(self, capsys, argv, digest):
         # frozen byte-level snapshots: SHA-256 of the JSON payload on stdout
         _, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -386,7 +417,9 @@ class TestOptimizedInterpreter:
         ["forms", "--check", "two-row", "--n", "6", "--k", "3", "--format", "json"],
         ["verify", "theorem1", "--max-n", "6"],
         ["verify", "theorem5"],
-    ], ids=["two-row", "theorem1", "theorem5"])
+        ["character-table", "--n", "7"],
+        ["verify", "youngs-rule", "--max-n", "6"],
+    ], ids=["two-row", "theorem1", "theorem5", "character-table", "youngs-rule"])
     def test_stdout_unchanged_under_dash_O(self, argv):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -159,19 +159,26 @@ class _Dinic:
         return level if level[t] >= 0 else None
 
     def _push(self, u: int, t: int, limit: int, level, it) -> int:
+        """Push up to `limit` from u to t along the current arcs of the
+        level graph; it[u] moves only past saturated or blocked arcs, and a
+        node whose arcs are all spent leaves the level graph."""
         if u == t:
             return limit
+        total = 0
         while it[u] < len(self.adj[u]):
             edge = self.adj[u][it[u]]
             v, cap, rev = edge
             if cap and level[v] == level[u] + 1:
-                pushed = self._push(v, t, min(limit, cap), level, it)
+                pushed = self._push(v, t, min(limit - total, cap), level, it)
                 if pushed:
                     edge[1] -= pushed
                     self.adj[v][rev][1] += pushed
-                    return pushed
+                    total += pushed
+                    if total == limit:
+                        return total
             it[u] += 1
-        return 0
+        level[u] = -1  # blocked: no later arc of this phase may enter u
+        return total
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
@@ -179,12 +186,7 @@ class _Dinic:
             level = self._levels(s, t)
             if level is None:
                 return flow
-            it = [0] * len(self.adj)
-            while True:
-                pushed = self._push(s, t, 1 << 62, level, it)
-                if not pushed:
-                    break
-                flow += pushed
+            flow += self._push(s, t, 1 << 62, level, [0] * len(self.adj))
 
     def reachable_in_residual(self, s: int) -> set[int]:
         seen = {s}

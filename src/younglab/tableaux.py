@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from operator import add, le, lt
 
 from .errors import LimitError, SelfCheckError, SizeMismatchError
 from .partitions import (
@@ -43,24 +44,19 @@ def tableau_weight(t: Tableau) -> Weight:
 
 def strip_weight(w: Weight) -> Weight:
     """Drop trailing zero counts."""
-    end = len(w)
-    while end and w[end - 1] == 0:
-        end -= 1
-    return w[:end]
+    while w and w[-1] == 0:
+        w = w[:-1]
+    return w
 
 
 def is_semistandard(t: Tableau) -> bool:
-    shape = tableau_shape(t)
-    if any(shape[i + 1] > shape[i] for i in range(len(shape) - 1)):
-        return False
+    """Rows weakly and columns strictly increase, the first row under a
+    row of zeros (so entries are positive); row lengths weakly decrease."""
     for i, row in enumerate(t):
-        for j, x in enumerate(row):
-            if x < 1:
-                return False
-            if j and x < row[j - 1]:
-                return False
-            if i and j < len(t[i - 1]) and x <= t[i - 1][j]:
-                return False
+        above = t[i - 1] if i else (0,) * len(row)
+        if len(row) > len(above) or not (
+                all(map(lt, above, row)) and all(map(le, row, row[1:]))):
+            return False
     return True
 
 
@@ -91,37 +87,33 @@ def _checked_shape(shape: Partition, weight: Weight) -> Partition:
 
 
 def enumerate_ssyt(shape: Partition, weight: Weight) -> list[Tableau]:
-    """All semistandard tableaux of the given shape and weight.
+    """All semistandard tableaux of the given shape and weight, in
+    lexicographic order of the row-reading word, built by the strip
+    recursion `kostka` counts with (a memo lives for this call only)."""
+    return _listed(_checked_shape(shape, weight), tuple(weight), {})
 
-    Cells are filled in row-major order trying smaller symbols first, so
-    the output comes in lexicographic order of the row-reading word.
-    """
-    shape = _checked_shape(shape, weight)
-    nsym = len(weight)
-    cells = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
-    rows = [[0] * shape[i] for i in range(len(shape))]
-    remaining = list(weight)
-    out: list[Tableau] = []
 
-    def fill(k: int) -> None:
-        if k == len(cells):
-            out.append(tuple(tuple(r) for r in rows))
-            return
-        i, j = cells[k]
-        lo = rows[i][j - 1] if j else 1
-        if i:
-            lo = max(lo, rows[i - 1][j] + 1)
-        for s in range(lo, nsym + 1):
-            if not remaining[s - 1]:
-                continue
-            rows[i][j] = s
-            remaining[s - 1] -= 1
-            fill(k + 1)
-            remaining[s - 1] += 1
-        rows[i][j] = 0
+def _listed(shape: Partition, weight: Weight, memo: dict) -> list[Tableau]:
+    """The tableaux of `_ssyt` in row-reading-word lex order (tuple order)."""
+    return sorted(_ssyt(shape, weight, memo))
 
-    fill(0)
-    return out
+
+def _ssyt(mu: Partition, w: Weight, memo: dict) -> list[Tableau]:
+    """Tableaux of shape mu and weight w, unsorted: those of shape nu and
+    weight w[:-1], for mu/nu a horizontal strip of w[-1] cells, with len(w)
+    appended row by row.  `memo` holds lists no caller may mutate."""
+    if len(mu) > len(w):
+        return []
+    if not w:
+        return [()]
+    found = memo.get((mu, w))
+    if found is None:
+        found = memo[mu, w] = []
+        for nu in _strips(mu, w[-1]):
+            pad = ((),) * (len(mu) - len(nu))
+            tails = [(len(w),) * (m - v) for m, v in zip(mu, nu + (0,) * len(pad))]
+            found += [tuple(map(add, t + pad, tails)) for t in _ssyt(nu, w[:-1], memo)]
+    return found
 
 
 @cache
@@ -213,7 +205,8 @@ class BijectionCertificate:
         without listing either side.
 
         Each pair must hold a left item and a right item whose weight is lam
-        minus its removed symbol, no item may repeat, and the number of
+        minus its removed symbol, each tableau tested by `is_semistandard`,
+        its shape and its weight; no item may repeat, and the number of
         pairs must equal both counts of `eq2_check` (Kostka numbers from the
         strip recursion).  Distinct members of a side, as many as the side
         has, are the whole side.
@@ -281,18 +274,25 @@ def theorem4_bijection(lam: Partition, rho: Partition) -> BijectionCertificate:
     reach are then paired in listing order: the k-th leftover left item
     takes the k-th unused right item.  Nothing relates the two tableaux of
     such a pair, so only the bijection itself is certified.
+
+    Both partitions and the size cap are checked before any listing; both
+    sides share one `_ssyt` memo and are listed as `enumerate_ssyt` lists.
     """
+    lam, rho = check_partition(lam), check_partition(rho)
     _check_consecutive(lam, rho)
+    if sum(lam) > max_n():
+        raise LimitError(f"n={sum(lam)} exceeds the configured maximum {max_n()}")
+    memo: dict = {}  # shared by both sides: their weight prefixes overlap
     left = [
         (t, _corner_row(mu, rho))
         for mu in successors(rho)
-        for t in enumerate_ssyt(mu, lam)
+        for t in _listed(mu, lam, memo)
     ]
     # (gamma weight, tableau) -> removed symbol, in listing order
     right: dict[tuple[Weight, Tableau], int] = {}
     for x in range(1, len(lam) + 1):
         w = _minus_one(lam, x)
-        right.update(((w, s), x) for s in enumerate_ssyt(rho, w))
+        right.update(((w, s), x) for s in _listed(rho, w, memo))
 
     pairs: list[BijectionPair | None] = [None] * len(left)
     for k, (t, r) in enumerate(left):

@@ -7,7 +7,9 @@ pair class functions by Fraction sums over enumerated class sizes
 rather than by the library's `inner`, and reduce matrices
 by plain Fraction Gauss-Jordan elimination, independent of the library's
 fraction-free `rref`.  The two-row components are spanned here by their
-product over every pairing, not by standard tableaux.
+product over every pairing, not by standard tableaux.  Semistandard
+tableaux are filled here one cell at a time and tested cell by cell,
+independent of the horizontal-strip recursion the library lists them with.
 """
 
 from fractions import Fraction
@@ -216,3 +218,49 @@ def pairing_generators_oracle(n: int, l: int, k: int) -> list[Form]:
                 f = f * (Form.variable(n, a) - Form.variable(n, b))
             out.append(f)
     return out
+
+
+def ssyt_backtracking_oracle(shape: Partition, weight: tuple[int, ...]) -> list:
+    """Semistandard tableaux of the given shape and weight, filling the
+    cells in row-major order with the smallest admissible symbol first and
+    backtracking, so they come in lex order of the row-reading word."""
+    nsym = len(weight)
+    cells = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
+    rows = [[0] * part for part in shape]
+    remaining = list(weight)
+    out = []
+
+    def fill(k: int) -> None:
+        if k == len(cells):
+            out.append(tuple(tuple(r) for r in rows))
+            return
+        i, j = cells[k]
+        lo = rows[i][j - 1] if j else 1
+        if i:
+            lo = max(lo, rows[i - 1][j] + 1)
+        for s in range(lo, nsym + 1):
+            if remaining[s - 1]:
+                rows[i][j] = s
+                remaining[s - 1] -= 1
+                fill(k + 1)
+                remaining[s - 1] += 1
+        rows[i][j] = 0
+
+    fill(0)
+    return out
+
+
+def semistandard_oracle(t) -> bool:
+    """Semistandardness tested cell by cell: row lengths weakly decrease,
+    every entry is at least 1, at least its left neighbour and more than
+    the entry above it."""
+    shape = [len(row) for row in t]
+    if any(shape[i + 1] > shape[i] for i in range(len(shape) - 1)):
+        return False
+    for i, row in enumerate(t):
+        for j, x in enumerate(row):
+            if x < 1 or (j and x < row[j - 1]):
+                return False
+            if i and j < len(t[i - 1]) and x <= t[i - 1][j]:
+                return False
+    return True

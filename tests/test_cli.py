@@ -400,9 +400,13 @@ class TestErrorsAndDeterminism:
          "82b05eb8d9c81fe6a39c96316ae444b05aa38b8639d870970c4cac4142899048"),
         (("verify", "eq1", "--max-n", "8"),
          "d691fdf89e9958015912c428078722994909a6c91bde208162102ff7ebb3827d"),
+        (("ssyt", "--shape", "4,2,1", "--weight", "2,2,2,1"),
+         "4b14201d855cfcede26b6666cd912c7583d2fed17e479ab74af29088f462972d"),
+        (("bijection", "--lambda", "3,2,1,1", "--rho", "3,2,1"),
+         "e9263fbfa43952341472bf93ae0e1aff1e8801cf5687d2b9a070d4f1f5270368"),
     ], ids=["kostka", "linsys", "polymorphism", "example4", "specht", "two-row",
             "verify-two-row", "character-table", "verify-theorem1",
-            "verify-youngs-rule", "verify-eq1"])
+            "verify-youngs-rule", "verify-eq1", "ssyt", "bijection"])
     def test_golden_json_bytes(self, capsys, argv, digest):
         # frozen byte-level snapshots: SHA-256 of the JSON payload on stdout
         _, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -419,7 +423,9 @@ class TestOptimizedInterpreter:
         ["verify", "theorem5"],
         ["character-table", "--n", "7"],
         ["verify", "youngs-rule", "--max-n", "6"],
-    ], ids=["two-row", "theorem1", "theorem5", "character-table", "youngs-rule"])
+        ["bijection", "--lambda", "3,2,1,1", "--rho", "3,2,1"],
+    ], ids=["two-row", "theorem1", "theorem5", "character-table", "youngs-rule",
+            "bijection"])
     def test_stdout_unchanged_under_dash_O(self, argv):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))

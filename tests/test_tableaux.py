@@ -1,8 +1,10 @@
+import hashlib
 from dataclasses import replace
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
+from oracles import semistandard_oracle, ssyt_backtracking_oracle
 from younglab import tableaux
 from younglab.errors import LimitError, SelfCheckError, SizeMismatchError
 from younglab.partitions import (
@@ -76,6 +78,41 @@ class TestEnumerateSsyt:
     def test_weight_with_internal_zeros(self):
         got = enumerate_ssyt((2, 1), (1, 0, 1, 1))
         assert got == [((1, 3), (4,)), ((1, 4), (3,))]
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_matches_backtracking_on_weak_compositions(self, n):
+        # same list, order included; n + 1 parts, so every w has a zero
+        for mu in enumerate_partitions(n):
+            for w in weak_compositions(n, n + 1):
+                assert enumerate_ssyt(mu, w) == ssyt_backtracking_oracle(mu, w)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_backtracking_on_partition_and_standard_weights(self, n):
+        for mu in enumerate_partitions(n):
+            for w in (*enumerate_partitions(n), (1,) * n):
+                assert enumerate_ssyt(mu, w) == ssyt_backtracking_oracle(mu, w)
+
+
+def small_arrays(max_rows, max_len, symbols):
+    """Every tuple of at most max_rows rows, each of at most max_len
+    entries drawn from symbols: ragged shapes, empty rows and zeros."""
+    rows = [r for k in range(max_len + 1) for r in product(symbols, repeat=k)]
+    for k in range(max_rows + 1):
+        yield from product(rows, repeat=k)
+
+
+class TestIsSemistandard:
+    @pytest.mark.parametrize("max_rows, max_len", [(3, 2), (2, 3)])
+    def test_agrees_with_cell_by_cell_test(self, max_rows, max_len):
+        for t in small_arrays(max_rows, max_len, range(-1, 4)):
+            assert is_semistandard(t) == semistandard_oracle(t), t
+
+    def test_examples(self):
+        assert is_semistandard(((1, 1, 2), (2, 3)))
+        assert is_semistandard(((1,), ()))
+        assert not is_semistandard(((1,), (2, 3)))  # ragged
+        assert not is_semistandard(((0, 1),))
+        assert not is_semistandard(((1, 2), (1, 3)))  # column not strict
 
 
 class TestKostka:
@@ -274,9 +311,9 @@ class TestBijection:
     def test_check_rejects_a_certificate_missing_items(self, monkeypatch):
         # both sides lose as many tableaux, so the pairing still completes,
         # but it no longer covers either side
-        enumerate_all = tableaux.enumerate_ssyt
+        listed = tableaux._listed
         monkeypatch.setattr(
-            tableaux, "enumerate_ssyt", lambda shape, weight: enumerate_all(shape, weight)[:-1]
+            tableaux, "_listed", lambda shape, weight, memo: listed(shape, weight, memo)[:-1]
         )
         cert = theorem4_bijection((2, 2, 1), (3, 1))
         assert len(cert.pairs) == 2
@@ -285,14 +322,14 @@ class TestBijection:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_unequal_sides_raise(self, monkeypatch, side):
         lam, rho = (2, 2, 1), (3, 1)
-        enumerate_all = tableaux.enumerate_ssyt
+        listed = tableaux._listed
 
-        def lose_one(shape, weight):
-            found = enumerate_all(shape, weight)
+        def lose_one(shape, weight, memo):
+            found = listed(shape, weight, memo)
             on_left = tuple(shape) != rho
             return found[:-1] if on_left == (side == "left") else found
 
-        monkeypatch.setattr(tableaux, "enumerate_ssyt", lose_one)
+        monkeypatch.setattr(tableaux, "_listed", lose_one)
         with pytest.raises(SelfCheckError):
             theorem4_bijection(lam, rho)
 
@@ -310,6 +347,47 @@ class TestBijection:
         # the canonical rule covers most items; the exact share is pinned
         # in the acceptance suite where it is also reported
         assert canonical <= total
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_certificate_bytes_pinned(self, n):
+        # SHA-256 over every pair of every certificate of degree n, in order
+        digest = hashlib.sha256()
+        for lam in enumerate_partitions(n):
+            for rho in enumerate_partitions(n - 1):
+                for p in theorem4_bijection(lam, rho).pairs:
+                    digest.update(repr((p.mu_tableau, p.removed_symbol, p.rho_tableau,
+                                        p.gamma_weight, p.canonical)).encode())
+        assert digest.hexdigest() == CERTIFICATE_DIGESTS[n]
+
+    @pytest.mark.parametrize("lam, rho", [
+        ((2, 3), (2, 2)),  # lam not a partition
+        ((3, 2), (2, 1, 1, 0)),  # rho with a zero part
+        ((3, 2), (1, 2, 1)),
+    ])
+    def test_rejects_non_partitions_at_entry(self, monkeypatch, lam, rho):
+        monkeypatch.setattr(tableaux, "_ssyt", None)  # nothing may be listed
+        with pytest.raises(ValueError, match="parts must be"):
+            theorem4_bijection(lam, rho)
+
+    def test_size_cap_checked_before_listing(self, monkeypatch):
+        monkeypatch.setenv("YOUNGLAB_MAX_N", "5")
+        monkeypatch.setattr(tableaux, "_ssyt", None)
+        with pytest.raises(LimitError):
+            theorem4_bijection((3, 2, 1), (3, 2))
+
+    def test_size_mismatch(self):
+        with pytest.raises(SizeMismatchError):
+            theorem4_bijection((3, 2), (3, 2))
+
+
+CERTIFICATE_DIGESTS = {
+    2: "acc546b9236c5698fec8a4656ab6546d54b9cd59c207bf010e46ba8a9da765db",
+    3: "59ef1da1342350f7f899c61ac3cf159fec9766a5d51307af923812984aa7a494",
+    4: "0af7bf1c5632c73819fab8f4bb670da5b26051579efdd75001de2fb012669d7e",
+    5: "0c7130826038428c706b28169eb09da08736d0170570f62f306561802441d0bb",
+    6: "3668724ddfab6c2799e8e89b99a7bc7cb451ff53288b18d713f918d4f4826d52",
+    7: "d06e0d0067503cddce4bea1103e46ecdb7041ef5ee700ae404e48c36301a984e",
+}
 
 
 class TestStandard:

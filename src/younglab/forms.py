@@ -350,7 +350,8 @@ def d_kernel_dim(ambient: list[Monomial], n: int) -> int:
 
 
 def theorem5_check(lam: Partition, n: int) -> dict:
-    """Verify the Specht-module facts for one shape at degree n <= 5.
+    """Verify the Specht-module facts for one shape of degree n, at most
+    THEOREM5_MAX_N.
 
     (a) the standard Specht polynomials are independent, of rank equal to
         the standard-tableau count;

@@ -138,7 +138,18 @@ def build_flow_instance(n: int) -> FlowInstance:
 
 
 class _Dinic:
-    """Max flow with exact integer capacities."""
+    """Max flow with exact integer capacities.
+
+    Each phase labels nodes by their exact residual distance to the sink
+    (Ahuja, Magnanti and Orlin, *Network Flows*, 1993, section 7.4) and
+    pushes one blocking flow along the arcs u -> v with dist[v] ==
+    dist[u] - 1.  Such an arc lies on a shortest residual s-t path, so the
+    depth-first search never descends into a dead end.  Dinic's labels by
+    distance from the source admit the same arcs plus arcs into nodes with
+    no shortest path on to the sink; a descent there returns 0 and changes
+    no capacity.  Both searches therefore meet the same live arcs in the
+    same adjacency order, and the flow is the same arc by arc.
+    """
 
     def __init__(self, n: int):
         self.adj: list[list[list[int]]] = [[] for _ in range(n)]
@@ -148,28 +159,36 @@ class _Dinic:
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
 
     def _levels(self, s: int, t: int) -> Optional[list[int]]:
-        level = [-1] * len(self.adj)
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for v, cap, _ in self.adj[u]:
-                if cap and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
+        """Residual distances to t, by a BFS backward from t that stops once
+        s is labelled; None when s cannot reach t.  Seen from adj[v], the
+        arc u -> v has the residual capacity adj[u][rev][1]."""
+        adj = self.adj
+        dist = [-1] * len(adj)
+        dist[t] = 0
+        queue = [t]
+        for v in queue:
+            d = dist[v] + 1
+            for u, _, rev in adj[v]:
+                if dist[u] < 0 and adj[u][rev][1]:
+                    dist[u] = d
+                    if u == s:
+                        return dist
+                    queue.append(u)
+        return None
 
-    def _push(self, u: int, t: int, limit: int, level, it) -> int:
-        """Push up to `limit` from u to t along the current arcs of the
-        level graph; it[u] moves only past saturated or blocked arcs, and a
-        node whose arcs are all spent leaves the level graph."""
+    def _push(self, u: int, t: int, limit: int, dist, it) -> int:
+        """Push up to `limit` from u to t along the arcs u -> v with
+        dist[v] == dist[u] - 1; it[u] moves only past saturated or blocked
+        arcs, and a node whose arcs are all spent leaves the phase."""
         if u == t:
             return limit
         total = 0
+        below = dist[u] - 1
         while it[u] < len(self.adj[u]):
             edge = self.adj[u][it[u]]
             v, cap, rev = edge
-            if cap and level[v] == level[u] + 1:
-                pushed = self._push(v, t, min(limit - total, cap), level, it)
+            if cap and dist[v] == below:
+                pushed = self._push(v, t, min(limit - total, cap), dist, it)
                 if pushed:
                     edge[1] -= pushed
                     self.adj[v][rev][1] += pushed
@@ -177,16 +196,16 @@ class _Dinic:
                     if total == limit:
                         return total
             it[u] += 1
-        level[u] = -1  # blocked: no later arc of this phase may enter u
+        dist[u] = -1  # blocked: no later arc of this phase may enter u
         return total
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
         while True:
-            level = self._levels(s, t)
-            if level is None:
+            dist = self._levels(s, t)
+            if dist is None:
                 return flow
-            flow += self._push(s, t, 1 << 62, level, [0] * len(self.adj))
+            flow += self._push(s, t, 1 << 62, dist, [0] * len(self.adj))
 
     def reachable_in_residual(self, s: int) -> set[int]:
         seen = {s}

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import os
 from functools import cache
+from itertools import accumulate
+from operator import ge
 
 from .errors import EmptyPartitionError, LimitError, SizeMismatchError
 
@@ -200,8 +202,17 @@ def bar(lam: Partition) -> Partition:
 
 
 def dominance_upset(lam: Partition) -> list[Partition]:
-    """All mu of the same size with mu majorizing lam, in enumeration order."""
-    return [mu for mu in enumerate_partitions(sum(lam)) if dominates(mu, lam)]
+    """All mu of the same size with mu majorizing lam, in enumeration order.
+
+    The prefix sums of lam are taken once.  A mu with more parts than lam
+    falls short of sum(lam) at row len(lam); any other mu has reached the
+    total by its last row, so comparing its own prefix sums suffices.
+    """
+    sums = list(accumulate(lam))
+    return [
+        mu for mu in enumerate_partitions(sum(lam))
+        if len(mu) <= len(lam) and all(map(ge, accumulate(mu), sums))
+    ]
 
 
 @cache

@@ -10,6 +10,7 @@ fraction-free `rref`.  The two-row components are spanned here by their
 product over every pairing, not by standard tableaux.  Semistandard
 tableaux are filled here one cell at a time and tested cell by cell,
 independent of the horizontal-strip recursion the library lists them with.
+Minimum s-t cuts are found by trying every cut, independent of max-flow.
 """
 
 from fractions import Fraction
@@ -264,3 +265,18 @@ def semistandard_oracle(t) -> bool:
             if i and j < len(t[i - 1]) and x <= t[i - 1][j]:
                 return False
     return True
+
+
+def min_cut_oracle(n: int, arcs, s: int, t: int) -> int:
+    """Least capacity of an s-t cut of the network on nodes 0..n-1 with
+    arcs (u, v, cap), found by trying every source side: s with any subset
+    of the nodes other than s and t."""
+    others = [v for v in range(n) if v not in (s, t)]
+    sides = (
+        {s} | {v for v, p in zip(others, picked) if p}
+        for picked in product((False, True), repeat=len(others))
+    )
+    return min(
+        sum(cap for u, v, cap in arcs if u in side and v not in side)
+        for side in sides
+    )

@@ -424,8 +424,10 @@ class TestOptimizedInterpreter:
         ["character-table", "--n", "7"],
         ["verify", "youngs-rule", "--max-n", "6"],
         ["bijection", "--lambda", "3,2,1,1", "--rho", "3,2,1"],
+        ["polymorphism", "--n", "20", "--format", "json"],
+        ["verify", "transport", "--max-n", "20"],
     ], ids=["two-row", "theorem1", "theorem5", "character-table", "youngs-rule",
-            "bijection"])
+            "bijection", "polymorphism", "transport"])
     def test_stdout_unchanged_under_dash_O(self, argv):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -1,10 +1,14 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import rref_oracle
+from oracles import min_cut_oracle, rref_oracle
 from younglab.errors import SelfCheckError
 from younglab.linsys import (
+    FlowInstance,
+    _Dinic,
     build_flow_instance,
     build_system3,
     polymorphism_feasibility,
@@ -204,3 +208,105 @@ class TestPolymorphism:
             instance = build_flow_instance(n)
             assert instance.supply * len(instance.left) == 1
             assert instance.demand * len(instance.right) == 1
+
+    def test_infeasible_instance_certified_by_its_residual_cut(self, monkeypatch):
+        # level 2 -> 3 without the covering pair (2) -> (2,1): (2) can only
+        # send through (3), whose sink arc takes 2 of its 3 units, so the
+        # flow is 5 of the 6 required and the residual cut is exactly
+        # source -> (1,1) plus (3) -> sink
+        import younglab.linsys as linsys
+
+        instance = FlowInstance(
+            3, ((2,), (1, 1)), ((3,), (2, 1), (1, 1, 1)),
+            (((2,), (3,)), ((1, 1), (2, 1)), ((1, 1), (1, 1, 1))),
+            Fraction(1, 2), Fraction(1, 3),
+        )
+        monkeypatch.setattr(linsys, "build_flow_instance", lambda n: instance)
+        report = polymorphism_feasibility(3)
+        assert not report["feasible"] and report["witness"] is None
+        assert (report["max_flow"], report["required"]) == (5, 6)
+        assert report["cut"] == {
+            "value": 5, "edges": [("source", (1, 1)), ((3,), "sink")],
+        }
+
+
+# SHA-256 over (gamma, mu, numerator, denominator) of each witness entry in
+# build_flow_instance(n).edges order: a change to the phase labels or the
+# arc order that moves any flow between arcs shows here, while the sums
+# that verify_witness checks would still hold
+WITNESS_DIGESTS = {
+    2: "6f549977a940b499cbc0724448fd3d95affe6e30f21e74a0f84ada77c650eb45",
+    3: "67c3454673b8a40052ecf6cb219e1e083ef35a6c70f8796a80477e21c14bb3eb",
+    4: "3c0e08752d581f3eec39aa330bf8b2c684665b8f4aebfb3156d302bbcf1a6e19",
+    5: "030a8bfcead713b5f785103527deb373121d66c06cccf4bd326387af6a12c491",
+    6: "6b323fcf47f7ea6bc5d08a98a2d99c29b0d82a3f2bdc482e74bf5068887bcba6",
+    7: "2625257c5ca412468c9554e850a760acb69260e1fd5127a9e57b86429b29011c",
+    8: "9af246338346ed98d7ee22e0db0803b49ad55ed6f9360f9a521c1f13649f8e11",
+    9: "5e0774ae9480378121ab8de345bdcb7696ffde79f0f50c0edfce9760e003d517",
+    10: "3d58a9a41bd59393751e09e1971f06f6f6433f44139aa060e2793fbb352a51e9",
+    11: "733fbc744bd4cbb9fd2512aa7e5171e6b144481b5a8044fe2de5a7d2498b91ba",
+    12: "7c575a2621874b42cc62f589d0aa657a8664296b28b1861d5e6f2c30c8ecbadd",
+    13: "2f21a016140efef2ee8cbff20a70d71c2026b6516d43b066415a7e71ecf82b43",
+    14: "1e2b12e0231c260a9352078f9d3ce6f16ea1a6dbe89249503b68ed8abd4fb8ba",
+    15: "e1da8ab398dabd4c98897d9b9c45e467aa8e648d01aabd3becd55b82fe76ddcd",
+    16: "b0129d5612a5f330aacdcad680f985288b0b800423a5c7650ef2b7b151b4dd43",
+    17: "cf80134da5bf934e51ee0f64d6274758735144851f2643ad550ee00418725c17",
+    18: "068cf345c617dbf5df329cd5afb69cb07acf93a4f62eb5da9049d9a7ca9c6072",
+    19: "94cc635ad8648c58ec6ddde39ff9925c997b06aaa7462a24ea2dbe37833054d0",
+    20: "279af076a58ee3646996ca158d8308fd881ed5fc6e2399240a0fcf0ee6f4e980",
+}
+
+
+def _witness_digest(n):
+    witness = polymorphism_feasibility(n)["witness"]
+    digest = hashlib.sha256()
+    for edge in build_flow_instance(n).edges:
+        if edge in witness:
+            value = witness[edge]
+            digest.update(
+                repr((*edge, value.numerator, value.denominator)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_witness_bytes_pinned(n):
+    assert _witness_digest(n) == WITNESS_DIGESTS[n]
+
+
+def _random_network(seed):
+    """At most 7 nodes, source 0 and sink n-1, arcs with capacities 0..4;
+    parallel and antiparallel arcs allowed, no loops."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    arcs = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 4))
+            for _ in range(rng.randint(0, 3 * n))]
+    return n, [(u, v, cap) for u, v, cap in arcs if u != v]
+
+
+@pytest.mark.parametrize("seeds", [range(k, k + 100) for k in range(0, 500, 100)],
+                         ids=lambda seeds: f"{seeds.start}-{seeds.stop - 1}")
+def test_max_flow_equals_brute_force_min_cut(seeds):
+    for seed in seeds:
+        n, arcs = _random_network(seed)
+        s, t = 0, n - 1
+        net = _Dinic(n)
+        slots = []
+        for u, v, cap in arcs:
+            slots.append((u, len(net.adj[u])))
+            net.add_edge(u, v, cap)
+        value = net.max_flow(s, t)
+        assert value == min_cut_oracle(n, arcs, s, t), seed
+        # the residual arcs hold a feasible flow of that value ...
+        excess = [0] * n
+        for (u, v, cap), (node, idx) in zip(arcs, slots):
+            used = cap - net.adj[node][idx][1]
+            assert 0 <= used <= cap, seed
+            excess[u] -= used
+            excess[v] += used
+        assert excess[t] == value == -excess[s], seed
+        assert all(excess[v] == 0 for v in range(n) if v not in (s, t)), seed
+        # ... and the residual cut certifies it
+        side = net.reachable_in_residual(s)
+        assert t not in side, seed
+        assert sum(cap for u, v, cap in arcs
+                   if u in side and v not in side) == value, seed

@@ -221,6 +221,12 @@ class TestDominanceCounts:
             assert len(dominance_upset((n,))) == 1
             assert len(dominance_upset((1,) * n)) == partition_count(n)
 
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_upset_is_the_dominates_filter_in_order(self, n):
+        for lam in enumerate_partitions(n):
+            expected = [mu for mu in enumerate_partitions(n) if dominates(mu, lam)]
+            assert dominance_upset(lam) == expected
+
     def test_hbar(self):
         assert bar((2, 2)) == (2, 1)
         assert len(dominance_upset(bar((2, 2)))) == 2

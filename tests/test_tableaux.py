@@ -228,6 +228,15 @@ class TestEq2:
         with pytest.raises(SizeMismatchError):
             eq2_check((3, 1), (3, 1))
 
+    @pytest.mark.parametrize("lam, rho, name", [
+        ((2, 3), (2, 2), "lam"),  # else counted as if lam were (3, 2)
+        ((2, 3, 1), (3, 2), "lam"),  # else reported as the unequal (4, 3)
+        ((3, 2), (2, 1, 1, 0), "rho"),  # rho with a zero part
+    ])
+    def test_rejects_non_partitions_naming_the_argument(self, lam, rho, name):
+        with pytest.raises(ValueError, match=rf"^{name} must have positive"):
+            eq2_check(lam, rho)
+
 
 GOLDEN_EX1 = {
     # n = 6, lam = (3,2,1), rho = (4,1): pairs A..E -> L..Q

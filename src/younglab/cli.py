@@ -34,7 +34,6 @@ from .forms import (
     two_row_decomposition,
 )
 from .linsys import (
-    build_flow_instance,
     build_system3,
     polymorphism_feasibility,
     statement1_check,
@@ -231,18 +230,12 @@ def _cmd_linsys(args) -> int:
 
 def _cmd_polymorphism(args) -> int:
     result = polymorphism_feasibility(args.n)
-    instance = build_flow_instance(args.n)
-    witness_rows = []
-    if result["witness"] is not None:
-        order = {(g, m): i for i, (g, m) in enumerate(instance.edges)}
-        for (g, m), value in sorted(
-            result["witness"].items(), key=lambda kv: order[kv[0]]
-        ):
-            witness_rows.append({
-                "from": format_partition(g),
-                "to": format_partition(m),
-                "value": frac_str(value),
-            })
+    # the witness is keyed in instance.edges order
+    witness_rows = [
+        {"from": format_partition(g), "to": format_partition(m),
+         "value": frac_str(value)}
+        for (g, m), value in (result["witness"] or {}).items()
+    ]
     payload = {
         "n": args.n,
         "feasible": result["feasible"],

@@ -4,16 +4,18 @@ This is the shared engine for the multiplicity system and the form spaces.
 Everything is exact: matrices keep the int or fractions.Fraction entries
 they are given, and no floating point appears anywhere.
 
-There is one elimination body.  Its forward pass, ``_echelon``, clears each
-row of denominators, stores it as a sparse {column: int} dict and reduces
-it against the pivot rows found so far with one integer row-combination
-step, ``_clear``; the inputs (0/1 deviation systems, derivative matrices,
-generator spans) are mostly zeros, so a step touches only nonzero entries.
-``rank`` is the forward pass alone and makes no Fraction.  ``rref`` adds a
-back-substitution with the same step and then divides each pivot row by
-its pivot, the only place a Fraction is made here.  Its output is
-cross-checked against a plain Fraction Gauss-Jordan reduction in the test
-suite.
+There is one elimination body.  Its forward pass, ``_echelon``, takes
+sparse {column: value} rows, which is what every producer emits: the 0/1
+deviation systems, the derivative matrices and the stacked generator spans
+are mostly zeros.  It clears each row of denominators and reduces it
+against the pivot rows found so far with one integer row-combination step,
+``_clear``, which touches only nonzero entries.  ``rank`` is the forward
+pass alone and makes no Fraction.  ``rref`` takes a dense
+``RationalMatrix`` (so do ``kernel`` and ``Subspace``, through it), scans
+it to sparse rows once, adds a back-substitution with the same step and
+then divides each pivot row by its pivot, the only place a Fraction is
+made here.  Its output is cross-checked against a plain Fraction
+Gauss-Jordan reduction in the test suite.
 """
 
 from __future__ import annotations
@@ -110,17 +112,15 @@ def _primitive(v: dict[int, int]) -> None:
             v[j] //= g
 
 
-def _echelon(a: RationalMatrix) -> dict[int, dict[int, int]]:
-    """Forward pass: the rows of a, cleared of denominators, inserted one at
-    a time as sparse {column: int} rows and reduced against the pivot rows
-    kept so far.  Returns the primitive pivot rows keyed by their leading
-    (pivot) column; their number is the rank of a."""
+def _echelon(rows: Iterable[dict[int, Rational]]) -> dict[int, dict[int, int]]:
+    """Forward pass: sparse {column: value} rows, cleared of denominators
+    and of zero values, inserted one at a time and reduced against the
+    pivot rows kept so far.  Returns the primitive pivot rows keyed by
+    their leading (pivot) column; their number is the rank."""
     pivots: dict[int, dict[int, int]] = {}
-    columns = range(a.cols)
-    for row in a.entries:
-        nonzero = [(j, row[j]) for j in compress(columns, row)]
-        d = lcm(*(x.denominator for _, x in nonzero))
-        v = {j: x.numerator * (d // x.denominator) for j, x in nonzero}
+    for row in rows:
+        d = lcm(*(x.denominator for x in row.values()))
+        v = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
         while v:
             c = min(v)
             if c not in pivots:
@@ -144,7 +144,8 @@ def rref(a: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
     RREF of a matrix is unique: pivot rows come first, by pivot column,
     then the zero rows.
     """
-    pivots = _echelon(a)
+    columns = range(a.cols)
+    pivots = _echelon({j: row[j] for j in compress(columns, row)} for row in a.entries)
     order = sorted(pivots)
     for c in reversed(order):
         v = pivots[c]
@@ -164,9 +165,10 @@ def rref(a: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
     return RationalMatrix(reduced + zeros, cols=a.cols), len(order), order
 
 
-def rank(a: RationalMatrix) -> int:
-    """Rank of a, from the forward pass alone (no Fraction)."""
-    return len(_echelon(a))
+def rank(rows: Iterable[dict[int, Rational]]) -> int:
+    """Rank of the sparse {column: value} rows, from the forward pass alone
+    (no Fraction)."""
+    return len(_echelon(rows))
 
 
 class Subspace:

@@ -25,7 +25,7 @@ from .characters import ClassFunction, class_types, irreducible_characters, perm
 from .errors import (
     InvalidFillingError, LimitError, NotInvariantError, SelfCheckError, SizeMismatchError,
 )
-from .exactla import RationalMatrix, Subspace, rank
+from .exactla import Subspace, rank
 # not used here: perfbench/tests/test_perfbench.py reaches younglab.forms.restricted_trace
 from .exactla import restricted_trace  # noqa: F401
 from .partitions import Partition, standard_count
@@ -263,11 +263,12 @@ def restricted_character(space: FormSpace, n: int) -> ClassFunction:
     raises NotInvariantError if the subspace is not actually invariant.
 
     sigma sends a vector v of the ambient span to the vector whose entry
-    at monomial m is v[index(sigma^-1 . m)], so each image is v read
-    through one index image per permutation.  Invariance is one rank: the
-    RREF basis b_1..b_d stacked with its images under (1 2) and
-    (1 2 ... n), which generate S_n, has rank d exactly when the span is
-    invariant under both, hence under all of S_n.  The traces are then
+    at index(sigma . m_j) is v[j], so the image of a sparse row moves each
+    entry j to one forward index image per permutation.  Invariance is one
+    rank: the sparse rows of the RREF basis b_1..b_d stacked with their
+    images under (1 2) and (1 2 ... n), which generate S_n, have rank d
+    exactly when the span is invariant under both, hence under all of
+    S_n.  The traces are then
     read off the pivots p_1..p_d: a vector in the span has coordinates
     v[p_1..p_d], so the trace of sigma is
     sum_i b_i[index(sigma^-1 . m_{p_i})], O(d) per class.
@@ -275,12 +276,12 @@ def restricted_character(space: FormSpace, n: int) -> ClassFunction:
     ambient = space.ambient
     sub = space.subspace
     index = {m: i for i, m in enumerate(ambient)}
-    rows = list(sub.basis.entries)
+    basis = _sparse_basis(sub)
+    rows = list(basis)
     for g in _generators(n):
-        back = inverse(g)
-        image = [index[_substitute(m, back)] for m in ambient]
-        rows += [[row[j] for j in image] for row in sub.basis.entries]
-    if rank(RationalMatrix(rows, cols=len(ambient))) != sub.dim:
+        image = [index[_substitute(m, g)] for m in ambient]
+        rows += [{image[j]: x for j, x in row.items()} for row in basis]
+    if rank(rows) != sub.dim:
         raise NotInvariantError(
             f"the span of dimension {sub.dim} is not invariant under S_{n}")
     values = []
@@ -327,26 +328,20 @@ def specht_module(lam: Partition, n: int) -> FormSpace:
     return span_of_forms(forms, ambient)
 
 
-def _derivative_matrix(ambient: list[Monomial], n: int) -> RationalMatrix:
+def _derivative_matrix(ambient: list[Monomial], n: int) -> list[dict[int, int]]:
     """Matrix of the total derivative from the ambient span to the span of
-    the image monomials, one row per image in the order the images first
-    appear (a single zero row when there are none)."""
-    images: dict[Monomial, int] = {}
-    columns = [Form.monomial(n, m).derivative_sum().terms for m in ambient]
-    for col in columns:
-        for key in col:
-            images.setdefault(key, len(images))
-    entries = [[0] * len(ambient) for _ in range(max(len(images), 1))]
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            entries[images[key]][j] = c
-    return RationalMatrix(entries, cols=len(ambient))
+    the image monomials, as sparse {column: value} rows, one per image in
+    the order the images first appear (no rows when there are none)."""
+    rows: dict[Monomial, dict[int, int]] = {}
+    for j, m in enumerate(ambient):
+        for key, c in Form.monomial(n, m).derivative_sum().terms.items():
+            rows.setdefault(key, {})[j] = c
+    return list(rows.values())
 
 
 def d_kernel_dim(ambient: list[Monomial], n: int) -> int:
     """Dimension of the shift-invariant part of the ambient span."""
-    matrix = _derivative_matrix(ambient, n)
-    return len(ambient) - rank(matrix)
+    return len(ambient) - rank(_derivative_matrix(ambient, n))
 
 
 def theorem5_check(lam: Partition, n: int) -> dict:
@@ -431,12 +426,17 @@ def two_row_partition(n: int, l: int) -> Partition:
     return (n - l, l) if l else (n,)
 
 
-def _independent(spaces: list[Subspace], size: int) -> bool:
-    """Whether the sum of subspaces of Q^size is direct: as
+def _sparse_basis(space: Subspace) -> list[dict[int, Rational]]:
+    """The RREF basis of a subspace as sparse {column: value} rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in space.basis.entries]
+
+
+def _independent(spaces: list[Subspace]) -> bool:
+    """Whether the sum of subspaces is direct: as
     dim(A + B) = dim A + dim B - dim(A meet B), exactly when their
     dimensions add up to the rank of their stacked RREF bases."""
-    rows = [row for space in spaces for row in space.basis.entries]
-    return rank(RationalMatrix(rows, cols=size)) == sum(space.dim for space in spaces)
+    rows = [row for space in spaces for row in _sparse_basis(space)]
+    return rank(rows) == sum(space.dim for space in spaces)
 
 
 def two_row_decomposition(n: int, k: int) -> dict:
@@ -473,14 +473,13 @@ def two_row_decomposition(n: int, k: int) -> dict:
         if restricted_character(space, n) != chis[two_row_partition(n, l)]:
             characters_ok = False
 
-    size = len(ambient)
     direct_sum = (
         sum(space.dim for space in components) == comb(n, k)
-        and _independent([space.subspace for space in components], size)
+        and _independent([space.subspace for space in components])
     )
     # a direct sum meets pairwise in zero, so test pairs only when it is not
     pairwise_zero = direct_sum or all(
-        _independent([a.subspace, b.subspace], size)
+        _independent([a.subspace, b.subspace])
         for a, b in combinations(components, 2)
     )
     report = {
@@ -587,7 +586,7 @@ def example4_check() -> dict:
     invariant = dict.fromkeys(groups, True)
     direct_sum = (
         sum(dims.values()) == 12
-        and _independent([space.subspace for space in spaces.values()], len(ambient))
+        and _independent([space.subspace for space in spaces.values()])
     )
 
     def swapped(f: Form) -> Form:
@@ -606,15 +605,14 @@ def example4_check() -> dict:
 
     # The swap is an involution of the monomials, so its matrix has a 1 in
     # column image[i] of row i; the even and odd halves are the kernels of
-    # swap - I and swap + I, of dimension 12 minus their ranks.
+    # swap - I and swap + I, of dimension 12 minus their ranks.  A fixed
+    # monomial puts 1 + sign on the diagonal.
     index = {m: i for i, m in enumerate(ambient)}
     image = [index[_degree_swap(m)] for m in ambient]
 
-    def swap_plus(sign: int) -> RationalMatrix:
-        return RationalMatrix([
-            [(j == image[i]) + sign * (j == i) for j in range(len(image))]
-            for i in range(len(image))
-        ])
+    def swap_plus(sign: int) -> list[dict[int, int]]:
+        return [{i: sign + 1} if i == j else {i: sign, j: 1}
+                for i, j in enumerate(image)]
 
     even_dim = 12 - rank(swap_plus(-1))
     odd_dim = 12 - rank(swap_plus(1))

@@ -55,16 +55,24 @@ class System3:
     matrix: RationalMatrix
 
 
-def build_system3(lam: Partition) -> System3:
+def _cover_rows(lam: Partition):
+    """Row and column index sets of lam's system and its rows as sparse
+    {column: 1} dicts: row rho holds column mu exactly when mu covers rho."""
     if sum(lam) < 2:
         raise ValueError("need a partition of n >= 2")
     rows = tuple(dominance_upset(bar(lam)))
     cols = tuple(dominance_upset(lam))
-    covers = {mu: {g for g, _ in predecessors(mu)} for mu in cols}
-    entries = [
-        [1 if rho in covers[mu] else 0 for mu in cols]
-        for rho in rows
-    ]
+    row_pos = {rho: i for i, rho in enumerate(rows)}
+    sparse: list[dict[int, int]] = [{} for _ in rows]
+    for j, mu in enumerate(cols):
+        for g, _ in predecessors(mu):
+            sparse[row_pos[g]][j] = 1
+    return rows, cols, sparse
+
+
+def build_system3(lam: Partition) -> System3:
+    rows, cols, sparse = _cover_rows(lam)
+    entries = [[row.get(j, 0) for j in range(len(cols))] for row in sparse]
     return System3(lam, rows, cols, RationalMatrix(entries, cols=len(cols)))
 
 
@@ -86,28 +94,22 @@ def statement1_check(lam: Partition) -> Statement1Report:
     bijective implies the other three.  Shapes whose index sets differ in
     size are reported as-is; their kernel dimension is experimental output.
     """
-    system = build_system3(lam)
-    rows, cols = system.row_index, system.col_index
+    rows, cols, sparse = _cover_rows(lam)
     images = [bar(mu) for mu in cols]
     bijective = len(set(images)) == len(images) and set(images) == set(rows)
     square = len(rows) == len(cols)
-    kdim = system.matrix.cols - rank(system.matrix)
+    kdim = len(cols) - rank(sparse)
 
     unipotent = False
     if bijective:
+        # the column of mu has a 1 in the row of bar(mu) and no nonzero
+        # entry in a later row
         row_pos = {rho: i for i, rho in enumerate(rows)}
-        # reorder columns so the column of mu sits at the row of bar(mu)
-        perm = [0] * len(cols)
-        for j, image in enumerate(images):
-            perm[row_pos[image]] = j
-        unipotent = True
-        for i in range(len(rows)):
-            for k in range(len(cols)):
-                entry = system.matrix.entries[i][perm[k]]
-                if k == i and entry != 1:
-                    unipotent = False
-                if k < i and entry != 0:
-                    unipotent = False
+        at = [row_pos[image] for image in images]
+        unipotent = (
+            all(sparse[i].get(j) == 1 for j, i in enumerate(at))
+            and all(i <= at[j] for i, row in enumerate(sparse) for j in row)
+        )
     return Statement1Report(lam, bijective, square, kdim, unipotent)
 
 

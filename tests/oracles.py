@@ -11,6 +11,8 @@ product over every pairing, not by standard tableaux.  Semistandard
 tableaux are filled here one cell at a time and tested cell by cell,
 independent of the horizontal-strip recursion the library lists them with.
 Minimum s-t cuts are found by trying every cut, independent of max-flow.
+Unitriangularity of a deviation system is read entry by entry off its
+dense matrix with the columns reordered, not off sparse rows.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from math import factorial
 
 from younglab.characters import ClassFunction, class_types
 from younglab.forms import Form
-from younglab.partitions import Partition
+from younglab.partitions import Partition, bar
 from younglab.permutations import (
     Permutation,
     all_permutations,
@@ -188,6 +190,46 @@ def rref_oracle(rows, ncols: int):
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in m), r, pivots
+
+
+def sparse_rows(rows, rng=None) -> list[dict]:
+    """The rows of a dense matrix as sparse {column: value} dicts, the form
+    `rank` takes.  With a random.Random, the same row space in the other
+    shapes a producer may hand over: keys in shuffled order, explicit zero
+    values, rows scaled by a nonzero Fraction, and empty rows mixed in."""
+    if rng is None:
+        return [{j: x for j, x in enumerate(row) if x} for row in rows]
+    out = []
+    for row in rows:
+        scale = rng.choice((1, Fraction(-2, 7), Fraction(3, 2)))
+        items = [(j, x * scale) for j, x in enumerate(row) if x or rng.random() < 0.3]
+        rng.shuffle(items)
+        out.append(dict(items))
+        if rng.random() < 0.2:
+            out.append({})
+    return out
+
+
+def unipotent_oracle(system) -> bool:
+    """Whether the dense matrix of a deviation system is unitriangular once
+    the column of each mu is moved to the row of bar(mu); False when
+    mu -> bar(mu) is not a bijection onto the rows."""
+    rows, cols = system.row_index, system.col_index
+    images = [bar(mu) for mu in cols]
+    if len(set(images)) != len(images) or set(images) != set(rows):
+        return False
+    row_pos = {rho: i for i, rho in enumerate(rows)}
+    perm = [0] * len(cols)
+    for j, image in enumerate(images):
+        perm[row_pos[image]] = j
+    for i in range(len(rows)):
+        for k in range(len(cols)):
+            entry = system.matrix.entries[i][perm[k]]
+            if k == i and entry != 1:
+                return False
+            if k < i and entry != 0:
+                return False
+    return True
 
 
 def _pairings(items: tuple[int, ...]):

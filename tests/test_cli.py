@@ -426,8 +426,12 @@ class TestOptimizedInterpreter:
         ["bijection", "--lambda", "3,2,1,1", "--rho", "3,2,1"],
         ["polymorphism", "--n", "20", "--format", "json"],
         ["verify", "transport", "--max-n", "20"],
+        ["forms", "--check", "example4"],
+        ["linsys", "--lambda", "3,2,1", "--format", "json"],
+        ["verify", "statement1", "--max-n", "10"],
     ], ids=["two-row", "theorem1", "theorem5", "character-table", "youngs-rule",
-            "bijection", "polymorphism", "transport"])
+            "bijection", "polymorphism", "transport", "example4", "linsys",
+            "statement1"])
     def test_stdout_unchanged_under_dash_O(self, argv):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import rref_oracle
+from oracles import rref_oracle, sparse_rows
 from younglab.errors import DimensionMismatchError, NotInvariantError
 from younglab.exactla import (
     RationalMatrix,
@@ -81,7 +81,7 @@ class TestRref:
         rng = random.Random(11)
         for _ in range(25):
             a = random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-            assert rank(a) + kernel(a).dim == a.cols
+            assert rank(sparse_rows(a.entries)) + kernel(a).dim == a.cols
 
     def test_agrees_with_gauss_jordan_oracle(self):
         rng = random.Random(13)
@@ -96,7 +96,7 @@ class TestRref:
                 a = make(rng, rng.randint(0, 8), rng.randint(1, 8))
                 red, rk, pivots = rref(a)
                 assert (red.entries, rk, pivots) == rref_oracle(a.entries, a.cols), make
-                assert rank(a) == rk, make
+                assert rank(sparse_rows(a.entries)) == rk, make
 
     @pytest.mark.parametrize("density", [0.03, 0.14, 0.3])
     def test_sparse_rank_and_rref_agree_with_oracle(self, density):
@@ -113,7 +113,10 @@ class TestRref:
             expected = rref_oracle(a.entries, a.cols)
             red, rk, pivots = rref(a)
             assert (red.entries, rk, pivots) == expected
-            assert rank(a) == expected[1]
+            assert rank(sparse_rows(a.entries)) == expected[1]
+            # shuffled keys, explicit zeros, Fraction entries, empty rows
+            assert rank(sparse_rows(a.entries, rng)) == expected[1]
+        assert rank([]) == rank([{}, {0: 0}]) == rref_oracle([], 1)[1]
 
 
 class TestKernelSolve:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import min_cut_oracle, rref_oracle
+from oracles import min_cut_oracle, rref_oracle, unipotent_oracle
 from younglab.errors import SelfCheckError
 from younglab.linsys import (
     FlowInstance,
@@ -89,6 +89,12 @@ class TestStatement1:
                 assert report.kernel_dim == 0
 
     @pytest.mark.parametrize("n", range(2, 11))
+    def test_unipotent_matches_the_dense_oracle(self, n):
+        # both directions, bijective or not
+        for lam in enumerate_partitions(n):
+            assert statement1_check(lam).unipotent == unipotent_oracle(build_system3(lam))
+
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_kernel_dim_is_columns_minus_oracle_rank(self, n):
         for lam in enumerate_partitions(n):
             matrix = build_system3(lam).matrix
@@ -134,6 +140,13 @@ class TestPolymorphism:
             ((1,), (2,)): Fraction(1, 2),
             ((1,), (1, 1)): Fraction(1, 2),
         }
+
+    def test_witness_keys_come_in_instance_edge_order(self):
+        # the CLI prints the witness in the order it is keyed
+        for n in range(2, 21):
+            witness = polymorphism_feasibility(n)["witness"]
+            edges = build_flow_instance(n).edges
+            assert list(witness) == [edge for edge in edges if edge in witness]
 
     def test_n3_feasible_with_valid_witness(self):
         report = polymorphism_feasibility(3)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import accumulate, chain, product
 from operator import add, le, lt
 
 from .errors import LimitError, SelfCheckError, SizeMismatchError
@@ -26,20 +26,6 @@ from .partitions import (
 
 Tableau = tuple[tuple[int, ...], ...]
 Weight = tuple[int, ...]
-
-
-def tableau_shape(t: Tableau) -> Partition:
-    return tuple(len(row) for row in t)
-
-
-def tableau_weight(t: Tableau) -> Weight:
-    """Occurrence counts of the symbols 1..max."""
-    top = max((max(row) for row in t if row), default=0)
-    counts = [0] * top
-    for row in t:
-        for x in row:
-            counts[x - 1] += 1
-    return tuple(counts)
 
 
 def strip_weight(w: Weight) -> Weight:
@@ -89,7 +75,8 @@ def _checked_shape(shape: Partition, weight: Weight) -> Partition:
 def enumerate_ssyt(shape: Partition, weight: Weight) -> list[Tableau]:
     """All semistandard tableaux of the given shape and weight, in
     lexicographic order of the row-reading word, built by the strip
-    recursion `kostka` counts with (a memo lives for this call only)."""
+    recursion `kostka` counts with.  The strips come from the process-wide
+    `_strips` table; the tableaux are memoized for this call only."""
     return _listed(_checked_shape(shape, weight), tuple(weight), {})
 
 
@@ -101,7 +88,10 @@ def _listed(shape: Partition, weight: Weight, memo: dict) -> list[Tableau]:
 def _ssyt(mu: Partition, w: Weight, memo: dict) -> list[Tableau]:
     """Tableaux of shape mu and weight w, unsorted: those of shape nu and
     weight w[:-1], for mu/nu a horizontal strip of w[-1] cells, with len(w)
-    appended row by row.  `memo` holds lists no caller may mutate."""
+    appended row by row.  The strips are read from the `_strips` table,
+    which lasts for the process; the tableaux go into `memo`, which lasts
+    for one listing or one certificate (a process-wide tableau memo would
+    hold every list ever built) and holds lists no caller may mutate."""
     if len(mu) > len(w):
         return []
     if not w:
@@ -136,13 +126,16 @@ def kostka(mu: Partition, lam: Weight) -> int:
     return sum(kostka(nu, lam[:-1]) for nu in _strips(mu, lam[-1]))
 
 
-def _strips(mu: Partition, size: int) -> list[Partition]:
+@cache
+def _strips(mu: Partition, size: int) -> tuple[Partition, ...]:
     """The shapes nu with mu/nu a horizontal strip of `size` cells:
     mu[i+1] <= nu[i] <= mu[i] and |mu| - |nu| = size, trailing zeros
-    removed."""
+    removed.  One table for the process, shared by `kostka` and every
+    `_ssyt` memo; at most sum over k <= n of p(k)(k+1) keys (1,245 for
+    n <= 10)."""
     rest = sum(mu) - size
     bounds = (range(low, high + 1) for low, high in zip(mu[1:] + (0,), mu))
-    return [tuple(x for x in nu if x) for nu in product(*bounds) if sum(nu) == rest]
+    return tuple(tuple(x for x in nu if x) for nu in product(*bounds) if sum(nu) == rest)
 
 
 def eq2_check(lam: Partition, rho: Partition) -> tuple[int, int]:
@@ -221,25 +214,30 @@ class BijectionCertificate:
         """Verify that the pairing is a bijection between the two sides,
         without listing either side.
 
-        Each pair must hold a left item and a right item whose weight is lam
-        minus its removed symbol, each tableau tested by `is_semistandard`,
-        its shape and its weight; no item may repeat, and the number of
-        pairs must equal both counts of `eq2_check` (Kostka numbers from the
-        strip recursion).  Distinct members of a side, as many as the side
-        has, are the whole side.
+        Each pair must hold a removed symbol x of lam with its weight
+        `gamma_weight` equal to lam minus one x, a left item whose shape
+        covers rho and a right item of shape rho.  Each tableau is walked
+        once by `_fills`: rows weakly and columns strictly increase, and its
+        entries, sorted, are the word of lam (left) or of lam minus one x
+        (right), built once per certificate.  With the shape a partition
+        that is semistandardness with that weight, positive entries at most
+        len(lam) included.  No item may repeat, and the number of pairs
+        must equal both counts of `eq2_check` (Kostka numbers from the strip
+        recursion).  Distinct members of a side, as many as the side has,
+        are the whole side.
         """
         lam, rho = self.lam, self.rho
         covers = set(successors(rho))
+        word = [x for x, c in enumerate(lam, 1) for _ in range(c)]
+        # minus[x]: the word with its first x dropped, for x = 1..len(lam)
+        minus = [None] + [word[:i] + word[i + 1:] for i in accumulate((0,) + lam[:-1])]
         for p in self.pairs:
-            t, s = p.mu_tableau, p.rho_tableau
-            if not (is_semistandard(t) and tableau_shape(t) in covers
-                    and tableau_weight(t) == lam):
+            t, s, x = p.mu_tableau, p.rho_tableau, p.removed_symbol
+            if not (1 <= x <= len(lam) and p.gamma_weight == _minus_one(lam, x)):
                 return False
-            if not (1 <= p.removed_symbol <= len(lam)
-                    and p.gamma_weight == _minus_one(lam, p.removed_symbol)):
+            if not (tuple(map(len, t)) in covers and _fills(t, word)):
                 return False
-            if not (is_semistandard(s) and tableau_shape(s) == rho
-                    and tableau_weight(s) == p.gamma_weight):
+            if not (tuple(map(len, s)) == rho and _fills(s, minus[x])):
                 return False
         n = len(self.pairs)
         if len({p.mu_tableau for p in self.pairs}) != n:
@@ -247,6 +245,17 @@ class BijectionCertificate:
         if len({(p.gamma_weight, p.rho_tableau) for p in self.pairs}) != n:
             return False
         return eq2_check(lam, rho) == (n, n)
+
+
+def _fills(t: Tableau, word: list[int]) -> bool:
+    """Rows weakly and columns strictly increase (the shape is checked by
+    the caller), and the entries sorted are `word`."""
+    above: tuple[int, ...] = ()
+    for row in t:
+        if not (all(map(lt, above, row)) and all(map(le, row, row[1:]))):
+            return False
+        above = row
+    return sorted(chain.from_iterable(t)) == word
 
 
 def _minus_one(lam: Partition, x: int) -> Weight:

@@ -9,7 +9,9 @@ by plain Fraction Gauss-Jordan elimination, independent of the library's
 fraction-free `rref`.  The two-row components are spanned here by their
 product over every pairing, not by standard tableaux.  Semistandard
 tableaux are filled here one cell at a time and tested cell by cell,
-independent of the horizontal-strip recursion the library lists them with.
+independent of the horizontal-strip recursion the library lists them with;
+horizontal strips are found among all shapes inside the given one, and a
+Theorem-4 certificate is checked cell by cell against those fillings.
 Minimum s-t cuts are found by trying every cut, independent of max-flow.
 Unitriangularity of a deviation system is read entry by entry off its
 dense matrix with the columns reordered, not off sparse rows.
@@ -307,6 +309,77 @@ def semistandard_oracle(t) -> bool:
             if i and j < len(t[i - 1]) and x <= t[i - 1][j]:
                 return False
     return True
+
+
+def tableau_shape(t) -> Partition:
+    return tuple(len(row) for row in t)
+
+
+def tableau_weight(t) -> tuple[int, ...]:
+    """Occurrence counts of the symbols 1..max."""
+    top = max((x for row in t for x in row), default=0)
+    return tuple(sum(row.count(x) for row in t) for x in range(1, top + 1))
+
+
+def strips_oracle(mu: Partition, size: int) -> list[Partition]:
+    """The shapes nu inside mu with mu/nu a horizontal strip of `size`
+    cells: among all nu with 0 <= nu[i] <= mu[i], those with
+    mu[i+1] <= nu[i] and |mu| - |nu| = size, trailing zeros removed."""
+    below = mu[1:] + (0,)
+    return [
+        tuple(x for x in nu if x)
+        for nu in product(*(range(part + 1) for part in mu))
+        if all(b <= x for b, x in zip(below, nu)) and sum(mu) - sum(nu) == size
+    ]
+
+
+def _covers_oracle(rho: Partition) -> list[Partition]:
+    """The partitions made by adding one cell to some row of rho."""
+    grown = (rho[:i] + (rho[i] + 1,) + rho[i + 1:] for i in range(len(rho)))
+    return [mu for mu in (*grown, rho + (1,))
+            if all(a >= b for a, b in zip(mu, mu[1:]))]
+
+
+@cache
+def _ssyt_count_oracle(shape: Partition, weight: tuple[int, ...]) -> int:
+    return len(ssyt_backtracking_oracle(shape, weight))
+
+
+def certificate_check_oracle(cert) -> bool:
+    """The conditions of a Theorem-4 certificate, restated cell by cell:
+    each left tableau is semistandard (`semistandard_oracle`) of weight lam
+    with a shape that covers rho; each removed symbol x lies in 1..len(lam)
+    and its gamma weight is lam with one x removed (trailing zeros
+    dropped); each right tableau is semistandard of shape rho and that
+    gamma weight; no left item and no (gamma, right) item repeats; and
+    there are as many pairs as backtracking finds tableaux on each side."""
+    lam, rho = cert.lam, cert.rho
+    covers = _covers_oracle(rho)
+    gammas = {}
+    for x in range(1, len(lam) + 1):
+        gamma = list(lam)
+        gamma[x - 1] -= 1
+        while gamma and not gamma[-1]:
+            gamma.pop()
+        gammas[x] = tuple(gamma)
+    for p in cert.pairs:
+        t, s = p.mu_tableau, p.rho_tableau
+        if not (semistandard_oracle(t) and tableau_shape(t) in covers
+                and tableau_weight(t) == lam):
+            return False
+        if p.removed_symbol not in gammas or p.gamma_weight != gammas[p.removed_symbol]:
+            return False
+        if not (semistandard_oracle(s) and tableau_shape(s) == rho
+                and tableau_weight(s) == p.gamma_weight):
+            return False
+    n = len(cert.pairs)
+    if len({p.mu_tableau for p in cert.pairs}) != n:
+        return False
+    if len({(p.gamma_weight, p.rho_tableau) for p in cert.pairs}) != n:
+        return False
+    left = sum(_ssyt_count_oracle(mu, lam) for mu in covers)
+    right = sum(_ssyt_count_oracle(rho, gamma) for gamma in gammas.values())
+    return left == right == n
 
 
 def min_cut_oracle(n: int, arcs, s: int, t: int) -> int:

@@ -4,11 +4,13 @@ The counterexamples are made by rebinding the library name a check calls,
 which the sweeps look up at call time."""
 
 import dataclasses
+import json
 
 import pytest
 
-from younglab import sweeps
-from younglab.errors import LimitError
+from younglab import linsys, sweeps
+from younglab.cli import main
+from younglab.errors import LimitError, SelfCheckError
 from younglab.partitions import max_n as degree_cap
 from younglab.sweeps import SWEEPS, run_sweep
 
@@ -109,13 +111,18 @@ def test_two_row_counterexample(monkeypatch, change):
     _fails_on(run_sweep("two-row", 4), {"n": 4, "k": 2}, 2 + 2 + 3)
 
 
-def test_transport_witness_that_fails_verification(monkeypatch):
-    real = sweeps.verify_witness
-    monkeypatch.setattr(
-        sweeps, "verify_witness",
-        lambda instance, witness: instance.n != 3 and real(instance, witness),
-    )
-    _fails_on(run_sweep("transport", 4), {"n": 3}, 3)
+def test_transport_witness_that_fails_verification(monkeypatch, capsys):
+    # the sweep does not re-verify a witness: a failed verification inside
+    # polymorphism_feasibility is a bug and stops the sweep
+    monkeypatch.setattr(linsys, "verify_witness", lambda instance, witness: False)
+    with pytest.raises(SelfCheckError):
+        run_sweep("transport", 5)
+    assert main(["verify", "transport", "--max-n", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = [json.loads(line) for line in err.splitlines()]
+    assert [line for line in lines if "error" in line] == [
+        {"error": "flow witness for n=2 fails verification", "kind": "internal"}]
 
 
 @pytest.mark.parametrize("cut, passes", [

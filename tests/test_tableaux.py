@@ -1,10 +1,21 @@
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
-from oracles import semistandard_oracle, ssyt_backtracking_oracle
+from oracles import (
+    certificate_check_oracle,
+    semistandard_oracle,
+    ssyt_backtracking_oracle,
+    strips_oracle,
+    tableau_shape,
+    tableau_weight,
+)
 from younglab import tableaux
 from younglab.errors import LimitError, SelfCheckError, SizeMismatchError
 from younglab.partitions import (
@@ -22,8 +33,6 @@ from younglab.tableaux import (
     kostka,
     parse_tableau,
     strip_weight,
-    tableau_shape,
-    tableau_weight,
     theorem4_bijection,
 )
 
@@ -173,6 +182,28 @@ class TestKostka:
         assert kostka((5,), (1,) * 5) == 1
 
 
+class TestStrips:
+    def test_matches_brute_force(self):
+        for n in range(9):
+            for mu in enumerate_partitions(n):
+                for size in range(n + 1):
+                    got = tableaux._strips(mu, size)
+                    assert type(got) is tuple
+                    assert sorted(got) == sorted(strips_oracle(mu, size))
+
+    def test_import_leaves_the_table_empty(self):
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import younglab; from younglab import tableaux; "
+             "print(tableaux._strips.cache_info().currsize)"],
+            cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
+
+
 def weak_compositions(n, parts):
     """All tuples of `parts` nonnegative integers summing to n."""
     if parts == 1:
@@ -265,6 +296,42 @@ GOLDEN_EX2 = {
 }
 
 
+# Left tableaux that replace the first pair's in the certificate of
+# (2,2,1) over (3,1)
+LEFT_MUTANTS = {
+    "column-not-strict": "1,2,2,3/1",
+    "row-decreases": "1,2,1,2/3",
+    "entry-zero": "0,1,2,2/3",
+    "entry-above-len-lam": "1,1,2,2/4",
+    "empty-trailing-row": "1,1,2,2/3/",
+    "shape-not-covering-rho": "1,1/2,2/3",
+}
+MUTANTS = (*LEFT_MUTANTS, "right-of-wrong-weight", "right-of-wrong-shape",
+           "wrong-gamma-weight", "duplicated-left-item", "duplicated-right-item")
+
+
+def certificate_mutants():
+    """The certificate of (2,2,1) over (3,1), and copies of it with its
+    first two pairs changed so that one condition of `check()` fails, where
+    it can be, only that one."""
+    cert = theorem4_bijection((2, 2, 1), (3, 1))
+    first, second, *rest = cert.pairs
+    other = next(p for p in cert.pairs if p.gamma_weight != first.gamma_weight)
+    one_row = (tuple(sorted(sum(first.rho_tableau, ()))),)
+    changed = {
+        **{name: (replace(first, mu_tableau=parse_tableau(text)), second)
+           for name, text in LEFT_MUTANTS.items()},
+        "right-of-wrong-weight": (replace(first, rho_tableau=other.rho_tableau), second),
+        "right-of-wrong-shape": (replace(first, rho_tableau=one_row), second),
+        "wrong-gamma-weight": (replace(first, gamma_weight=other.gamma_weight), second),
+        "duplicated-left-item": (first, replace(second, mu_tableau=first.mu_tableau)),
+        "duplicated-right-item": (first, replace(
+            second, removed_symbol=first.removed_symbol,
+            rho_tableau=first.rho_tableau, gamma_weight=first.gamma_weight)),
+    }
+    return cert, {name: replace(cert, pairs=(*two, *rest)) for name, two in changed.items()}
+
+
 class TestBijection:
     @pytest.mark.parametrize("golden", [GOLDEN_EX1, GOLDEN_EX2])
     def test_golden_examples(self, golden):
@@ -315,7 +382,35 @@ class TestBijection:
         cert = theorem4_bijection((2, 2, 1), (3, 1))
         first = cert.pairs[0]
         wrong = replace(first, removed_symbol=first.removed_symbol + 1)
-        assert not replace(cert, pairs=(wrong,) + cert.pairs[1:]).check()
+        mutant = replace(cert, pairs=(wrong,) + cert.pairs[1:])
+        assert not mutant.check()
+        assert not certificate_check_oracle(mutant)
+
+    def test_mutants_are_well_formed(self):
+        cert, mutants = certificate_mutants()
+        assert cert.check() and certificate_check_oracle(cert)
+        assert set(mutants) == set(MUTANTS)
+        # the row and column mutants keep the shape and the weight
+        for name in ("column-not-strict", "row-decreases"):
+            t = mutants[name].pairs[0].mu_tableau
+            assert tableau_shape(t) == (4, 1) and tableau_weight(t) == (2, 2, 1)
+        t = mutants["shape-not-covering-rho"].pairs[0].mu_tableau
+        assert semistandard_oracle(t) and tableau_weight(t) == (2, 2, 1)
+        s = mutants["right-of-wrong-shape"].pairs[0].rho_tableau
+        assert semistandard_oracle(s) and tableau_shape(s) == (4,)
+
+    @pytest.mark.parametrize("name", MUTANTS)
+    def test_check_rejects_each_mutant(self, name):
+        mutant = certificate_mutants()[1][name]
+        assert not mutant.check()
+        assert not certificate_check_oracle(mutant)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_check_agrees_with_cell_by_cell_oracle(self, n):
+        for lam in enumerate_partitions(n):
+            for rho in enumerate_partitions(n - 1):
+                cert = theorem4_bijection(lam, rho)
+                assert cert.check() == certificate_check_oracle(cert) is True
 
     def test_check_rejects_a_certificate_missing_items(self, monkeypatch):
         # both sides lose as many tableaux, so the pairing still completes,

@@ -1,27 +1,27 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 This is the shared engine for the multiplicity system and the form spaces.
-Everything is exact: matrices keep the int or fractions.Fraction entries
-they are given, and no floating point appears anywhere.
+Everything is exact: rows keep the int or fractions.Fraction values they
+are given, and no floating point appears anywhere.
 
-There is one elimination body.  Its forward pass, ``_echelon``, takes
-sparse {column: value} rows, which is what every producer emits: the 0/1
-deviation systems, the derivative matrices and the stacked generator spans
-are mostly zeros.  It clears each row of denominators and reduces it
-against the pivot rows found so far with one integer row-combination step,
-``_clear``, which touches only nonzero entries.  ``rank`` is the forward
-pass alone and makes no Fraction.  ``rref`` takes a dense
-``RationalMatrix`` (so do ``kernel`` and ``Subspace``, through it), scans
-it to sparse rows once, adds a back-substitution with the same step and
-then divides each pivot row by its pivot, the only place a Fraction is
-made here.  Its output is cross-checked against a plain Fraction
-Gauss-Jordan reduction in the test suite.
+There is one row format, sparse {column: value} rows, which is what every
+producer emits: the 0/1 deviation systems, the derivative matrices and the
+stacked generator spans are mostly zeros.  There is one elimination body.
+Its forward pass, ``_echelon``, clears each row of denominators and
+reduces it against the pivot rows found so far with one integer
+row-combination step, ``_clear``, which touches only nonzero entries.
+``rank`` is the forward pass alone and makes no Fraction.  ``rref`` adds a
+back-substitution with the same step and then divides each pivot row by
+its pivot, the only place a Fraction is made here; ``Subspace`` keeps
+those sparse pivot rows as its basis.  The output of ``rref`` is
+cross-checked against a plain Fraction Gauss-Jordan reduction in the test
+suite.  The dense ``RationalMatrix`` is left for reports that print a
+system and for the argument of ``kernel``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Optional, Sequence
@@ -73,17 +73,6 @@ class RationalMatrix:
         )
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
-    def matvec(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionMismatchError(f"vector length {len(v)} != cols {self.cols}")
-        out = [0] * self.rows
-        for j, x in enumerate(v):
-            if x:
-                for i, r in enumerate(self.entries):
-                    if r[j]:
-                        out[i] += r[j] * x
-        return tuple(out)
-
 
 def _clear(v: dict[int, int], c: int, b: dict[int, int]) -> None:
     """The one row-combination step: v becomes p*v - f*b, with f = v[c]
@@ -132,37 +121,25 @@ def _echelon(rows: Iterable[dict[int, Rational]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def rref(a: RationalMatrix) -> tuple[RationalMatrix, int, list[int]]:
-    """Reduced row echelon form, rank, and pivot columns.
+def rref(rows: Iterable[dict[int, Rational]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of sparse {column: value} rows: the nonzero
+    reduced rows as sparse Fraction rows with pivot entry 1, keyed by their
+    pivot column in ascending order; their number is the rank.
 
-    The forward pass ``_echelon`` runs in integers over sparse rows; the
-    back-substitution then clears every pivot row at the pivot columns to
-    its right, in descending pivot order and with the same integer step, so
-    each row is cleared only by rows that are already reduced.  The final
-    division of each pivot row by its pivot is the only Fraction made.
-    The result does not depend on the order of elimination because the
-    RREF of a matrix is unique: pivot rows come first, by pivot column,
-    then the zero rows.
+    The forward pass ``_echelon`` runs in integers; the back-substitution
+    then clears every pivot row at the pivot columns to its right, in
+    descending pivot order and with the same integer step, so each row is
+    cleared only by rows that are already reduced.  The final division of
+    each pivot row by its pivot is the only Fraction made.  The result does
+    not depend on the order of elimination because the RREF is unique.
     """
-    columns = range(a.cols)
-    pivots = _echelon({j: row[j] for j in compress(columns, row)} for row in a.entries)
-    order = sorted(pivots)
-    for c in reversed(order):
+    pivots = _echelon(rows)
+    for c in sorted(pivots, reverse=True):
         v = pivots[c]
         for k in [k for k in v if k != c and k in pivots]:
             _clear(v, k, pivots[k])
         _primitive(v)
-    zero = Fraction(0)
-    reduced = []
-    for c in order:
-        v = pivots[c]
-        p = v[c]
-        row = [zero] * a.cols
-        for j, x in v.items():
-            row[j] = Fraction(x, p)
-        reduced.append(row)
-    zeros = [[0] * a.cols] * (a.rows - len(order))
-    return RationalMatrix(reduced + zeros, cols=a.cols), len(order), order
+    return {c: {j: Fraction(x, v[c]) for j, x in v.items()} for c, v in sorted(pivots.items())}
 
 
 def rank(rows: Iterable[dict[int, Rational]]) -> int:
@@ -171,69 +148,83 @@ def rank(rows: Iterable[dict[int, Rational]]) -> int:
     return len(_echelon(rows))
 
 
+def _in_range(row: dict, ambient_dim: int) -> dict:
+    """row itself, after checking that its columns lie in 0..ambient_dim-1."""
+    if row and (min(row) < 0 or max(row) >= ambient_dim):
+        raise DimensionMismatchError(f"a column of {row} is outside Q^{ambient_dim}")
+    return row
+
+
 class Subspace:
-    """A subspace of Q^d held as a reduced-row-echelon basis.
+    """A subspace of Q^d held as its reduced-row-echelon basis: sparse
+    {column: Fraction} rows with pivot entry 1, in ascending pivot order.
 
     The RREF basis is canonical, so two Subspace objects are equal exactly
-    when they describe the same subspace.
+    when they describe the same subspace.  The spanning rows are sparse
+    {column: value} rows with columns in 0..d-1.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
-    def __init__(self, ambient_dim: int, spanning_rows: Sequence[Iterable]):
-        mat = RationalMatrix(list(spanning_rows), cols=ambient_dim)
-        red, rk, pivots = rref(mat)
+    def __init__(self, ambient_dim: int, spanning_rows: Iterable):
+        rows = []
+        for row in spanning_rows:
+            if not isinstance(row, dict):
+                # a dense row: perfbench/tests/test_perfbench.py builds Subspace(2, [[1, 0]])
+                if len(row) != ambient_dim:
+                    raise DimensionMismatchError(f"row of length {len(row)} in Q^{ambient_dim}")
+                row = {j: x for j, x in enumerate(row) if x}
+            rows.append(_in_range(row, ambient_dim))
+        reduced = rref(rows)
         self.ambient_dim = ambient_dim
-        self.basis = RationalMatrix(red.entries[:rk], cols=ambient_dim)
-        self.pivots = pivots
+        self.rows = tuple(reduced.values())
+        self.pivots = tuple(reduced)
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self.rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def coordinates(self, v: Sequence) -> Optional[Vector]:
-        """Coefficients of v in the RREF basis, or None if v is outside."""
-        vv = list(v)
-        if len(vv) != self.ambient_dim:
-            raise DimensionMismatchError("vector has wrong length")
+    def coordinates(self, v: dict[int, Rational]) -> Optional[Vector]:
+        """Coefficients of the sparse vector v in the RREF basis, or None if
+        v is outside."""
+        rest = dict(_in_range(v, self.ambient_dim))
         coords = []
-        for i, p in enumerate(self.pivots):
-            c = vv[p]
+        for p, row in zip(self.pivots, self.rows):
+            c = rest.get(p, 0)
             coords.append(c)
             if c:
-                for j, x in enumerate(self.basis.entries[i]):
-                    if x:
-                        vv[j] -= c * x
-        if any(vv):
+                for j, x in row.items():
+                    rest[j] = rest.get(j, 0) - c * x
+        if any(rest.values()):
             return None
         return tuple(coords)
 
 
 def kernel(a: RationalMatrix) -> Subspace:
-    """Exact null space of a."""
-    red, _, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivot_set]
+    """Exact null space of a: one basis vector per free column f, with 1 at
+    f and minus the reduced rows' entries at f on their pivots."""
+    reduced = rref([{j: x for j, x in enumerate(row) if x} for row in a.entries])
     basis = []
-    for f in free:
-        v = [0] * a.cols
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = -red.entries[i][f]
-        basis.append(v)
+    for f in range(a.cols):
+        if f not in reduced:
+            v = {f: 1}
+            for p, row in reduced.items():
+                if f in row:
+                    v[p] = -row[f]
+            basis.append(v)
     return Subspace(a.cols, basis)
 
 
@@ -247,8 +238,9 @@ def restricted_trace(a: RationalMatrix, b: Subspace) -> Rational:
     if a.rows != a.cols or a.cols != b.ambient_dim:
         raise DimensionMismatchError("operator does not act on the ambient space")
     total = 0
-    for i in range(b.dim):
-        image = a.matvec(b.basis.entries[i])
+    for i, row in enumerate(b.rows):
+        image = {k: sum(entries[j] * x for j, x in row.items())
+                 for k, entries in enumerate(a.entries)}
         coords = b.coordinates(image)
         if coords is None:
             raise NotInvariantError(f"image of basis vector {i} leaves the subspace")

@@ -236,18 +236,18 @@ class FormSpace:
         return self.subspace.dim
 
 
-def form_to_vector(f: Form, index: dict[Monomial, int], size: int):
-    v = [0] * size
-    for m, c in f.terms.items():
-        if m not in index:
-            raise SizeMismatchError(f"term {m} outside the ambient basis")
-        v[index[m]] = c
-    return v
+def form_to_vector(f: Form, index: dict[Monomial, int]) -> dict[int, Rational]:
+    """The coefficients of f as a sparse {column: value} row over the
+    ambient basis whose monomial positions `index` gives."""
+    try:
+        return {index[m]: c for m, c in f.terms.items()}
+    except KeyError as e:
+        raise SizeMismatchError(f"term {e.args[0]} outside the ambient basis") from None
 
 
 def span_of_forms(forms: list[Form], ambient: list[Monomial]) -> FormSpace:
     index = {m: i for i, m in enumerate(ambient)}
-    rows = [form_to_vector(f, index, len(ambient)) for f in forms]
+    rows = [form_to_vector(f, index) for f in forms]
     return FormSpace(tuple(ambient), Subspace(len(ambient), rows))
 
 
@@ -268,15 +268,14 @@ def restricted_character(space: FormSpace, n: int) -> ClassFunction:
     rank: the sparse rows of the RREF basis b_1..b_d stacked with their
     images under (1 2) and (1 2 ... n), which generate S_n, have rank d
     exactly when the span is invariant under both, hence under all of
-    S_n.  The traces are then
-    read off the pivots p_1..p_d: a vector in the span has coordinates
-    v[p_1..p_d], so the trace of sigma is
+    S_n.  The traces are then read off the pivots p_1..p_d: a vector in
+    the span has coordinates v[p_1..p_d], so the trace of sigma is
     sum_i b_i[index(sigma^-1 . m_{p_i})], O(d) per class.
     """
     ambient = space.ambient
     sub = space.subspace
     index = {m: i for i, m in enumerate(ambient)}
-    basis = _sparse_basis(sub)
+    basis = sub.rows
     rows = list(basis)
     for g in _generators(n):
         image = [index[_substitute(m, g)] for m in ambient]
@@ -288,8 +287,8 @@ def restricted_character(space: FormSpace, n: int) -> ClassFunction:
     for rho in class_types(n):
         back = inverse(from_cycle_type(rho))
         trace = sum(
-            (row[index[_substitute(ambient[p], back)]]
-             for row, p in zip(sub.basis.entries, sub.pivots)),
+            (row.get(index[_substitute(ambient[p], back)], 0)
+             for row, p in zip(basis, sub.pivots)),
             0,
         )
         if trace.denominator != 1:
@@ -300,7 +299,10 @@ def restricted_character(space: FormSpace, n: int) -> ClassFunction:
 
 def specht_poly(t: Tableau, n: int) -> Form:
     """Product over columns of the Vandermonde determinant in the column's
-    variables, expanded exactly."""
+    variables, expanded exactly.  The rows must be nonempty and weakly
+    shorter going down, so the first row counts the columns."""
+    if not all(t) or any(len(b) > len(a) for a, b in zip(t, t[1:])):
+        raise InvalidFillingError("rows must be nonempty and weakly shorter going down")
     seen: set[int] = set()
     for row in t:
         for x in row:
@@ -426,16 +428,11 @@ def two_row_partition(n: int, l: int) -> Partition:
     return (n - l, l) if l else (n,)
 
 
-def _sparse_basis(space: Subspace) -> list[dict[int, Rational]]:
-    """The RREF basis of a subspace as sparse {column: value} rows."""
-    return [{j: x for j, x in enumerate(row) if x} for row in space.basis.entries]
-
-
 def _independent(spaces: list[Subspace]) -> bool:
     """Whether the sum of subspaces is direct: as
     dim(A + B) = dim A + dim B - dim(A meet B), exactly when their
     dimensions add up to the rank of their stacked RREF bases."""
-    rows = [row for space in spaces for row in _sparse_basis(space)]
+    rows = [row for space in spaces for row in space.rows]
     return rank(rows) == sum(space.dim for space in spaces)
 
 

@@ -194,11 +194,19 @@ def rref_oracle(rows, ncols: int):
     return tuple(tuple(row) for row in m), r, pivots
 
 
+def sparse_rref_oracle(rows, ncols: int) -> dict[int, dict]:
+    """The nonzero rows of `rref_oracle` as sparse {column: Fraction} rows
+    keyed by their pivot column, in pivot order: the form `rref` returns."""
+    red, rk, pivots = rref_oracle(rows, ncols)
+    return dict(zip(pivots, sparse_rows(red[:rk])))
+
+
 def sparse_rows(rows, rng=None) -> list[dict]:
     """The rows of a dense matrix as sparse {column: value} dicts, the form
-    `rank` takes.  With a random.Random, the same row space in the other
-    shapes a producer may hand over: keys in shuffled order, explicit zero
-    values, rows scaled by a nonzero Fraction, and empty rows mixed in."""
+    `rank`, `rref` and `Subspace` take.  With a random.Random, the same row
+    space in the other shapes a producer may hand over: keys in shuffled
+    order, explicit zero values, rows scaled by a nonzero Fraction, and
+    empty rows mixed in."""
     if rng is None:
         return [{j: x for j, x in enumerate(row) if x} for row in rows]
     out = []

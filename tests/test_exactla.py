@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import rref_oracle, sparse_rows
+from oracles import rref_oracle, sparse_rows, sparse_rref_oracle
 from younglab.errors import DimensionMismatchError, NotInvariantError
 from younglab.exactla import (
     RationalMatrix,
@@ -53,29 +53,36 @@ class TestRepresentation:
         assert all(type(x) is int for row in a.entries for x in row)
 
 
+def ordered(reduced):
+    """The pivot columns and rows of a reduced form, in their order."""
+    return list(reduced.items())
+
+
 class TestRref:
     def test_identity_fixed(self):
-        eye = RationalMatrix.identity(4)
-        red, rk, pivots = rref(eye)
-        assert red == eye and rk == 4 and pivots == [0, 1, 2, 3]
+        eye = sparse_rows(RationalMatrix.identity(4).entries)
+        red = rref(eye)
+        assert list(red.values()) == eye and list(red) == [0, 1, 2, 3]
 
     def test_zero_fixed(self):
-        z = RationalMatrix([[0, 0]] * 3)
-        red, rk, pivots = rref(z)
-        assert red == z and rk == 0 and pivots == []
+        assert rref(sparse_rows([[0, 0]] * 3)) == {}
+        assert rref([{0: 0, 1: 0}] * 3) == {}
 
     def test_dependent_rows(self):
-        a = RationalMatrix([[1, 2], [2, 4]])
-        _, rk, _ = rref(a)
-        assert rk == 1
+        assert len(rref(sparse_rows([[1, 2], [2, 4]]))) == 1
+
+    def test_pivot_entries_are_one_and_values_fractions(self):
+        red = rref([{1: 2, 3: 3}, {0: 4, 1: 2}])
+        assert ordered(red) == [(0, {0: 1, 3: Fraction(-3, 4)}), (1, {1: 1, 3: Fraction(3, 2)})]
+        assert all(type(x) is Fraction for row in red.values() for x in row.values())
 
     def test_idempotent_on_random(self):
         rng = random.Random(7)
         for _ in range(25):
             a = random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-            red, _, _ = rref(a)
-            again, _, _ = rref(red)
-            assert again == red
+            red = rref(sparse_rows(a.entries))
+            again = rref(list(red.values()))
+            assert ordered(again) == ordered(red)
 
     def test_rank_nullity(self):
         rng = random.Random(11)
@@ -94,9 +101,9 @@ class TestRref:
         for make in makers:
             for _ in range(100):
                 a = make(rng, rng.randint(0, 8), rng.randint(1, 8))
-                red, rk, pivots = rref(a)
-                assert (red.entries, rk, pivots) == rref_oracle(a.entries, a.cols), make
-                assert rank(sparse_rows(a.entries)) == rk, make
+                red = rref(sparse_rows(a.entries))
+                assert ordered(red) == ordered(sparse_rref_oracle(a.entries, a.cols)), make
+                assert rank(sparse_rows(a.entries)) == len(red), make
 
     @pytest.mark.parametrize("density", [0.03, 0.14, 0.3])
     def test_sparse_rank_and_rref_agree_with_oracle(self, density):
@@ -110,13 +117,20 @@ class TestRref:
                   for _ in range(cols)] for _ in range(rows)],
                 cols=cols,
             )
-            expected = rref_oracle(a.entries, a.cols)
-            red, rk, pivots = rref(a)
-            assert (red.entries, rk, pivots) == expected
-            assert rank(sparse_rows(a.entries)) == expected[1]
+            expected = sparse_rref_oracle(a.entries, a.cols)
+            assert ordered(rref(sparse_rows(a.entries))) == ordered(expected)
+            assert rank(sparse_rows(a.entries)) == len(expected)
             # shuffled keys, explicit zeros, Fraction entries, empty rows
-            assert rank(sparse_rows(a.entries, rng)) == expected[1]
+            shuffled = sparse_rows(a.entries, rng)
+            assert rank(shuffled) == len(expected)
+            assert ordered(rref(shuffled)) == ordered(expected)
         assert rank([]) == rank([{}, {0: 0}]) == rref_oracle([], 1)[1]
+        assert rref([]) == rref([{}, {0: 0}]) == {}
+
+
+def times(a, v):
+    """a times the sparse vector v."""
+    return [sum(row[j] * x for j, x in v.items()) for row in a.entries]
 
 
 class TestKernelSolve:
@@ -128,48 +142,65 @@ class TestKernelSolve:
         for _ in range(25):
             a = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
             ker = kernel(a)
-            for v in ker.basis.entries:
-                assert all(x == 0 for x in a.matvec(v))
+            for v in ker.rows:
+                assert all(x == 0 for x in times(a, v))
 
     def test_member_matches_kernel_equation(self):
         rng = random.Random(9)
         for _ in range(25):
             a = random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
             ker = kernel(a)
-            v = [rng.randint(-3, 3) for _ in range(a.cols)]
-            in_kernel = all(x == 0 for x in a.matvec(v))
+            v = dict(enumerate(rng.randint(-3, 3) for _ in range(a.cols)))
+            in_kernel = all(x == 0 for x in times(a, v))
             assert (ker.coordinates(v) is not None) == in_kernel
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            Subspace(3, [[1, 2, 3]]).coordinates([1, 2])
+        line = Subspace(3, [{0: 1, 1: 2, 2: 3}])
+        for column in (-1, 3, 4):
+            with pytest.raises(DimensionMismatchError):
+                line.coordinates({column: 1})
 
 
 class TestSubspace:
     def test_canonical_equality(self):
-        s1 = Subspace(3, [[1, 1, 0], [0, 0, 1]])
-        s2 = Subspace(3, [[2, 2, 2], [0, 0, 5], [1, 1, 1]])
+        s1 = Subspace(3, [{0: 1, 1: 1}, {2: 1}])
+        s2 = Subspace(3, [{0: 2, 1: 2, 2: 2}, {2: 5}, {0: 1, 1: 1, 2: 1}])
         assert s1 == s2 and s1.dim == 2
+        assert hash(s1) == hash(s2)
+        assert s1 != Subspace(3, [{0: 1}, {2: 1}]) and s1 != Subspace(4, [{0: 1, 1: 1}, {2: 1}])
+
+    def test_keeps_the_sparse_rref_rows(self):
+        s = Subspace(4, [{3: 2, 1: 4}, {0: 0}, {}, {1: 1, 3: Fraction(1, 2)}])
+        assert s.rows == ({1: 1, 3: Fraction(1, 2)},) and s.pivots == (1,)
+
+    def test_dense_rows_give_the_same_subspace(self):
+        assert Subspace(3, [[1, 1, 0], [0, 0, 1]]) == Subspace(3, [{0: 1, 1: 1}, {2: 1}])
+        assert Subspace(2, [[1, 0]]).rows == ({0: 1},)
+
+    @pytest.mark.parametrize("row", [{-1: 1}, {0: 1, 3: 1}, {4: 0}, [1, 2], [1, 2, 3, 4]])
+    def test_rows_outside_the_ambient_raise(self, row):
+        with pytest.raises(DimensionMismatchError):
+            Subspace(3, [{0: 1}, row])
 
 
 class TestRestrictedTrace:
     def test_full_basis_gives_trace(self):
         a = RationalMatrix([[2, 1, 0], [0, 3, 0], [1, 0, 5]])
-        full = Subspace(3, RationalMatrix.identity(3).entries)
+        full = Subspace(3, sparse_rows(RationalMatrix.identity(3).entries))
         assert restricted_trace(a, full) == 10
 
     def test_identity_gives_dimension(self):
-        sub = Subspace(4, [[1, 1, 0, 0], [0, 0, 1, -1]])
+        sub = Subspace(4, [{0: 1, 1: 1}, {2: 1, 3: -1}])
         assert restricted_trace(RationalMatrix.identity(4), sub) == 2
 
     def test_permutation_on_fixed_line(self):
         # cyclic shift of Q^3 restricted to the all-ones line
         shift = RationalMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-        line = Subspace(3, [[1, 1, 1]])
+        line = Subspace(3, [{0: 1, 1: 1, 2: 1}])
         assert restricted_trace(shift, line) == 1
 
     def test_not_invariant_raises(self):
         shift = RationalMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-        bad = Subspace(3, [[1, 0, 0]])
+        bad = Subspace(3, [{0: 1}])
         with pytest.raises(NotInvariantError):
             restricted_trace(shift, bad)

@@ -12,6 +12,7 @@ from younglab.errors import (
     SelfCheckError,
     SizeMismatchError,
 )
+import younglab.exactla as exactla
 import younglab.forms as forms
 from younglab.exactla import RationalMatrix, Subspace, kernel
 from younglab.forms import (
@@ -38,9 +39,10 @@ from younglab.forms import (
 )
 from younglab.partitions import enumerate_partitions, standard_count
 from younglab.permutations import all_permutations, compose, identity
+from younglab.sweeps import theorem5_passes, two_row_passes
 from younglab.tableaux import enumerate_standard
 
-from oracles import pairing_generators_oracle
+from oracles import pairing_generators_oracle, sparse_rows
 
 
 def prod(xs):
@@ -256,6 +258,14 @@ class TestSpechtPoly:
         with pytest.raises(InvalidFillingError):
             specht_poly(((1, 1), (2,)), 3)
 
+    @pytest.mark.parametrize("filling", [
+        ((1,), (2, 3)), ((1, 2), (3,), (4, 5)), ((1, 2), ()), ((), (1,)),
+    ])
+    def test_rejects_rows_that_grow_or_are_empty(self, filling):
+        # a longer lower row would lose the cells right of the first row
+        with pytest.raises(InvalidFillingError):
+            specht_poly(filling, 5)
+
 
 class TestTheorem5:
     def test_2_1_1(self):
@@ -304,12 +314,41 @@ class TestTheorem5:
             for sigma in all_permutations(4):
                 for t in enumerate_standard(lam):
                     moved = specht_poly(t, 4).act(sigma)
-                    vec = form_to_vector(moved, index, len(space.ambient))
+                    vec = form_to_vector(moved, index)
                     assert space.subspace.coordinates(vec) is not None
 
 
 def full_ambient(monomials, n):
     return span_of_forms([Form.monomial(n, m) for m in monomials], monomials)
+
+
+class TestSpanOfForms:
+    def test_term_outside_the_ambient_raises(self):
+        ambient = x_monomials((2, 1), 3)
+        index = {m: i for i, m in enumerate(ambient)}
+        outside = Form.monomial(3, (2, 0, 0))
+        with pytest.raises(SizeMismatchError):
+            span_of_forms([Form.monomial(3, ambient[0]), outside], ambient)
+        with pytest.raises(SizeMismatchError):
+            form_to_vector(outside + Form.monomial(3, ambient[1]), index)
+
+    def test_rows_are_the_sparse_coefficients(self):
+        ambient = x_monomials((2, 1), 3)
+        f = Form.monomial(3, ambient[2], 3) - Form.monomial(3, ambient[0])
+        assert form_to_vector(f, {m: i for i, m in enumerate(ambient)}) == {2: 3, 0: -1}
+        assert span_of_forms([f], ambient).subspace.rows == ({0: 1, 2: -3},)
+
+    def test_form_checks_build_no_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense RationalMatrix was built")
+
+        monkeypatch.setattr(exactla.RationalMatrix, "__init__", refuse)
+        report = example4_check()
+        assert (report["direct_sum"] and report["parity_assignments"] and report["c_relation"]
+                and all(report["invariant"].values())
+                and all(report["characters_match"].values()))
+        assert theorem5_passes(theorem5_check((2, 2, 1), 5))
+        assert two_row_passes(two_row_decomposition(6, 3))
 
 
 class TestRestrictedCharacter:
@@ -365,9 +404,8 @@ class TestInvarianceAgainstOracle:
     @staticmethod
     def invariant_by_oracle(spanning, space, n):
         index = {m: i for i, m in enumerate(space.ambient)}
-        size = len(space.ambient)
         return all(
-            space.subspace.coordinates(form_to_vector(f.act(sigma), index, size)) is not None
+            space.subspace.coordinates(form_to_vector(f.act(sigma), index)) is not None
             for sigma in all_permutations(n)
             for f in spanning
         )
@@ -594,20 +632,20 @@ class TestDKernel:
 
 class TestIndependent:
     def test_planes_sharing_an_axis_are_not_independent(self):
-        xy = Subspace(3, [[1, 0, 0], [0, 1, 0]])
-        yz = Subspace(3, [[0, 1, 0], [0, 0, 1]])
+        xy = Subspace(3, [{0: 1}, {1: 1}])
+        yz = Subspace(3, [{1: 1}, {2: 1}])
         assert not _independent([xy, yz])
 
     def test_distinct_axes_are_independent(self):
-        x = Subspace(3, [[1, 0, 0]])
-        y = Subspace(3, [[0, 2, 0]])
+        x = Subspace(3, [{0: 1}])
+        y = Subspace(3, [{1: 2}])
         assert _independent([x, y])
-        assert _independent([x, y, Subspace(3, [[1, 1, 1]])])
-        assert not _independent([x, y, Subspace(3, [[1, 1, 0]])])
+        assert _independent([x, y, Subspace(3, [{0: 1, 1: 1, 2: 1}])])
+        assert not _independent([x, y, Subspace(3, [{0: 1, 1: 1}])])
 
     def test_zero_space_is_independent_of_anything(self):
         zero = Subspace(3, [])
-        xy = Subspace(3, [[1, 0, 0], [0, 1, 0]])
+        xy = Subspace(3, [{0: 1}, {1: 1}])
         assert _independent([zero, xy])
         assert _independent([zero, zero])
         assert _independent([])
@@ -616,11 +654,15 @@ class TestIndependent:
         rng = random.Random(21)
         for _ in range(15):
             d = rng.randint(2, 5)
-            a = Subspace(d, [[rng.randint(-3, 3) for _ in range(d)] for _ in range(2)])
+            a = Subspace(d, sparse_rows(
+                [[rng.randint(-3, 3) for _ in range(d)] for _ in range(2)]))
             if not a.dim:
                 continue
             # positive weights on the RREF rows keep the pivots, so it is nonzero
             weights = [rng.randint(1, 3) for _ in range(a.dim)]
-            shared = [sum(w * x for w, x in zip(weights, col)) for col in zip(*a.basis.entries)]
-            other = [rng.randint(-3, 3) for _ in range(d)]
+            shared = {}
+            for w, row in zip(weights, a.rows):
+                for j, x in row.items():
+                    shared[j] = shared.get(j, 0) + w * x
+            other = sparse_rows([[rng.randint(-3, 3) for _ in range(d)]])[0]
             assert not _independent([a, Subspace(d, [shared, other])])

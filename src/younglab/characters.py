@@ -14,12 +14,12 @@ horizontal-strip recursion in :mod:`younglab.tableaux`) available as a
 cross-check rather than an ingredient.
 
 All pairings are plain products without conjugation: every class function
-built here is integer-valued.  The orthogonalization stores each
-irreducible's class-size-weighted values |C_rho| chi(rho) once per degree,
-so a multiplicity is one integer dot product, taken over the classes where
-the other factor is nonzero, and one exact division by n!.  The
-multiplicities it strips are the multiplicity table, and each must be a
-nonnegative integer; `inner` returns the same pairing as a Fraction.
+built here is integer-valued.  A multiplicity weights the reducible side by
+the class sizes once, on the classes where it is nonzero, and pairs it with
+an irreducible in one integer dot product and one exact division by n!.
+The multiplicities the orthogonalization strips are the multiplicity table,
+one triangular row per shape; each must be a nonnegative integer.  `inner`
+returns the same pairing as a Fraction.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from operator import mul
 from .errors import DegreeMismatchError, OrthogonalizationError, SizeMismatchError
 from .partitions import (
     Partition,
+    _require_partition,
     conjugate,
     enumerate_partitions,
     predecessors,
@@ -194,17 +195,17 @@ def inner(f: ClassFunction, g: ClassFunction) -> Fraction:
     return Fraction(sum(map(mul, f.values, weighted)), factorial(f.n))
 
 
-def _multiplicities(f: ClassFunction) -> Callable[[Partition, tuple[int, ...]], int]:
-    """The multiplicity in f of the irreducible of mu, as a function of mu
-    and the irreducible's class-size-weighted values w; it must be an
-    integer.  Only the classes where f is nonzero are multiplied: a
-    permutation character vanishes on most classes."""
+def _multiplicities(f: ClassFunction) -> Callable[[Partition, ClassFunction], int]:
+    """The multiplicity in f of the irreducible chi of mu, as a function of
+    mu and chi; it must be an integer.  f is weighted by the class sizes
+    once, on the classes where it is nonzero, and only those classes are
+    multiplied: a permutation character vanishes on most classes."""
     values = f.values
-    nonzero = [v for v in values if v]
+    weighted = [size * v for size, v in zip(_class_sizes(f.n), values) if v]
     nfact = factorial(f.n)
 
-    def multiplicity(mu: Partition, w: tuple[int, ...]) -> int:
-        total = sum(map(mul, nonzero, compress(w, values)))
+    def multiplicity(mu: Partition, chi: ClassFunction) -> int:
+        total = sum(map(mul, weighted, compress(chi.values, values)))
         m, r = divmod(total, nfact)
         if r:
             raise OrthogonalizationError(
@@ -216,22 +217,24 @@ def _multiplicities(f: ClassFunction) -> Callable[[Partition, tuple[int, ...]], 
 
 def theorem1_check(lam: Partition) -> Fraction:
     """Pairing of the two induced characters attached to lam; contract: 1."""
+    _require_partition("lam", lam)
     return inner(perm_character(lam), ind_sgn_character(lam))
 
 
 @dataclass(frozen=True)
 class MultiplicityTable:
     """Multiplicities of irreducibles inside the row-induced modules, with
-    the irreducible characters found alongside them and their
-    class-size-weighted values, keyed by partition in the frozen order."""
+    the irreducible characters found alongside them, keyed by partition in
+    the frozen order.  rows[lam] holds M(mu, lam) for each mu up to lam and
+    ends in M(lam, lam) = 1; every later mu has M(mu, lam) = 0."""
 
     n: int
-    entries: dict[tuple[Partition, Partition], int]
+    rows: dict[Partition, tuple[int, ...]]
     characters: dict[Partition, ClassFunction]
-    weighted: dict[Partition, tuple[int, ...]]
 
     def __call__(self, mu: Partition, lam: Partition) -> int:
-        return self.entries[(mu, lam)]
+        row, i = self.rows[lam], _type_index(self.n)[mu]
+        return row[i] if i < len(row) else 0
 
 
 @cache
@@ -250,38 +253,31 @@ def multiplicity_table(n: int) -> MultiplicityTable:
     """
     nfact = factorial(n)
     sizes = _class_sizes(n)
-    shapes = enumerate_partitions(n)
     chis: dict[Partition, ClassFunction] = {}
-    weighted: dict[Partition, tuple[int, ...]] = {}
-    entries: dict[tuple[Partition, Partition], int] = {}
+    rows: dict[Partition, tuple[int, ...]] = {}
     columns: list[list[int]] = [[] for _ in sizes]  # irreducibles so far, by class
-    for i, lam in enumerate(shapes):
+    for lam in enumerate_partitions(n):
         psi = perm_character(lam)
         multiplicity = _multiplicities(psi)
         ms = []
-        for mu, w in weighted.items():
-            m = multiplicity(mu, w)
+        for mu, chi in chis.items():
+            m = multiplicity(mu, chi)
             if m < 0:
                 raise OrthogonalizationError(f"bad multiplicity at ({mu}, {lam})")
-            entries[(mu, lam)] = m
             ms.append(m)
         reduced = tuple(v - sum(map(mul, ms, col)) for v, col in zip(psi.values, columns))
         chi = ClassFunction(n, reduced)
-        w = tuple(map(mul, sizes, reduced))
-        if sum(map(mul, reduced, w)) != nfact:
+        if sum(s * v * v for s, v in zip(sizes, reduced)) != nfact:
             raise OrthogonalizationError(f"non-unit norm at {lam}")
         if chi.degree != standard_count(lam):
             raise OrthogonalizationError(f"wrong dimension at {lam}")
         chis[lam] = chi
-        weighted[lam] = w
+        rows[lam] = (*ms, 1)
         for col, v in zip(columns, reduced):
             col.append(v)
-        entries[(lam, lam)] = 1
-        entries.update(((mu, lam), 0) for mu in shapes[i + 1:])
-    return MultiplicityTable(n, entries, chis, weighted)
+    return MultiplicityTable(n, rows, chis)
 
 
-@cache
 def irreducible_characters(n: int) -> dict[Partition, ClassFunction]:
     """All irreducible characters, keyed by partition in the frozen order:
     those found by the orthogonalization in `multiplicity_table`."""
@@ -303,6 +299,7 @@ def restrict(f: ClassFunction) -> ClassFunction:
 def lemma1_check(lam: Partition) -> bool:
     """Restriction of the lam row character decomposes over the covered
     shapes with the removal multiplicities."""
+    _require_partition("lam", lam)
     if sum(lam) < 2:
         raise SizeMismatchError("need degree at least 2")
     lhs = restrict(perm_character(lam))
@@ -315,6 +312,8 @@ def lemma1_check(lam: Partition) -> bool:
 
 def eq1_check(lam: Partition, rho: Partition) -> tuple[int, int]:
     """Both sides of the multiplicity recurrence for (lam, rho)."""
+    _require_partition("lam", lam)
+    _require_partition("rho", rho)
     n = sum(lam)
     if sum(rho) != n - 1:
         raise SizeMismatchError(f"need |{lam}| = |{rho}| + 1")
@@ -334,12 +333,12 @@ def conjugate_twist_check(n: int) -> bool:
 def theorem1_components(lam: Partition) -> list[tuple[Partition, int, int]]:
     """Irreducibles common to both induced modules of lam, with their
     multiplicities in each; the contract is the single entry (lam, 1, 1)."""
+    _require_partition("lam", lam)
     table = multiplicity_table(sum(lam))
     multiplicity = _multiplicities(ind_sgn_character(lam))
     out = []
-    for mu, w in table.weighted.items():
-        a = table(mu, lam)
-        b = multiplicity(mu, w) if a else 0
+    for (mu, chi), a in zip(table.characters.items(), table.rows[lam]):
+        b = multiplicity(mu, chi) if a else 0
         if b:
             out.append((mu, a, b))
     return out

@@ -39,7 +39,7 @@ from .linsys import (
     statement1_check,
 )
 from .partitions import enumerate_partitions, format_partition, parse_partition
-from .sweeps import SWEEPS, run_sweep, theorem5_passes, two_row_passes
+from .sweeps import SWEEPS, example4_passes, run_sweep, theorem5_passes, two_row_passes
 from .tableaux import (
     enumerate_ssyt,
     enumerate_standard,
@@ -262,12 +262,7 @@ def _cmd_forms(args) -> int:
     check = args.check
     if check == "example4":
         report = example4_check()
-        ok = (
-            report["direct_sum"] and report["parity_assignments"]
-            and report["c_relation"]
-            and all(report["invariant"].values())
-            and all(report["characters_match"].values())
-        )
+        ok = example4_passes(report)
     elif check == "statement2":
         if getattr(args, "lambda") is None:
             raise _UsageError("statement2 requires --lambda")

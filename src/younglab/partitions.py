@@ -46,6 +46,21 @@ def check_partition(parts) -> Partition:
     return p
 
 
+def _require_partition(name: str, parts: Partition) -> None:
+    """Raise ValueError naming `name` unless parts are positive and weakly
+    decreasing.  Reads the tuple in place, without the copy check_partition
+    makes, so a sweep calling this per pair allocates nothing that lasts."""
+    prev = parts[0] if parts else 1
+    for part in parts:
+        if part > prev:
+            prev = 0  # an increase fails like a nonpositive last part
+            break
+        prev = part
+    if prev < 1:
+        raise ValueError(
+            f"{name} must have positive, weakly decreasing parts, got {parts}")
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the comma-separated text format, e.g. "3,2,1"; "" is empty."""
     text = text.strip()

@@ -8,9 +8,9 @@ n, a per-item check that returns a counterexample record (a JSON-ready
 dict) or None, and the sweep's own degree cap, if its constructions have
 one (``statement2`` 6, ``theorem5`` 6, ``two-row`` 10).  ``run_sweep`` holds
 the loop over degrees; the CLI's ``verify`` command and the acceptance
-suite both call it.  The pass rules of a Specht and a two-row report,
-``theorem5_passes`` and ``two_row_passes``, are also the verdicts of the
-CLI's ``forms`` command.
+suite both call it.  The pass rules of the Example-4, Specht and two-row
+reports, ``example4_passes``, ``theorem5_passes`` and ``two_row_passes``,
+are also the verdicts of the CLI's ``forms`` command.
 
 The checks look the library functions up by their module-global names at
 call time, so rebinding those names (as a tracer or a test does) is seen
@@ -44,7 +44,7 @@ from .linsys import polymorphism_feasibility, statement1_check
 from .partitions import enumerate_partitions, max_n as degree_cap, standard_count, successors
 from .tableaux import eq2_check, kostka
 
-__all__ = ["SWEEPS", "Sweep", "VerificationReport", "run_sweep",
+__all__ = ["SWEEPS", "Sweep", "VerificationReport", "example4_passes", "run_sweep",
            "theorem5_passes", "two_row_passes"]
 
 
@@ -156,6 +156,19 @@ def _statement1(lam):
 
 def _statement2(lam):
     return None if statement2_check(lam, sum(lam)) else {"lambda": list(lam)}
+
+
+def example4_passes(report: dict) -> bool:
+    """Verdict on an ``example4_check`` report: the decomposition
+    12 = 1 + 2 + 3 + 3 + 3 into invariant pieces with the expected
+    characters, and the even/odd split 6 + 6."""
+    dims = {"trivial": 1, "pair": 2, "specht": 3, "even_natural": 3, "odd_natural": 3}
+    return (report["dims"] == dims
+            and all(report["invariant"].values())
+            and all(report["characters_match"].values())
+            and report["direct_sum"]
+            and tuple(report["even_odd_dims"]) == (6, 6)
+            and report["parity_assignments"] and report["c_relation"])
 
 
 def theorem5_passes(report: dict) -> bool:

@@ -18,6 +18,7 @@ from operator import add, le, lt
 from .errors import LimitError, SelfCheckError, SizeMismatchError
 from .partitions import (
     Partition,
+    _require_partition,
     check_partition,
     max_n,
     predecessors,
@@ -150,21 +151,6 @@ def eq2_check(lam: Partition, rho: Partition) -> tuple[int, int]:
     left = sum(kostka(mu, lam) for mu in successors(rho))
     right = sum(c * kostka(rho, gamma) for gamma, c in predecessors(lam))
     return left, right
-
-
-def _require_partition(name: str, parts: Partition) -> None:
-    """Raise ValueError naming `name` unless parts are positive and weakly
-    decreasing.  Reads the tuple in place, without the copy check_partition
-    makes, so a sweep calling this per pair allocates nothing that lasts."""
-    prev = parts[0] if parts else 1
-    for part in parts:
-        if part > prev:
-            prev = 0  # an increase fails like a nonpositive last part
-            break
-        prev = part
-    if prev < 1:
-        raise ValueError(
-            f"{name} must have positive, weakly decreasing parts, got {parts}")
 
 
 def _check_consecutive(lam: Partition, rho: Partition) -> None:

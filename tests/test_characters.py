@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from math import factorial
 
@@ -152,10 +153,9 @@ class TestInner:
     def test_non_integer_multiplicity_raises(self):
         half = ClassFunction(2, (1, 0))
         assert inner(trivial_character(2), half) == Fraction(1, 2)
-        weighted = (1 * 1, 1 * 0)  # class sizes of (2,) and (1, 1) times half
         with pytest.raises(OrthogonalizationError,
                            match=r"^non-integer multiplicity 1/2 of \(2,\)$"):
-            _multiplicities(trivial_character(2))((2,), weighted)
+            _multiplicities(trivial_character(2))((2,), half)
 
 
 class TestTheorem1:
@@ -250,6 +250,32 @@ class TestMultiplicities:
             for mu in enumerate_partitions(n):
                 assert table(mu, lam) == pairing_oracle(psi, chis[mu])
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_triangular_rows(self, n):
+        # M(mu, lam) is stored for each mu up to lam only, ending in 1
+        table = multiplicity_table(n)
+        shapes = enumerate_partitions(n)
+        assert [f.name for f in fields(table)] == ["n", "rows", "characters"]
+        assert list(table.rows) == list(shapes)
+        for i, lam in enumerate(shapes):
+            assert len(table.rows[lam]) == i + 1
+            assert table.rows[lam][-1] == 1
+        p = len(shapes)
+        assert sum(map(len, table.rows.values())) == p * (p + 1) // 2
+
+    def test_characters_are_the_tables(self):
+        for n in range(1, 7):
+            assert irreducible_characters(n) is multiplicity_table(n).characters
+
+    @pytest.mark.parametrize("mu, lam", [
+        ((3,), (2, 1, 1)),
+        ((2, 1, 1), (3,)),
+        ((1, 3), (4,)),
+    ])
+    def test_shapes_not_of_the_degree_raise_key_error(self, mu, lam):
+        with pytest.raises(KeyError):
+            multiplicity_table(4)(mu, lam)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_youngs_rule(self, n):
         assert run_sweep("youngs-rule", n).status == "pass"
@@ -263,10 +289,8 @@ class TestOrthogonalizationFaults:
     @pytest.fixture(autouse=True)
     def fresh_tables(self):
         multiplicity_table.cache_clear()
-        irreducible_characters.cache_clear()
         yield
         multiplicity_table.cache_clear()
-        irreducible_characters.cache_clear()
 
     @pytest.mark.parametrize("values, message", [
         ((0, 0, 3), "non-integer multiplicity 1/2 of (3,)"),
@@ -334,3 +358,16 @@ class TestConjugateTwist:
                     assert inner(phi, chis[mu]) == kostka(
                         conjugate(mu), conjugate(lam)
                     )
+
+
+@pytest.mark.parametrize("check, args, name", [
+    (lemma1_check, ((1, 2),), "lam"),  # else the wrong verdict False
+    (eq1_check, ((1, 2), (2,)), "lam"),  # else a bare KeyError
+    (eq1_check, ((2, 1), (1, 1, 0)), "rho"),
+    (theorem1_check, ((1, 2),), "lam"),  # else an IndexError
+    (theorem1_components, ((1, 2),), "lam"),
+    (theorem1_components, ((2, 0),), "lam"),
+], ids=["lemma1", "eq1-lam", "eq1-rho", "theorem1", "components", "components-zero"])
+def test_rejects_non_partitions_naming_the_argument(check, args, name):
+    with pytest.raises(ValueError, match=rf"^{name} must have positive"):
+        check(*args)

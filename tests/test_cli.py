@@ -197,6 +197,21 @@ class TestFormsCommand:
         assert payload["status"] == "pass"
         assert payload["even_odd_dims"] == [6, 6]
 
+    def test_example4_fails_on_wrong_dimensions(self, capsys, monkeypatch):
+        # every flag still true, but the split is 1+1+3+3+3 and 5+7
+        real = cli.example4_check
+
+        def wrong():
+            report = real()
+            report["dims"] = {**report["dims"], "pair": 1}
+            report["even_odd_dims"] = (5, 7)
+            return report
+
+        monkeypatch.setattr(cli, "example4_check", wrong)
+        code, out, _ = run_cli(capsys, "forms", "--check", "example4")
+        assert code == 1
+        assert out.startswith("example4: FAIL\n")
+
     def test_specht(self, capsys):
         code, out, _ = run_cli(
             capsys, "forms", "--check", "specht", "--lambda", "2,1,1",
@@ -288,12 +303,10 @@ class TestErrorsAndDeterminism:
 
     def test_failed_orthogonalization_is_an_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(characters, "standard_count", lambda lam: 0)
-        characters.irreducible_characters.cache_clear()
         characters.multiplicity_table.cache_clear()
         try:
             code, out, err = run_cli(capsys, "character-table", "--n", "4")
         finally:
-            characters.irreducible_characters.cache_clear()
             characters.multiplicity_table.cache_clear()
         assert code == 2
         assert out == ""
@@ -308,12 +321,10 @@ class TestErrorsAndDeterminism:
             characters, "perm_character",
             lambda lam: real(lam).scaled(-1) if lam == (3, 1) else real(lam),
         )
-        characters.irreducible_characters.cache_clear()
         characters.multiplicity_table.cache_clear()
         try:
             code, out, err = run_cli(capsys, "character-table", "--n", "4")
         finally:
-            characters.irreducible_characters.cache_clear()
             characters.multiplicity_table.cache_clear()
         assert code == 2
         assert out == ""

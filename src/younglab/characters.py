@@ -2,11 +2,11 @@
 
 Values are Python integers indexed by cycle type, one value per partition
 of the degree in the frozen enumeration order.  The permutation character
-of a row-stabilizer subgroup counts the ways to put the cycles of a class
-into the rows (the coefficient of x^lam in p_rho), placing one cycle at a
-time.  The number of ways to finish depends only on the multiset of room
-left in the rows and on the cycles still to place, so one memo per call of
-`perm_character` serves every cycle type with a common tail of cycles.
+of a row-stabilizer subgroup at a class rho is the coefficient of m_lam in
+the power sum p_rho.  All of one degree come from one depth-first pass
+over the cycle types, which carries each p_sigma of a common tail sigma
+in the monomial basis and multiplies it by one power sum per step; the
+table is cached per degree and `perm_character` looks a shape up in it.
 Irreducible characters are recovered by orthogonalizing the permutation
 characters along the dominance order, which keeps everything inside exact
 arithmetic and leaves Kostka numbers (counted independently by the
@@ -57,12 +57,10 @@ __all__ = [
     "multiplicity_table",
     "perm_character",
     "restrict",
-    "sign_character",
     "sign_twist",
     "sign_value",
     "theorem1_check",
     "theorem1_components",
-    "trivial_character",
 ]
 
 
@@ -128,56 +126,68 @@ def _same_degree(f: ClassFunction, g: ClassFunction) -> None:
         raise DegreeMismatchError(f"degrees differ: {f.n} != {g.n}")
 
 
-def trivial_character(n: int) -> ClassFunction:
-    return ClassFunction(n, (1,) * len(class_types(n)))
-
-
-def sign_character(n: int) -> ClassFunction:
-    return ClassFunction(n, tuple(sign_value(r) for r in class_types(n)))
-
-
 @cache
+def _perm_characters(n: int) -> dict[Partition, ClassFunction]:
+    """Every permutation character of degree n, keyed by shape in the
+    frozen order: psi^lam(rho) is the coefficient of m_lam in p_rho.
+
+    Walks the suffixes sigma of the cycle types depth-first from the empty
+    one, prepending a part r >= sigma[0] at each step, and carries p_sigma
+    in the monomial basis as {nu: coefficient}.  Multiplying m_nu by p_r
+    adds r to one part value v of nu (v = 0 appends a new part); the new
+    term's coefficient is that of m_nu times the number of parts of the
+    new partition equal to v + r.  At a full suffix the dict's items are
+    the column rho of the table.  Only one dict per level is alive.
+    """
+    shapes = class_types(n)
+    index = _type_index(n)
+    table = {lam: [0] * len(shapes) for lam in shapes}
+
+    def expand(sigma: Partition, size: int, poly: dict[Partition, int]) -> None:
+        left = n - size
+        if not left:
+            column = index[sigma]
+            for nu, c in poly.items():
+                table[nu][column] = c
+            return
+        low = sigma[0] if sigma else 1
+        # the rest after r must be empty or hold one more part >= r
+        for r in (*range(low, left // 2 + 1), left):
+            grown: dict[Partition, int] = {}
+            for nu, c in poly.items():
+                for i, v in enumerate((*nu, 0)):
+                    if i and v == nu[i - 1]:
+                        continue  # not the first part of this value
+                    w = v + r
+                    new = tuple(sorted((*nu[:i], w, *nu[i + 1:]), reverse=True))
+                    grown[new] = grown.get(new, 0) + c * new.count(w)
+            expand((r, *sigma), size + r, grown)
+
+    expand((), 0, {(): 1})
+    return {lam: ClassFunction(n, tuple(table.pop(lam))) for lam in shapes}
+
+
 def perm_character(lam: Partition) -> ClassFunction:
     """Character of the permutation action on ordered set partitions with
     block sizes lam (the module induced from the trivial character of the
     row stabilizer).
 
     Its value at rho is the number of ways to split the cycles of rho into
-    the rows with prescribed sums: the coefficient of x^lam in p_rho.  The
-    cycles are placed one at a time; a cycle of length r goes into any of
-    the room.count(c) rows with room c >= r.  The rows are
-    distinguishable, so those placements differ, and the number of ways to
-    finish depends only on the multiset of room left (a descending tuple,
-    zeros dropped) and the cycles still to place.  One memo keyed by that
-    pair serves every rho of this call and is dropped when it returns.
-    """
-    @cache
-    def ways(room: Partition, cycles: Partition) -> int:
-        if not cycles:
-            return 1
-        r, rest = cycles[0], cycles[1:]
-        total = 0
-        for c in set(room):
-            if c >= r:
-                left = list(room)
-                left.remove(c)
-                if c > r:
-                    left.append(c - r)
-                total += room.count(c) * ways(tuple(sorted(left, reverse=True)), rest)
-        return total
+    the rows with prescribed sums: the coefficient of m_lam in the power
+    sum p_rho.  Every shape of the degree is expanded in one pass and
+    cached per degree (`_perm_characters`)."""
+    _require_partition("lam", lam)
+    return _perm_characters(sum(lam))[lam]
 
-    n = sum(lam)
-    values = tuple(ways(lam, rho) for rho in class_types(n))
-    ways.cache_clear()
-    return ClassFunction(n, values)
+
+@cache
+def _signs(n: int) -> tuple[int, ...]:
+    return tuple(sign_value(rho) for rho in class_types(n))
 
 
 def sign_twist(f: ClassFunction) -> ClassFunction:
     """Pointwise product with the sign character; an involution."""
-    return ClassFunction(
-        f.n,
-        tuple(sign_value(rho) * v for rho, v in zip(class_types(f.n), f.values)),
-    )
+    return ClassFunction(f.n, tuple(map(mul, _signs(f.n), f.values)))
 
 
 @cache
@@ -185,6 +195,7 @@ def ind_sgn_character(lam: Partition) -> ClassFunction:
     """Character of the module induced from the sign character of the
     column stabilizer of lam; equals sign_twist of the row character of
     the conjugate shape."""
+    _require_partition("lam", lam)
     return sign_twist(perm_character(conjugate(lam)))
 
 
@@ -251,12 +262,13 @@ def multiplicity_table(n: int) -> MultiplicityTable:
     the branching dimension are enforced; a violation means the processing
     order is broken.
     """
+    shapes = enumerate_partitions(n)  # rejects a negative n before factorial
     nfact = factorial(n)
     sizes = _class_sizes(n)
     chis: dict[Partition, ClassFunction] = {}
     rows: dict[Partition, tuple[int, ...]] = {}
     columns: list[list[int]] = [[] for _ in sizes]  # irreducibles so far, by class
-    for lam in enumerate_partitions(n):
+    for lam in shapes:
         psi = perm_character(lam)
         multiplicity = _multiplicities(psi)
         ms = []

@@ -1,8 +1,9 @@
 """Brute-force oracles used by the test suite only.
 
 These recompute characters from explicit group elements, explicit
-combinatorial objects and expanded polynomials, staying independent of the
-cycle-distribution formula and of the orthogonalization in the library,
+combinatorial objects, expanded polynomials, cycles placed into rows and
+border strips, staying independent of the library's monomial expansion of
+the power sums and of its orthogonalization,
 pair class functions by Fraction sums over enumerated class sizes
 rather than by the library's `inner`, and reduce matrices
 by plain Fraction Gauss-Jordan elimination, independent of the library's
@@ -69,6 +70,63 @@ def perm_character_tabloid_oracle(lam: Partition) -> ClassFunction:
         )
         values.append(fixed)
     return ClassFunction(n, tuple(values))
+
+
+def perm_character_placement_oracle(lam: Partition) -> ClassFunction:
+    """Permutation character by placing the cycles of each class one at a
+    time into the rows: a cycle of length r goes into any of the
+    room.count(c) rows with room c >= r.  The number of ways to finish
+    depends only on the multiset of room left and the cycles still to
+    place, so one memo keyed by that pair serves every class of lam."""
+
+    @cache
+    def ways(room: Partition, cycles: Partition) -> int:
+        if not cycles:
+            return 1
+        r, rest = cycles[0], cycles[1:]
+        total = 0
+        for c in set(room):
+            if c >= r:
+                left = list(room)
+                left.remove(c)
+                if c > r:
+                    left.append(c - r)
+                total += room.count(c) * ways(tuple(sorted(left, reverse=True)), rest)
+        return total
+
+    n = sum(lam)
+    return ClassFunction(n, tuple(ways(lam, rho) for rho in class_types(n)))
+
+
+@cache
+def _border_strips(beta: frozenset, cycles: Partition) -> int:
+    if not cycles:
+        return 1
+    r, rest = cycles[0], cycles[1:]
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            between = sum(1 for x in beta if b - r < x < b)
+            total += (-1) ** between * _border_strips(beta - {b} | {b - r}, rest)
+    return total
+
+
+def murnaghan_nakayama_oracle(lam: Partition, rho: Partition) -> int:
+    """Irreducible character value chi^lam(rho) by the Murnaghan-Nakayama
+    rule on beta-sets: removing a border strip of length r moves one bead b
+    of {lam_i + k - i} to an empty position b - r, with sign -1 to the
+    number of beads it jumps over.  Memoized on (beta-set, cycles left)."""
+    k = len(lam)
+    return _border_strips(frozenset(part + k - i for i, part in enumerate(lam, 1)), rho)
+
+
+def trivial_character(n: int) -> ClassFunction:
+    return ClassFunction(n, (1,) * len(class_types(n)))
+
+
+def sign_character(n: int) -> ClassFunction:
+    """The sign of one explicit permutation of each cycle type."""
+    return ClassFunction(n, tuple(sign(from_cycle_type(rho)) for rho in class_types(n)))
 
 
 def double_coset_count(lam: Partition, mu: Partition) -> int:

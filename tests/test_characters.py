@@ -8,9 +8,13 @@ from oracles import (
     class_size_oracle,
     double_coset_count,
     ind_sgn_coset_oracle,
+    murnaghan_nakayama_oracle,
     pairing_oracle,
+    perm_character_placement_oracle,
     perm_character_tabloid_oracle,
     power_sum_expansion_oracle,
+    sign_character,
+    trivial_character,
 )
 from younglab import characters
 from younglab.characters import (
@@ -27,11 +31,9 @@ from younglab.characters import (
     multiplicity_table,
     perm_character,
     restrict,
-    sign_character,
     sign_twist,
     theorem1_check,
     theorem1_components,
-    trivial_character,
 )
 from younglab.errors import DegreeMismatchError, OrthogonalizationError
 from younglab.partitions import (
@@ -92,6 +94,18 @@ class TestPermCharacter:
         for lam in enumerate_partitions(n):
             assert perm_character(lam) == perm_character_tabloid_oracle(lam)
 
+    @pytest.mark.parametrize("n", range(0, 15))
+    def test_matches_placement_oracle(self, n):
+        for lam in enumerate_partitions(n):
+            assert perm_character(lam) == perm_character_placement_oracle(lam)
+
+    def test_one_cache_per_degree(self):
+        # perm_character is a lookup into the degree's table, not a cache
+        assert not hasattr(perm_character, "cache_info")
+        for lam in enumerate_partitions(6):
+            assert perm_character(lam) is characters._perm_characters(6)[lam]
+        assert list(characters._perm_characters(6)) == list(enumerate_partitions(6))
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_power_sum_coefficients(self, n):
         shapes = enumerate_partitions(n)
@@ -117,7 +131,7 @@ class TestSignTwist:
         assert sign_twist(sign_twist(f)) == f
 
     def test_column_gives_sign(self):
-        for n in range(1, 7):
+        for n in range(0, 9):
             assert ind_sgn_character((1,) * n) == sign_character(n)
 
     def test_degrees_after_twist(self):
@@ -199,6 +213,12 @@ class TestIrreducibles:
             chis = irreducible_characters(n)
             assert chis[(n,)] == trivial_character(n)
             assert chis[(1,) * n] == sign_character(n)
+
+    @pytest.mark.parametrize("n", range(0, 15))
+    def test_matches_murnaghan_nakayama_oracle(self, n):
+        for lam, chi in irreducible_characters(n).items():
+            for rho in class_types(n):
+                assert chi(rho) == murnaghan_nakayama_oracle(lam, rho)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_orthonormal_family(self, n):
@@ -367,7 +387,11 @@ class TestConjugateTwist:
     (theorem1_check, ((1, 2),), "lam"),  # else an IndexError
     (theorem1_components, ((1, 2),), "lam"),
     (theorem1_components, ((2, 0),), "lam"),
-], ids=["lemma1", "eq1-lam", "eq1-rho", "theorem1", "components", "components-zero"])
+    (perm_character, ((-1, 2),), "lam"),  # else the value of degree 1
+    (perm_character, ((1, 2),), "lam"),  # else psi^(2, 1) under a second key
+    (ind_sgn_character, ((1, 2),), "lam"),  # else a bare IndexError
+], ids=["lemma1", "eq1-lam", "eq1-rho", "theorem1", "components", "components-zero",
+        "perm-negative", "perm-increasing", "ind-sgn"])
 def test_rejects_non_partitions_naming_the_argument(check, args, name):
     with pytest.raises(ValueError, match=rf"^{name} must have positive"):
         check(*args)

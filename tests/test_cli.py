@@ -246,6 +246,14 @@ class TestFormsCommand:
 
 
 class TestErrorsAndDeterminism:
+    def test_negative_degree_character_table_is_usage_error(self, capsys):
+        # the degree is checked before any arithmetic on it
+        code, out, err = run_cli(capsys, "character-table", "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == '{"error": "n must be nonnegative", "kind": "usage"}'
+        assert len(error_records(err)) == 1
+
     def test_bad_partition_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "kostka", "--mu", "1,2", "--lambda", "3")
         assert code == 2

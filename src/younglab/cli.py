@@ -101,7 +101,10 @@ def _cmd_kostka(args) -> int:
 
 def _cmd_ssyt(args) -> int:
     shape = parse_partition(args.shape)
-    weight = tuple(int(s) for s in args.weight.split(",")) if args.weight else ()
+    try:
+        weight = tuple(int(s) for s in args.weight.split(",")) if args.weight else ()
+    except ValueError as exc:
+        raise ValueError(f"invalid weight {args.weight!r}: {exc}") from None
     tabs = enumerate_ssyt(shape, weight)
     payload = {
         "shape": list(shape),

@@ -28,11 +28,11 @@ from .errors import (
 from .exactla import Subspace, rank
 # not used here: perfbench/tests/test_perfbench.py reaches younglab.forms.restricted_trace
 from .exactla import restricted_trace  # noqa: F401
-from .partitions import Partition, standard_count
-from .permutations import Permutation, from_cycle_type, inverse
+from .partitions import Partition, _require_partition, standard_count
 from .tableaux import Tableau, enumerate_standard
 
 Monomial = tuple[int, ...]
+Permutation = tuple[int, ...]  # 0-based image tuple: p[i] is the image of i
 
 STATEMENT2_MAX_N = 6
 THEOREM5_MAX_N = 6
@@ -117,14 +117,6 @@ class Form:
 
     __rmul__ = __mul__
 
-    def act(self, sigma: Permutation) -> "Form":
-        """Substitute x_i -> x_{sigma(i)} (sigma 0-based on positions)."""
-        out: dict[Monomial, Rational] = {}
-        for m, c in self.terms.items():
-            key = _substitute(m, sigma)
-            out[key] = out.get(key, 0) + c
-        return Form(self.n, out)
-
     def derivative_sum(self) -> "Form":
         """Total derivative: the sum of all partial derivatives."""
         out: dict[Monomial, Rational] = {}
@@ -135,11 +127,21 @@ class Form:
                     out[key] = out.get(key, 0) + c * e
         return Form(self.n, out)
 
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def __repr__(self) -> str:
         return f"Form({format_form(self)})"
+
+
+def _from_cycle_type(rho: Partition) -> Permutation:
+    """Representative of the class rho: consecutive cycles
+    (1..r1)(r1+1..r1+r2)..."""
+    n = sum(rho)
+    p = list(range(n))
+    start = 0
+    for r in rho:
+        for k in range(r):
+            p[start + k] = start + (k + 1) % r
+        start += r
+    return tuple(p)
 
 
 def _substitute(m: Monomial, sigma: Permutation) -> Monomial:
@@ -193,6 +195,7 @@ def x_monomials(lam: Partition, n: int) -> list[Monomial]:
     """
     if n > STATEMENT2_MAX_N:
         raise LimitError(f"n={n} exceeds the supported {STATEMENT2_MAX_N}")
+    _require_partition("lam", lam)
     if sum(lam) != n:
         raise SizeMismatchError(f"|{lam}| != {n}")
     exponents: list[int] = []
@@ -212,7 +215,7 @@ def monomial_action_character(monomials: list[Monomial], n: int) -> ClassFunctio
     count of fixed monomials, one representative per cycle type)."""
     values = []
     for rho in class_types(n):
-        sigma = from_cycle_type(rho)
+        sigma = _from_cycle_type(rho)
         values.append(sum(_substitute(m, sigma) == m for m in monomials))
     return ClassFunction(n, tuple(values))
 
@@ -255,7 +258,7 @@ def _generators(n: int) -> tuple[Permutation, ...]:
     """(1 2) and (1 2 ... n), which generate S_n; S_1 needs none."""
     if n < 2:
         return ()
-    return (from_cycle_type((2,) + (1,) * (n - 2)), from_cycle_type((n,)))
+    return (_from_cycle_type((2,) + (1,) * (n - 2)), _from_cycle_type((n,)))
 
 
 def restricted_character(space: FormSpace, n: int) -> ClassFunction:
@@ -269,8 +272,8 @@ def restricted_character(space: FormSpace, n: int) -> ClassFunction:
     images under (1 2) and (1 2 ... n), which generate S_n, have rank d
     exactly when the span is invariant under both, hence under all of
     S_n.  The traces are then read off the pivots p_1..p_d: a vector in
-    the span has coordinates v[p_1..p_d], so the trace of sigma is
-    sum_i b_i[index(sigma^-1 . m_{p_i})], O(d) per class.
+    the span has coordinates v[p_1..p_d], so the trace of sigma^-1 is
+    sum_i b_i[index(sigma . m_{p_i})], O(d) per class.
     """
     ambient = space.ambient
     sub = space.subspace
@@ -285,9 +288,10 @@ def restricted_character(space: FormSpace, n: int) -> ClassFunction:
             f"the span of dimension {sub.dim} is not invariant under S_{n}")
     values = []
     for rho in class_types(n):
-        back = inverse(from_cycle_type(rho))
+        # the trace of sigma^-1 is sigma's: they are conjugate and the span is invariant
+        sigma = _from_cycle_type(rho)
         trace = sum(
-            (row.get(index[_substitute(ambient[p], back)], 0)
+            (row.get(index[_substitute(ambient[p], sigma)], 0)
              for row, p in zip(basis, sub.pivots)),
             0,
         )

@@ -26,6 +26,7 @@ from .exactla import RationalMatrix, rank
 from .exactla import kernel  # noqa: F401
 from .partitions import (
     Partition,
+    _require_partition,
     bar,
     dominance_upset,
     enumerate_partitions,
@@ -58,6 +59,7 @@ class System3:
 def _cover_rows(lam: Partition):
     """Row and column index sets of lam's system and its rows as sparse
     {column: 1} dicts: row rho holds column mu exactly when mu covers rho."""
+    _require_partition("lam", lam)
     if sum(lam) < 2:
         raise ValueError("need a partition of n >= 2")
     rows = tuple(dominance_upset(bar(lam)))

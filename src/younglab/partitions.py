@@ -238,6 +238,7 @@ def standard_count(lam: Partition) -> int:
     covered gamma, with f(empty) = 1; equals the number of standard tableaux
     of shape lam.
     """
+    _require_partition("lam", lam)
     if not lam:
         return 1
     return sum(standard_count(gamma) for gamma, _ in predecessors(lam))

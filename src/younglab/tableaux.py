@@ -47,14 +47,6 @@ def is_semistandard(t: Tableau) -> bool:
     return True
 
 
-def parse_tableau(text: str) -> Tableau:
-    """Parse the "1,1,1,2/2,3" text format (rows joined by "/")."""
-    rows = []
-    for chunk in text.split("/"):
-        rows.append(tuple(int(s) for s in chunk.split(",") if s.strip()))
-    return tuple(rows)
-
-
 def format_tableau(t: Tableau) -> str:
     return "/".join(",".join(str(x) for x in row) for row in t)
 

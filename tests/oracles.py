@@ -16,6 +16,9 @@ Theorem-4 certificate is checked cell by cell against those fillings.
 Minimum s-t cuts are found by trying every cut, independent of max-flow.
 Unitriangularity of a deviation system is read entry by entry off its
 dense matrix with the columns reordered, not off sparse rows.
+The explicit permutations (0-based image tuples), the substitution action
+on forms and the tableau text parser are built here too: from the library
+the oracles take only its types and enumerations.
 """
 
 from fractions import Fraction
@@ -26,18 +29,93 @@ from math import factorial
 from younglab.characters import ClassFunction, class_types
 from younglab.forms import Form
 from younglab.partitions import Partition, bar
-from younglab.permutations import (
-    Permutation,
-    all_permutations,
-    compose,
-    cycle_type,
-    from_cycle_type,
-    identity,
-    inverse,
-    sign,
-)
 
+Permutation = tuple[int, ...]
 Tabloid = tuple[frozenset, ...]
+
+
+def identity(n: int) -> Permutation:
+    return tuple(range(n))
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """(p o q)(i) = p(q(i))."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def inverse(p: Permutation) -> Permutation:
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def all_permutations(n: int) -> list[Permutation]:
+    return [tuple(p) for p in iperms(range(n))]
+
+
+def cycles(p: Permutation) -> list[list[int]]:
+    seen = [False] * len(p)
+    out = []
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        cyc = [i]
+        seen[i] = True
+        j = p[i]
+        while j != i:
+            seen[j] = True
+            cyc.append(j)
+            j = p[j]
+        out.append(cyc)
+    return out
+
+
+def cycle_type(p: Permutation) -> Partition:
+    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
+
+
+def sign(p: Permutation) -> int:
+    return -1 if (len(p) - len(cycles(p))) % 2 else 1
+
+
+def from_cycle_type(rho: Partition) -> Permutation:
+    """Representative of the class rho: consecutive cycles
+    (1..r1)(r1+1..r1+r2)..."""
+    n = sum(rho)
+    p = list(range(n))
+    start = 0
+    for r in rho:
+        for k in range(r):
+            p[start + k] = start + (k + 1) % r
+        start += r
+    return tuple(p)
+
+
+def act(f: Form, sigma: Permutation) -> Form:
+    """Substitute x_i -> x_{sigma(i)} (sigma 0-based on positions): the
+    exponent of x_i in a monomial moves to position sigma(i)."""
+    out: dict = {}
+    for m, c in f.terms.items():
+        img = [0] * len(sigma)
+        for i, e in enumerate(m):
+            img[sigma[i]] = e
+        key = tuple(img)
+        out[key] = out.get(key, 0) + c
+    return Form(f.n, out)
+
+
+def degree(f: Form) -> int:
+    """Total degree of f; 0 for the zero form."""
+    return max((sum(m) for m in f.terms), default=0)
+
+
+def parse_tableau(text: str) -> tuple[tuple[int, ...], ...]:
+    """Parse the "1,1,1,2/2,3" text format (rows joined by "/")."""
+    rows = []
+    for chunk in text.split("/"):
+        rows.append(tuple(int(s) for s in chunk.split(",") if s.strip()))
+    return tuple(rows)
 
 
 def tabloids(lam: Partition) -> list[Tabloid]:
@@ -250,6 +328,32 @@ def rref_oracle(rows, ncols: int):
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in m), r, pivots
+
+
+def _coefficient_columns(forms: list[Form]) -> list[list]:
+    """Dense matrix with one column per form and one row per monomial
+    that occurs in any of them."""
+    monomials = sorted({m for f in forms for m in f.terms})
+    return [[f.terms.get(m, 0) for f in forms] for m in monomials]
+
+
+def restricted_character_oracle(forms: list[Form], n: int) -> ClassFunction:
+    """Character of the substitution action on the span of the forms, class
+    by class.  The basis is the forms at the pivot columns of the matrix
+    whose columns are all of them.  The images of the d basis forms under
+    one explicit permutation of each class are solved for their
+    coordinates in that basis by one `rref_oracle` on the columns
+    [basis | images of class 1 | images of class 2 | ...], and the trace
+    of a class is the diagonal of its block of coordinates."""
+    _, d, pivots = rref_oracle(_coefficient_columns(forms), len(forms))
+    basis = [forms[j] for j in pivots]
+    types = class_types(n)
+    images = [act(f, from_cycle_type(rho)) for rho in types for f in basis]
+    red, rank, _ = rref_oracle(_coefficient_columns(basis + images), d * (len(types) + 1))
+    if rank != d:
+        raise AssertionError("the span is not invariant")
+    return ClassFunction(n, tuple(
+        sum(red[i][d * (c + 1) + i] for i in range(d)) for c in range(len(types))))
 
 
 def sparse_rref_oracle(rows, ncols: int) -> dict[int, dict]:

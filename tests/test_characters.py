@@ -36,6 +36,8 @@ from younglab.characters import (
     theorem1_components,
 )
 from younglab.errors import DegreeMismatchError, OrthogonalizationError
+from younglab.forms import x_monomials
+from younglab.linsys import build_system3, statement1_check
 from younglab.partitions import (
     conjugate,
     enumerate_partitions,
@@ -390,8 +392,13 @@ class TestConjugateTwist:
     (perm_character, ((-1, 2),), "lam"),  # else the value of degree 1
     (perm_character, ((1, 2),), "lam"),  # else psi^(2, 1) under a second key
     (ind_sgn_character, ((1, 2),), "lam"),  # else a bare IndexError
+    (statement1_check, ((3, -1),), "lam"),  # else a report of a square system
+    (build_system3, ((1, 2),), "lam"),  # else the system of (2, 1)
+    (x_monomials, ((2, 0, 1), 3), "lam"),  # else three monomials
+    (standard_count, ((1, 2),), "lam"),  # else 1, cached under (1, 2)
 ], ids=["lemma1", "eq1-lam", "eq1-rho", "theorem1", "components", "components-zero",
-        "perm-negative", "perm-increasing", "ind-sgn"])
+        "perm-negative", "perm-increasing", "ind-sgn", "statement1", "system3",
+        "x-monomials", "standard-count"])
 def test_rejects_non_partitions_naming_the_argument(check, args, name):
     with pytest.raises(ValueError, match=rf"^{name} must have positive"):
         check(*args)

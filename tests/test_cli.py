@@ -13,7 +13,9 @@ from younglab import characters, cli, forms, sweeps
 from younglab.cli import build_parser, main
 from younglab.partitions import parse_partition
 from younglab.sweeps import SWEEPS
-from younglab.tableaux import BijectionCertificate, parse_tableau
+from younglab.tableaux import BijectionCertificate
+
+from oracles import parse_tableau
 
 
 def sha256_hex(text: str) -> str:
@@ -252,6 +254,16 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert out == ""
         assert err.splitlines()[0] == '{"error": "n must be nonnegative", "kind": "usage"}'
+        assert len(error_records(err)) == 1
+
+    def test_bad_weight_names_the_weight(self, capsys):
+        code, out, err = run_cli(capsys, "ssyt", "--shape", "2,1", "--weight", "1,,2")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == json.dumps({
+            "error": "invalid weight '1,,2': invalid literal for int() with base 10: ''",
+            "kind": "usage",
+        })
         assert len(error_records(err)) == 1
 
     def test_bad_partition_exit_2(self, capsys):

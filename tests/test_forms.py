@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -38,11 +39,19 @@ from younglab.forms import (
     x_monomials,
 )
 from younglab.partitions import enumerate_partitions, standard_count
-from younglab.permutations import all_permutations, compose, identity
 from younglab.sweeps import theorem5_passes, two_row_passes
 from younglab.tableaux import enumerate_standard
 
-from oracles import pairing_generators_oracle, sparse_rows
+from oracles import (
+    act,
+    all_permutations,
+    compose,
+    degree,
+    identity,
+    pairing_generators_oracle,
+    restricted_character_oracle,
+    sparse_rows,
+)
 
 
 def prod(xs):
@@ -122,11 +131,11 @@ class TestAction:
     def test_identity(self):
         rng = random.Random(4)
         f = random_form(rng, 4)
-        assert f.act(identity(4)) == f
+        assert act(f, identity(4)) == f
 
     def test_transposition_example(self):
         f = Form(2, {(2, 1): Fraction(1)})  # x1^2 x2
-        swapped = f.act((1, 0))
+        swapped = act(f, (1, 0))
         assert swapped == Form(2, {(1, 2): Fraction(1)})
 
     def test_functorial(self):
@@ -135,13 +144,13 @@ class TestAction:
         for _ in range(20):
             f = random_form(rng, 4)
             s, t = rng.choice(perms), rng.choice(perms)
-            assert f.act(compose(s, t)) == f.act(t).act(s)
+            assert act(f, compose(s, t)) == act(act(f, t), s)
 
     def test_action_permutes_monomial_set(self):
         monos = set(x_monomials((2, 1, 1), 4))
         for sigma in all_permutations(4):
             acted = {
-                next(iter(Form.monomial(4, m).act(sigma).terms))
+                next(iter(act(Form.monomial(4, m), sigma).terms))
                 for m in monos
             }
             assert acted == monos
@@ -252,7 +261,7 @@ class TestSpechtPoly:
                 t.append(tuple(range(counter, counter + part)))
                 counter += part
             sp = specht_poly(tuple(t), 5)
-            assert sp.degree() == expected
+            assert degree(sp) == expected
 
     def test_rejects_repeats(self):
         with pytest.raises(InvalidFillingError):
@@ -313,7 +322,7 @@ class TestTheorem5:
             index = {m: i for i, m in enumerate(space.ambient)}
             for sigma in all_permutations(4):
                 for t in enumerate_standard(lam):
-                    moved = specht_poly(t, 4).act(sigma)
+                    moved = act(specht_poly(t, 4), sigma)
                     vec = form_to_vector(moved, index)
                     assert space.subspace.coordinates(vec) is not None
 
@@ -355,7 +364,7 @@ class TestRestrictedCharacter:
     def test_transposition_alone_is_not_enough(self):
         # span{x1 + x2} is fixed by (1 2) but moved by (1 2 3)
         f = Form.variable(3, 1) + Form.variable(3, 2)
-        assert f.act((1, 0, 2)) == f
+        assert act(f, (1, 0, 2)) == f
         space = span_of_forms([f], x_monomials((2, 1), 3))
         with pytest.raises(NotInvariantError):
             restricted_character(space, 3)
@@ -364,7 +373,7 @@ class TestRestrictedCharacter:
         # (1 2 3 4) sends x1 - x2 + x3 - x4 to its negative; (1 2) moves it
         x = [Form.variable(4, i) for i in range(1, 5)]
         f = x[0] - x[1] + x[2] - x[3]
-        assert f.act((1, 2, 3, 0)) == -f
+        assert act(f, (1, 2, 3, 0)) == -f
         space = span_of_forms([f], x_monomials((3, 1), 4))
         with pytest.raises(NotInvariantError):
             restricted_character(space, 4)
@@ -395,17 +404,60 @@ def specht_module_forms(lam, n):
     return [specht_poly(t, n) for t in enumerate_standard(lam)]
 
 
+# the trivial line and the single monomials join each case's invariant blocks
+INVARIANT_BLOCKS = [
+    (n, ambient, blocks + [
+        [Form(n, dict.fromkeys(ambient, 1))],
+        [Form.monomial(n, m) for m in ambient],
+    ]) for n, ambient, blocks in [
+        (2, x_monomials((1, 1), 2), [specht_module_forms((1, 1), 2)]),
+        (3, x_monomials((2, 1), 3), [specht_module_forms((2, 1), 3)]),
+        (4, x_monomials((2, 1, 1), 4), [specht_module_forms((2, 1, 1), 4)]),
+        (4, squarefree_monomials(4, 2), [
+            difference_product_generators(4, l, 2) for l in range(3)
+        ]),
+    ]
+]
+INVARIANT_BLOCK_IDS = ["x(1,1)", "x(2,1)", "x(2,1,1)", "squarefree(4,2)"]
+
+
+class TestTraceOracle:
+    """`restricted_character` against `restricted_character_oracle`, which
+    acts on a basis by one explicit permutation per class and solves for
+    the coordinates of the images by Fraction Gauss-Jordan, on reducible
+    invariant spans as well as irreducible ones."""
+
+    @pytest.mark.parametrize("n,ambient,blocks", INVARIANT_BLOCKS, ids=INVARIANT_BLOCK_IDS)
+    def test_every_union_of_invariant_blocks(self, n, ambient, blocks):
+        for r in range(1, len(blocks) + 1):
+            for chosen in combinations(blocks, r):
+                spanning = [f for block in chosen for f in block]
+                assert restricted_character(span_of_forms(spanning, ambient), n) == (
+                    restricted_character_oracle(spanning, n))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_sums_of_two_row_components(self, n):
+        for k in range(1, n // 2 + 1):
+            ambient = squarefree_monomials(n, k)
+            components = [difference_product_generators(n, l, k) for l in range(k + 1)]
+            for r in range(2, k + 2):
+                for chosen in combinations(components, r):
+                    spanning = [f for component in chosen for f in component]
+                    assert restricted_character(span_of_forms(spanning, ambient), n) == (
+                        restricted_character_oracle(spanning, n)), (k, r)
+
+
 class TestInvarianceAgainstOracle:
     """`restricted_character` raises NotInvariantError exactly when some
     permutation of all n! moves a spanning form out of the span.  The
-    oracle acts by `Form.act` and asks `Subspace.coordinates`; it uses
+    oracle acts by `act` and asks `Subspace.coordinates`; it uses
     neither the generators of S_n nor `rank`."""
 
     @staticmethod
     def invariant_by_oracle(spanning, space, n):
         index = {m: i for i, m in enumerate(space.ambient)}
         return all(
-            space.subspace.coordinates(form_to_vector(f.act(sigma), index)) is not None
+            space.subspace.coordinates(form_to_vector(act(f, sigma), index)) is not None
             for sigma in all_permutations(n)
             for f in spanning
         )
@@ -423,21 +475,8 @@ class TestInvarianceAgainstOracle:
             spanning.append(f)
         return spanning
 
-    @pytest.mark.parametrize("n,ambient,blocks", [
-        (2, x_monomials((1, 1), 2), [specht_module_forms((1, 1), 2)]),
-        (3, x_monomials((2, 1), 3), [specht_module_forms((2, 1), 3)]),
-        (4, x_monomials((2, 1, 1), 4), [specht_module_forms((2, 1, 1), 4)]),
-        (4, squarefree_monomials(4, 2), [
-            difference_product_generators(4, l, 2) for l in range(3)
-        ]),
-    ], ids=["x(1,1)", "x(2,1)", "x(2,1,1)", "squarefree(4,2)"])
+    @pytest.mark.parametrize("n,ambient,blocks", INVARIANT_BLOCKS, ids=INVARIANT_BLOCK_IDS)
     def test_raises_exactly_when_some_permutation_moves_the_span(self, n, ambient, blocks):
-        # the trivial line and the single monomials join the given
-        # invariant blocks
-        blocks = blocks + [
-            [Form(n, dict.fromkeys(ambient, 1))],
-            [Form.monomial(n, m) for m in ambient],
-        ]
         rng = random.Random(f"invariance {n} {len(ambient)}")
         outcomes = set()
         for _ in range(60):

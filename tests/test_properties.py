@@ -18,9 +18,10 @@ from younglab.tableaux import (  # noqa: E402
     enumerate_ssyt,
     format_tableau,
     kostka,
-    parse_tableau,
     theorem4_bijection,
 )
+
+from oracles import parse_tableau  # noqa: E402
 
 
 def partitions(min_size=0, max_size=12):

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import (
     certificate_check_oracle,
+    parse_tableau,
     semistandard_oracle,
     ssyt_backtracking_oracle,
     strips_oracle,
@@ -31,7 +32,6 @@ from younglab.tableaux import (
     format_tableau,
     is_semistandard,
     kostka,
-    parse_tableau,
     strip_weight,
     theorem4_bijection,
 )

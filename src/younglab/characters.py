@@ -24,12 +24,11 @@ returns the same pairing as a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 from operator import mul
 
 from .errors import DegreeMismatchError, OrthogonalizationError, SizeMismatchError
@@ -94,16 +93,34 @@ def sign_value(rho: Partition) -> int:
     return -1 if (sum(rho) - len(rho)) % 2 else 1
 
 
-@dataclass(frozen=True)
 class ClassFunction:
-    """Integer-valued function on the conjugacy classes of degree n."""
+    """Integer-valued function on the conjugacy classes of degree n; an
+    immutable value (it lives in process-wide caches), not a sequence."""
 
-    n: int
-    values: tuple[int, ...]
+    __slots__ = ("n", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(class_types(self.n)):
+    def __init__(self, n: int, values):
+        values = tuple(values)
+        if len(values) != len(class_types(n)):
             raise DegreeMismatchError("one value per cycle type is required")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.values))
+
+    def __repr__(self) -> str:
+        return f"ClassFunction(n={self.n!r}, values={self.values!r})"
 
     def __call__(self, rho: Partition) -> int:
         return self.values[_type_index(self.n)[rho]]
@@ -232,8 +249,7 @@ def theorem1_check(lam: Partition) -> Fraction:
     return inner(perm_character(lam), ind_sgn_character(lam))
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(NamedTuple):
     """Multiplicities of irreducibles inside the row-induced modules, with
     the irreducible characters found alongside them, keyed by partition in
     the frozen order.  rows[lam] holds M(mu, lam) for each mu up to lam and

@@ -16,10 +16,10 @@ and the only fractions are the pivot rows of an RREF basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 from numbers import Rational
+from typing import NamedTuple
 
 from .characters import ClassFunction, class_types, irreducible_characters, perm_character
 from .errors import (
@@ -227,8 +227,7 @@ def statement2_check(lam: Partition, n: int) -> bool:
     return monomial_action_character(monos, n) == perm_character(lam)
 
 
-@dataclass(frozen=True)
-class FormSpace:
+class FormSpace(NamedTuple):
     """A subspace of the span of an explicit ordered monomial basis."""
 
     ambient: tuple[Monomial, ...]

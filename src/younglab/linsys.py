@@ -15,10 +15,9 @@ network scaled by p(n-1) * p(n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import SelfCheckError
 from .exactla import RationalMatrix, rank
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class System3:
+class System3(NamedTuple):
     """0/1 system for one shape: rows rho over bar(lam), columns mu over lam."""
 
     lam: Partition
@@ -78,8 +76,7 @@ def build_system3(lam: Partition) -> System3:
     return System3(lam, rows, cols, RationalMatrix(entries, cols=len(cols)))
 
 
-@dataclass(frozen=True)
-class Statement1Report:
+class Statement1Report(NamedTuple):
     lam: Partition
     bar_bijective: bool
     square: bool
@@ -115,8 +112,7 @@ def statement1_check(lam: Partition) -> Statement1Report:
     return Statement1Report(lam, bijective, square, kdim, unipotent)
 
 
-@dataclass(frozen=True)
-class FlowInstance:
+class FlowInstance(NamedTuple):
     """Transport instance between consecutive levels of the Young graph."""
 
     n: int

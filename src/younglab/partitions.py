@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from functools import cache
 from itertools import accumulate
-from operator import ge
+from operator import ge, index
 
 from .errors import EmptyPartitionError, LimitError, SizeMismatchError
 
@@ -35,9 +35,14 @@ def max_n() -> int:
         raise LimitError(f"{_MAX_N_ENV} must be an integer, got {raw!r}") from None
 
 
-def check_partition(parts) -> Partition:
-    """Validate and normalize an iterable of parts into a Partition."""
-    p = tuple(int(x) for x in parts)
+def check_partition(parts, name: str = "partition") -> Partition:
+    """Validate and normalize an iterable of parts into a Partition; a part
+    that is not an integer (`operator.index` fails) raises ValueError
+    naming `name`, never truncated."""
+    try:
+        p = tuple(map(index, parts))
+    except TypeError:
+        raise ValueError(f"{name} must have integer parts, got {parts}") from None
     for i, x in enumerate(p):
         if x < 1:
             raise ValueError(f"parts must be positive integers, got {p}")
@@ -47,18 +52,22 @@ def check_partition(parts) -> Partition:
 
 
 def _require_partition(name: str, parts: Partition) -> None:
-    """Raise ValueError naming `name` unless parts are positive and weakly
-    decreasing.  Reads the tuple in place, without the copy check_partition
-    makes, so a sweep calling this per pair allocates nothing that lasts."""
+    """Raise ValueError naming `name` unless parts are positive, weakly
+    decreasing integers (`operator.index` accepts them).  Reads the tuple in
+    place, without the copy check_partition makes, so a sweep calling this
+    per pair allocates nothing that lasts."""
     prev = parts[0] if parts else 1
-    for part in parts:
-        if part > prev:
-            prev = 0  # an increase fails like a nonpositive last part
-            break
-        prev = part
+    try:
+        for part in parts:
+            if index(part) > prev:
+                prev = 0  # an increase fails like a nonpositive last part
+                break
+            prev = part
+    except TypeError:
+        prev = 0
     if prev < 1:
         raise ValueError(
-            f"{name} must have positive, weakly decreasing parts, got {parts}")
+            f"{name} must have positive, weakly decreasing integer parts, got {parts}")
 
 
 def parse_partition(text: str) -> Partition:

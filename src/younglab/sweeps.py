@@ -19,7 +19,6 @@ by every sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -48,8 +47,7 @@ __all__ = ["SWEEPS", "Sweep", "VerificationReport", "example4_passes", "run_swee
            "theorem5_passes", "two_row_passes"]
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one verification sweep; fails iff a counterexample exists."""
 
     check_name: str

@@ -10,10 +10,10 @@ distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, product
-from operator import add, le, lt
+from operator import add, index, le, lt
+from typing import NamedTuple
 
 from .errors import LimitError, SelfCheckError, SizeMismatchError
 from .partitions import (
@@ -53,11 +53,15 @@ def format_tableau(t: Tableau) -> str:
 
 def _checked_shape(shape: Partition, weight: Weight) -> Partition:
     """Validate a (shape, weight) pair before any tableau work: the shape
-    is a partition, the counts are nonnegative, the sizes agree and do not
-    exceed YOUNGLAB_MAX_N.  Returns the normalized shape."""
-    shape = check_partition(shape)
-    if any(c < 0 for c in weight):
-        raise ValueError(f"weight counts must be nonnegative, got {weight}")
+    is a partition, the counts are nonnegative integers, the sizes agree and
+    do not exceed YOUNGLAB_MAX_N.  Returns the normalized shape."""
+    shape = check_partition(shape, "shape")
+    try:
+        bad = any(index(c) < 0 for c in weight)
+    except TypeError:  # not an integer
+        bad = True
+    if bad:
+        raise ValueError(f"weight counts must be nonnegative integers, got {weight}")
     if sum(shape) != sum(weight):
         raise SizeMismatchError(f"|{shape}| != |{weight}|")
     if sum(shape) > max_n():
@@ -155,8 +159,7 @@ def enumerate_standard(lam: Partition) -> list[Tableau]:
     return enumerate_ssyt(lam, (1,) * sum(lam))
 
 
-@dataclass(frozen=True)
-class BijectionPair:
+class BijectionPair(NamedTuple):
     mu_tableau: Tableau
     removed_symbol: int
     rho_tableau: Tableau
@@ -164,8 +167,7 @@ class BijectionPair:
     canonical: bool
 
 
-@dataclass(frozen=True)
-class BijectionCertificate:
+class BijectionCertificate(NamedTuple):
     """A pairing witnessing the two-way count for (lam, rho).
 
     The left side lists every semistandard tableau of weight lam whose shape
@@ -209,9 +211,8 @@ class BijectionCertificate:
         word = [x for x, c in enumerate(lam, 1) for _ in range(c)]
         # minus[x]: the word with its first x dropped, for x = 1..len(lam)
         minus = [None] + [word[:i] + word[i + 1:] for i in accumulate((0,) + lam[:-1])]
-        for p in self.pairs:
-            t, s, x = p.mu_tableau, p.rho_tableau, p.removed_symbol
-            if not (1 <= x <= len(lam) and p.gamma_weight == _minus_one(lam, x)):
+        for t, x, s, w, _ in self.pairs:
+            if not (1 <= x <= len(lam) and w == _minus_one(lam, x)):
                 return False
             if not (tuple(map(len, t)) in covers and _fills(t, word)):
                 return False
@@ -282,7 +283,7 @@ def theorem4_bijection(lam: Partition, rho: Partition) -> BijectionCertificate:
     Both partitions and the size cap are checked before any listing; both
     sides share one `_ssyt` memo and are listed as `enumerate_ssyt` lists.
     """
-    lam, rho = check_partition(lam), check_partition(rho)
+    lam, rho = check_partition(lam, "lam"), check_partition(rho, "rho")
     _check_consecutive(lam, rho)
     if sum(lam) > max_n():
         raise LimitError(f"n={sum(lam)} exceeds the configured maximum {max_n()}")

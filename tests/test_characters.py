@@ -1,4 +1,3 @@
-from dataclasses import fields
 from fractions import Fraction
 from math import factorial
 
@@ -277,7 +276,7 @@ class TestMultiplicities:
         # M(mu, lam) is stored for each mu up to lam only, ending in 1
         table = multiplicity_table(n)
         shapes = enumerate_partitions(n)
-        assert [f.name for f in fields(table)] == ["n", "rows", "characters"]
+        assert table._fields == ("n", "rows", "characters")
         assert list(table.rows) == list(shapes)
         for i, lam in enumerate(shapes):
             assert len(table.rows[lam]) == i + 1
@@ -393,12 +392,13 @@ class TestConjugateTwist:
     (perm_character, ((1, 2),), "lam"),  # else psi^(2, 1) under a second key
     (ind_sgn_character, ((1, 2),), "lam"),  # else a bare IndexError
     (statement1_check, ((3, -1),), "lam"),  # else a report of a square system
+    (statement1_check, ((2.0, 1),), "lam"),  # else a report with lam=(2.0, 1)
     (build_system3, ((1, 2),), "lam"),  # else the system of (2, 1)
     (x_monomials, ((2, 0, 1), 3), "lam"),  # else three monomials
     (standard_count, ((1, 2),), "lam"),  # else 1, cached under (1, 2)
 ], ids=["lemma1", "eq1-lam", "eq1-rho", "theorem1", "components", "components-zero",
-        "perm-negative", "perm-increasing", "ind-sgn", "statement1", "system3",
-        "x-monomials", "standard-count"])
+        "perm-negative", "perm-increasing", "ind-sgn", "statement1", "statement1-float",
+        "system3", "x-monomials", "standard-count"])
 def test_rejects_non_partitions_naming_the_argument(check, args, name):
     with pytest.raises(ValueError, match=rf"^{name} must have positive"):
         check(*args)

@@ -4,6 +4,7 @@ from younglab.errors import EmptyPartitionError, LimitError, SizeMismatchError
 from younglab.partitions import (
     addable_rows,
     bar,
+    check_partition,
     conjugate,
     dominance_upset,
     dominates,
@@ -264,3 +265,7 @@ class TestTextFormat:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             parse_partition(bad)
+
+    def test_check_partition_rejects_non_integer_parts(self):
+        with pytest.raises(ValueError, match="^partition must have integer parts"):
+            check_partition((2.5,))  # else truncated to (2,)

@@ -3,7 +3,6 @@ checks that reach the form spaces, the deviation systems and the transport.
 The counterexamples are made by rebinding the library name a check calls,
 which the sweeps look up at call time."""
 
-import dataclasses
 import json
 
 import pytest
@@ -74,7 +73,7 @@ def test_statement1_counterexample(monkeypatch, change):
     real = sweeps.statement1_check
     monkeypatch.setattr(
         sweeps, "statement1_check",
-        lambda lam: dataclasses.replace(real(lam), **change) if lam == (3, 1) else real(lam),
+        lambda lam: real(lam)._replace(**change) if lam == (3, 1) else real(lam),
     )
     _fails_on(run_sweep("statement1", 4), {"lambda": [3, 1]}, 2 + 3 + 5)
 

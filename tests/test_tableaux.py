@@ -2,7 +2,6 @@ import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import permutations, product
 from pathlib import Path
 
@@ -173,6 +172,16 @@ class TestKostka:
             enumerate_ssyt(shape, weight)
         assert from_count.type is from_list.type
 
+    @pytest.mark.parametrize("shape, weight, message", [
+        ((2.5,), (2,), "^shape must have integer parts"),  # else counted as (2,)
+        ((2,), (2.0,), "^weight counts must be nonnegative integers"),  # else 1
+    ])
+    def test_rejects_non_integer_parts_and_counts(self, shape, weight, message):
+        kostka.cache_clear()  # checked on a cache miss, and (2.0,) == (2,) as a key
+        for route in (kostka, enumerate_ssyt):
+            with pytest.raises(ValueError, match=message):
+                route(shape, weight)
+
     def test_size_cap_checked_before_work(self, monkeypatch):
         monkeypatch.setenv("YOUNGLAB_MAX_N", "5")
         kostka.cache_clear()  # the cap is checked on a cache miss
@@ -319,17 +328,17 @@ def certificate_mutants():
     other = next(p for p in cert.pairs if p.gamma_weight != first.gamma_weight)
     one_row = (tuple(sorted(sum(first.rho_tableau, ()))),)
     changed = {
-        **{name: (replace(first, mu_tableau=parse_tableau(text)), second)
+        **{name: (first._replace(mu_tableau=parse_tableau(text)), second)
            for name, text in LEFT_MUTANTS.items()},
-        "right-of-wrong-weight": (replace(first, rho_tableau=other.rho_tableau), second),
-        "right-of-wrong-shape": (replace(first, rho_tableau=one_row), second),
-        "wrong-gamma-weight": (replace(first, gamma_weight=other.gamma_weight), second),
-        "duplicated-left-item": (first, replace(second, mu_tableau=first.mu_tableau)),
-        "duplicated-right-item": (first, replace(
-            second, removed_symbol=first.removed_symbol,
+        "right-of-wrong-weight": (first._replace(rho_tableau=other.rho_tableau), second),
+        "right-of-wrong-shape": (first._replace(rho_tableau=one_row), second),
+        "wrong-gamma-weight": (first._replace(gamma_weight=other.gamma_weight), second),
+        "duplicated-left-item": (first, second._replace(mu_tableau=first.mu_tableau)),
+        "duplicated-right-item": (first, second._replace(
+            removed_symbol=first.removed_symbol,
             rho_tableau=first.rho_tableau, gamma_weight=first.gamma_weight)),
     }
-    return cert, {name: replace(cert, pairs=(*two, *rest)) for name, two in changed.items()}
+    return cert, {name: cert._replace(pairs=(*two, *rest)) for name, two in changed.items()}
 
 
 class TestBijection:
@@ -381,8 +390,8 @@ class TestBijection:
     def test_check_rejects_a_wrong_removed_symbol(self):
         cert = theorem4_bijection((2, 2, 1), (3, 1))
         first = cert.pairs[0]
-        wrong = replace(first, removed_symbol=first.removed_symbol + 1)
-        mutant = replace(cert, pairs=(wrong,) + cert.pairs[1:])
+        wrong = first._replace(removed_symbol=first.removed_symbol + 1)
+        mutant = cert._replace(pairs=(wrong,) + cert.pairs[1:])
         assert not mutant.check()
         assert not certificate_check_oracle(mutant)
 
@@ -472,6 +481,11 @@ class TestBijection:
         monkeypatch.setattr(tableaux, "_ssyt", None)  # nothing may be listed
         with pytest.raises(ValueError, match="parts must be"):
             theorem4_bijection(lam, rho)
+
+    def test_rejects_non_integer_parts(self, monkeypatch):
+        monkeypatch.setattr(tableaux, "_ssyt", None)  # nothing may be listed
+        with pytest.raises(ValueError, match="^lam must have integer parts"):
+            theorem4_bijection((2.6, 1), (2,))  # else certified as (2, 1)
 
     def test_size_cap_checked_before_listing(self, monkeypatch):
         monkeypatch.setenv("YOUNGLAB_MAX_N", "5")

@@ -34,7 +34,9 @@ from operator import mul
 from .errors import DegreeMismatchError, OrthogonalizationError, SizeMismatchError
 from .partitions import (
     Partition,
-    _require_partition,
+    check_degree,
+    check_pair,
+    check_partition,
     conjugate,
     enumerate_partitions,
     predecessors,
@@ -75,7 +77,7 @@ def _type_index(n: int) -> dict[Partition, int]:
 
 def class_size(rho: Partition) -> int:
     """Number of permutations with cycle type rho: n!/z_rho."""
-    n = sum(rho)
+    n = sum(check_partition(rho, "rho"))
     z = 1
     for length in set(rho):
         m = rho.count(length)
@@ -193,8 +195,7 @@ def perm_character(lam: Partition) -> ClassFunction:
     the rows with prescribed sums: the coefficient of m_lam in the power
     sum p_rho.  Every shape of the degree is expanded in one pass and
     cached per degree (`_perm_characters`)."""
-    _require_partition("lam", lam)
-    return _perm_characters(sum(lam))[lam]
+    return _perm_characters(sum(check_partition(lam, "lam")))[lam]
 
 
 @cache
@@ -207,13 +208,11 @@ def sign_twist(f: ClassFunction) -> ClassFunction:
     return ClassFunction(f.n, tuple(map(mul, _signs(f.n), f.values)))
 
 
-@cache
 def ind_sgn_character(lam: Partition) -> ClassFunction:
     """Character of the module induced from the sign character of the
     column stabilizer of lam; equals sign_twist of the row character of
     the conjugate shape."""
-    _require_partition("lam", lam)
-    return sign_twist(perm_character(conjugate(lam)))
+    return sign_twist(perm_character(conjugate(check_partition(lam, "lam"))))
 
 
 def inner(f: ClassFunction, g: ClassFunction) -> Fraction:
@@ -245,7 +244,6 @@ def _multiplicities(f: ClassFunction) -> Callable[[Partition, ClassFunction], in
 
 def theorem1_check(lam: Partition) -> Fraction:
     """Pairing of the two induced characters attached to lam; contract: 1."""
-    _require_partition("lam", lam)
     return inner(perm_character(lam), ind_sgn_character(lam))
 
 
@@ -264,7 +262,6 @@ class MultiplicityTable(NamedTuple):
         return row[i] if i < len(row) else 0
 
 
-@cache
 def multiplicity_table(n: int) -> MultiplicityTable:
     """M(mu, lam) = pairing of the lam permutation character with the mu
     irreducible, for all pairs of partitions of n, and the irreducibles.
@@ -276,9 +273,14 @@ def multiplicity_table(n: int) -> MultiplicityTable:
     lies in the span of the irreducibles up to lam, so M(mu, lam) = 0 for
     every later mu.  Nonnegative integer multiplicities, unit norm, and
     the branching dimension are enforced; a violation means the processing
-    order is broken.
+    order is broken.  Each call checks n before the cached table is read.
     """
-    shapes = enumerate_partitions(n)  # rejects a negative n before factorial
+    return _multiplicity_table(check_degree(n))
+
+
+@cache
+def _multiplicity_table(n: int) -> MultiplicityTable:
+    shapes = enumerate_partitions(n)
     nfact = factorial(n)
     sizes = _class_sizes(n)
     chis: dict[Partition, ClassFunction] = {}
@@ -306,6 +308,10 @@ def multiplicity_table(n: int) -> MultiplicityTable:
     return MultiplicityTable(n, rows, chis)
 
 
+multiplicity_table.cache_info = _multiplicity_table.cache_info
+multiplicity_table.cache_clear = _multiplicity_table.cache_clear
+
+
 def irreducible_characters(n: int) -> dict[Partition, ClassFunction]:
     """All irreducible characters, keyed by partition in the frozen order:
     those found by the orthogonalization in `multiplicity_table`."""
@@ -327,8 +333,7 @@ def restrict(f: ClassFunction) -> ClassFunction:
 def lemma1_check(lam: Partition) -> bool:
     """Restriction of the lam row character decomposes over the covered
     shapes with the removal multiplicities."""
-    _require_partition("lam", lam)
-    if sum(lam) < 2:
+    if sum(check_partition(lam, "lam")) < 2:
         raise SizeMismatchError("need degree at least 2")
     lhs = restrict(perm_character(lam))
     n1 = lhs.n
@@ -340,11 +345,8 @@ def lemma1_check(lam: Partition) -> bool:
 
 def eq1_check(lam: Partition, rho: Partition) -> tuple[int, int]:
     """Both sides of the multiplicity recurrence for (lam, rho)."""
-    _require_partition("lam", lam)
-    _require_partition("rho", rho)
+    lam, rho = check_pair(lam, rho)
     n = sum(lam)
-    if sum(rho) != n - 1:
-        raise SizeMismatchError(f"need |{lam}| = |{rho}| + 1")
     big = multiplicity_table(n)
     small = multiplicity_table(n - 1)
     left = sum(big(mu, lam) for mu in successors(rho))
@@ -361,8 +363,7 @@ def conjugate_twist_check(n: int) -> bool:
 def theorem1_components(lam: Partition) -> list[tuple[Partition, int, int]]:
     """Irreducibles common to both induced modules of lam, with their
     multiplicities in each; the contract is the single entry (lam, 1, 1)."""
-    _require_partition("lam", lam)
-    table = multiplicity_table(sum(lam))
+    table = multiplicity_table(sum(check_partition(lam, "lam")))
     multiplicity = _multiplicities(ind_sgn_character(lam))
     out = []
     for (mu, chi), a in zip(table.characters.items(), table.rows[lam]):

@@ -28,7 +28,7 @@ from .errors import (
 from .exactla import Subspace, rank
 # not used here: perfbench/tests/test_perfbench.py reaches younglab.forms.restricted_trace
 from .exactla import restricted_trace  # noqa: F401
-from .partitions import Partition, _require_partition, standard_count
+from .partitions import Partition, check_partition, standard_count
 from .tableaux import Tableau, enumerate_standard
 
 Monomial = tuple[int, ...]
@@ -195,8 +195,7 @@ def x_monomials(lam: Partition, n: int) -> list[Monomial]:
     """
     if n > STATEMENT2_MAX_N:
         raise LimitError(f"n={n} exceeds the supported {STATEMENT2_MAX_N}")
-    _require_partition("lam", lam)
-    if sum(lam) != n:
+    if sum(check_partition(lam, "lam")) != n:
         raise SizeMismatchError(f"|{lam}| != {n}")
     exponents: list[int] = []
     for i, part in enumerate(lam):

@@ -25,8 +25,8 @@ from .exactla import RationalMatrix, rank
 from .exactla import kernel  # noqa: F401
 from .partitions import (
     Partition,
-    _require_partition,
     bar,
+    check_partition,
     dominance_upset,
     enumerate_partitions,
     predecessors,
@@ -57,8 +57,7 @@ class System3(NamedTuple):
 def _cover_rows(lam: Partition):
     """Row and column index sets of lam's system and its rows as sparse
     {column: 1} dicts: row rho holds column mu exactly when mu covers rho."""
-    _require_partition("lam", lam)
-    if sum(lam) < 2:
+    if sum(check_partition(lam, "lam")) < 2:
         raise ValueError("need a partition of n >= 2")
     rows = tuple(dominance_upset(bar(lam)))
     cols = tuple(dominance_upset(lam))

@@ -36,29 +36,13 @@ def max_n() -> int:
 
 
 def check_partition(parts, name: str = "partition") -> Partition:
-    """Validate and normalize an iterable of parts into a Partition; a part
-    that is not an integer (`operator.index` fails) raises ValueError
-    naming `name`, never truncated."""
+    """The parts as a tuple (a tuple argument is returned, not copied), or
+    a ValueError naming `name` unless they are positive, weakly decreasing
+    and integers (`operator.index` accepts each, so 2.0 is refused)."""
     try:
-        p = tuple(map(index, parts))
-    except TypeError:
-        raise ValueError(f"{name} must have integer parts, got {parts}") from None
-    for i, x in enumerate(p):
-        if x < 1:
-            raise ValueError(f"parts must be positive integers, got {p}")
-        if i + 1 < len(p) and p[i + 1] > x:
-            raise ValueError(f"parts must be weakly decreasing, got {p}")
-    return p
-
-
-def _require_partition(name: str, parts: Partition) -> None:
-    """Raise ValueError naming `name` unless parts are positive, weakly
-    decreasing integers (`operator.index` accepts them).  Reads the tuple in
-    place, without the copy check_partition makes, so a sweep calling this
-    per pair allocates nothing that lasts."""
-    prev = parts[0] if parts else 1
-    try:
-        for part in parts:
+        p = parts if isinstance(parts, tuple) else tuple(parts)
+        prev = p[0] if p else 1
+        for part in p:
             if index(part) > prev:
                 prev = 0  # an increase fails like a nonpositive last part
                 break
@@ -68,6 +52,29 @@ def _require_partition(name: str, parts: Partition) -> None:
     if prev < 1:
         raise ValueError(
             f"{name} must have positive, weakly decreasing integer parts, got {parts}")
+    return p
+
+
+def check_degree(n) -> int:
+    """n as an int; ValueError unless index(n) works and n >= 0, LimitError over max_n()."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > max_n():
+        raise LimitError(f"n={n} exceeds the configured maximum {max_n()}")
+    return n
+
+
+def check_pair(lam: Partition, rho: Partition) -> tuple[Partition, Partition]:
+    """Both checked as partitions, then |lam| = |rho| + 1, then the size cap."""
+    lam, rho = check_partition(lam, "lam"), check_partition(rho, "rho")
+    if sum(lam) != sum(rho) + 1:
+        raise SizeMismatchError(f"need |{lam}| = |{rho}| + 1")
+    check_degree(sum(lam))
+    return lam, rho
 
 
 def parse_partition(text: str) -> Partition:
@@ -76,7 +83,7 @@ def parse_partition(text: str) -> Partition:
     if not text:
         return ()
     try:
-        return check_partition(int(s) for s in text.split(","))
+        return check_partition(tuple(int(s) for s in text.split(",")))
     except ValueError as exc:
         raise ValueError(f"invalid partition {text!r}: {exc}") from None
 
@@ -85,17 +92,17 @@ def format_partition(p: Partition) -> str:
     return ",".join(str(x) for x in p)
 
 
-@cache
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in descending lexicographic order, (n) first.
 
     This order is a linear extension of reverse dominance: whenever
-    mu strictly dominates lam, mu is listed before lam.
+    mu strictly dominates lam, mu is listed before lam.  Each call checks n first.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > max_n():
-        raise LimitError(f"n={n} exceeds the configured maximum {max_n()}")
+    return _enumerate_partitions(check_degree(n))
+
+
+@cache
+def _enumerate_partitions(n: int) -> tuple[Partition, ...]:
     if n == 0:
         return ((),)
     out: list[Partition] = []
@@ -116,6 +123,10 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
             nxt = min(cur[-1], rest)
             cur.append(nxt)
             rest -= nxt
+
+
+enumerate_partitions.cache_info = _enumerate_partitions.cache_info
+enumerate_partitions.cache_clear = _enumerate_partitions.cache_clear
 
 
 def partition_count(n: int) -> int:
@@ -239,15 +250,20 @@ def dominance_upset(lam: Partition) -> list[Partition]:
     ]
 
 
-@cache
 def standard_count(lam: Partition) -> int:
     """Number of paths from the empty diagram to lam in the Young graph.
 
     Computed by the branching recursion f(lam) = sum of f(gamma) over the
     covered gamma, with f(empty) = 1; equals the number of standard tableaux
-    of shape lam.
+    of shape lam.  Each call checks lam first; the cached recursion does not.
     """
-    _require_partition("lam", lam)
-    if not lam:
-        return 1
-    return sum(standard_count(gamma) for gamma, _ in predecessors(lam))
+    return _standard_count(check_partition(lam, "lam"))
+
+
+@cache
+def _standard_count(lam: Partition) -> int:
+    return sum(_standard_count(gamma) for gamma, _ in predecessors(lam)) if lam else 1
+
+
+standard_count.cache_info = _standard_count.cache_info
+standard_count.cache_clear = _standard_count.cache_clear

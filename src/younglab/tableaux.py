@@ -15,12 +15,12 @@ from itertools import accumulate, chain, product
 from operator import add, index, le, lt
 from typing import NamedTuple
 
-from .errors import LimitError, SelfCheckError, SizeMismatchError
+from .errors import SelfCheckError, SizeMismatchError
 from .partitions import (
     Partition,
-    _require_partition,
+    check_degree,
+    check_pair,
     check_partition,
-    max_n,
     predecessors,
     successors,
 )
@@ -34,17 +34,6 @@ def strip_weight(w: Weight) -> Weight:
     while w and w[-1] == 0:
         w = w[:-1]
     return w
-
-
-def is_semistandard(t: Tableau) -> bool:
-    """Rows weakly and columns strictly increase, the first row under a
-    row of zeros (so entries are positive); row lengths weakly decrease."""
-    for i, row in enumerate(t):
-        above = t[i - 1] if i else (0,) * len(row)
-        if len(row) > len(above) or not (
-                all(map(lt, above, row)) and all(map(le, row, row[1:]))):
-            return False
-    return True
 
 
 def format_tableau(t: Tableau) -> str:
@@ -64,8 +53,7 @@ def _checked_shape(shape: Partition, weight: Weight) -> Partition:
         raise ValueError(f"weight counts must be nonnegative integers, got {weight}")
     if sum(shape) != sum(weight):
         raise SizeMismatchError(f"|{shape}| != |{weight}|")
-    if sum(shape) > max_n():
-        raise LimitError(f"n={sum(shape)} exceeds the configured maximum {max_n()}")
+    check_degree(sum(shape))
     return shape
 
 
@@ -103,7 +91,6 @@ def _ssyt(mu: Partition, w: Weight, memo: dict) -> list[Tableau]:
     return found
 
 
-@cache
 def kostka(mu: Partition, lam: Weight) -> int:
     """Kostka number: the count of semistandard tableaux of shape mu and
     weight lam.  The weight may be any composition; the count only depends
@@ -113,14 +100,23 @@ def kostka(mu: Partition, lam: Weight) -> int:
     Counted without building a tableau: the cells holding the largest
     symbol form a horizontal strip of lam[-1] cells, so K(mu, lam) is the
     sum of K(nu, lam[:-1]) over the shapes nu left when such a strip is
-    removed from mu (Macdonald, Symmetric Functions, I.5).
+    removed from mu (Macdonald, Symmetric Functions, I.5).  Each call checks
+    the pair first; the cached recursion does not.
     """
-    mu = _checked_shape(mu, lam)
+    return _kostka(_checked_shape(mu, lam), tuple(lam))
+
+
+@cache
+def _kostka(mu: Partition, lam: Weight) -> int:
     if not lam:
         return 1
     if len(mu) > len(lam):
         return 0
-    return sum(kostka(nu, lam[:-1]) for nu in _strips(mu, lam[-1]))
+    return sum(_kostka(nu, lam[:-1]) for nu in _strips(mu, lam[-1]))
+
+
+kostka.cache_info = _kostka.cache_info
+kostka.cache_clear = _kostka.cache_clear
 
 
 @cache
@@ -141,17 +137,10 @@ def eq2_check(lam: Partition, rho: Partition) -> tuple[int, int]:
     left  = sum over covers mu of rho of K(mu, lam)
     right = sum over gamma covered by lam of c(lam, gamma) * K(rho, gamma)
     """
-    _require_partition("lam", lam)
-    _require_partition("rho", rho)
-    _check_consecutive(lam, rho)
-    left = sum(kostka(mu, lam) for mu in successors(rho))
-    right = sum(c * kostka(rho, gamma) for gamma, c in predecessors(lam))
+    lam, rho = check_pair(lam, rho)
+    left = sum(_kostka(mu, lam) for mu in successors(rho))
+    right = sum(c * _kostka(rho, gamma) for gamma, c in predecessors(lam))
     return left, right
-
-
-def _check_consecutive(lam: Partition, rho: Partition) -> None:
-    if sum(lam) != sum(rho) + 1:
-        raise SizeMismatchError(f"need |{lam}| = |{rho}| + 1")
 
 
 def enumerate_standard(lam: Partition) -> list[Tableau]:
@@ -255,38 +244,33 @@ def _corner_row(mu: Partition, rho: Partition) -> int:
 def _canonical_image(t: Tableau, row: int) -> Tableau | None:
     """Delete the rightmost entry equal to `row` in row `row` and close it.
 
-    Returns None when the symbol is absent or the result is not
-    semistandard; the caller then pairs the item in listing order.
+    Returns None when the symbol is absent.  The result is not checked: one
+    that is not semistandard misses the caller's lookup in the right side.
     """
     r = row - 1
-    cols = [j for j, x in enumerate(t[r]) if x == row]
-    if not cols:
+    if row not in t[r]:
         return None
-    j = cols[-1]
+    j = t[r].index(row)  # the row weakly increases: equal entries are alike
     new_row = t[r][:j] + t[r][j + 1:]
-    rows = t[:r] + ((new_row,) if new_row else ()) + t[r + 1:]
-    return rows if is_semistandard(rows) else None
+    return t[:r] + ((new_row,) if new_row else ()) + t[r + 1:]
 
 
 def theorem4_bijection(lam: Partition, rho: Partition) -> BijectionCertificate:
     """Pair the two sides of the Kostka recurrence for (lam, rho).
 
     Per-item rule: a tableau whose shape covers rho in row r loses the
-    rightmost symbol r of its r-th row, and the row closes up.  Whenever
-    that is defined and injective it reproduces the worked small cases
-    exactly.  The left items the rule leaves unpaired (it deletes nothing
-    when symbol r is missing from row r) and the right items it does not
-    reach are then paired in listing order: the k-th leftover left item
-    takes the k-th unused right item.  Nothing relates the two tableaux of
-    such a pair, so only the bijection itself is certified.
+    rightmost symbol r of its r-th row, and the row closes up.  Where the
+    result is an unused right item (that lookup is its only semistandardness
+    check), the pair reproduces the worked small cases exactly.  The left
+    items the rule leaves unpaired and the right items it does not reach
+    are then paired in listing order: the k-th leftover left item takes the
+    k-th unused right item.  Nothing relates the two tableaux of such a
+    pair, so only the bijection itself is certified.
 
     Both partitions and the size cap are checked before any listing; both
     sides share one `_ssyt` memo and are listed as `enumerate_ssyt` lists.
     """
-    lam, rho = check_partition(lam, "lam"), check_partition(rho, "rho")
-    _check_consecutive(lam, rho)
-    if sum(lam) > max_n():
-        raise LimitError(f"n={sum(lam)} exceeds the configured maximum {max_n()}")
+    lam, rho = check_pair(lam, rho)
     memo: dict = {}  # shared by both sides: their weight prefixes overlap
     left = [
         (t, _corner_row(mu, rho))

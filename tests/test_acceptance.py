@@ -25,7 +25,7 @@ from younglab.partitions import (
     partition_count,
     standard_count,
 )
-from younglab.sweeps import run_sweep
+from younglab.sweeps import example4_passes, run_sweep
 from younglab.tableaux import (
     enumerate_standard,
     eq2_check,
@@ -185,19 +185,7 @@ def test_criterion_08_specht_modules():
 
 
 def test_criterion_09_twelve_dimensional_example():
-    report = example4_check()
-    ok = (
-        report["dims"] == {
-            "trivial": 1, "pair": 2, "specht": 3,
-            "even_natural": 3, "odd_natural": 3,
-        }
-        and all(report["invariant"].values())
-        and all(report["characters_match"].values())
-        and report["direct_sum"]
-        and report["even_odd_dims"] == (6, 6)
-        and report["parity_assignments"]
-        and report["c_relation"]
-    )
+    ok = example4_passes(example4_check())
     _report(9, "12 = 1+2+3+3+3 decomposition with even/odd split", ok)
 
 

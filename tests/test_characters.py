@@ -396,9 +396,13 @@ class TestConjugateTwist:
     (build_system3, ((1, 2),), "lam"),  # else the system of (2, 1)
     (x_monomials, ((2, 0, 1), 3), "lam"),  # else three monomials
     (standard_count, ((1, 2),), "lam"),  # else 1, cached under (1, 2)
+    (class_size, ((0,),), "rho"),  # else a ZeroDivisionError
+    (class_size, ((2, 0),), "rho"),  # else a ZeroDivisionError
+    (class_size, ((-1,),), "rho"),  # else a factorial error
 ], ids=["lemma1", "eq1-lam", "eq1-rho", "theorem1", "components", "components-zero",
         "perm-negative", "perm-increasing", "ind-sgn", "statement1", "statement1-float",
-        "system3", "x-monomials", "standard-count"])
+        "system3", "x-monomials", "standard-count", "class-size-zero",
+        "class-size-zero-part", "class-size-negative"])
 def test_rejects_non_partitions_naming_the_argument(check, args, name):
     with pytest.raises(ValueError, match=rf"^{name} must have positive"):
         check(*args)

@@ -276,16 +276,10 @@ class TestErrorsAndDeterminism:
         assert code == 2
 
     def test_max_n_cap_is_usage_error(self, capsys, monkeypatch):
-        from younglab.partitions import enumerate_partitions
-
         monkeypatch.setenv("YOUNGLAB_MAX_N", "3")
-        enumerate_partitions.cache_clear()
-        try:
-            code, _, err = run_cli(capsys, "partitions", "--n", "10")
-            assert code == 2
-            assert json.loads(err.splitlines()[0])["kind"] == "usage"
-        finally:
-            enumerate_partitions.cache_clear()
+        code, _, err = run_cli(capsys, "partitions", "--n", "10")
+        assert code == 2
+        assert json.loads(err.splitlines()[0])["kind"] == "usage"
 
     @pytest.mark.parametrize("argv", [
         ("kostka", "--mu", "21", "--lambda", "21"),

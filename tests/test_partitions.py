@@ -1,5 +1,6 @@
 import pytest
 
+from younglab.characters import ind_sgn_character, multiplicity_table
 from younglab.errors import EmptyPartitionError, LimitError, SizeMismatchError
 from younglab.partitions import (
     addable_rows,
@@ -17,6 +18,7 @@ from younglab.partitions import (
     standard_count,
     successors,
 )
+from younglab.tableaux import eq2_check, kostka
 
 
 def pentagonal_p(n: int) -> int:
@@ -85,13 +87,9 @@ class TestEnumeration:
 
     def test_max_n_limit(self, monkeypatch):
         monkeypatch.setenv("YOUNGLAB_MAX_N", "5")
-        enumerate_partitions.cache_clear()
-        try:
-            with pytest.raises(LimitError):
-                enumerate_partitions(6)
-            assert partition_count(5) == 7
-        finally:
-            enumerate_partitions.cache_clear()
+        with pytest.raises(LimitError):
+            enumerate_partitions(6)
+        assert partition_count(5) == 7
 
 
 class TestConjugate:
@@ -267,5 +265,33 @@ class TestTextFormat:
             parse_partition(bad)
 
     def test_check_partition_rejects_non_integer_parts(self):
-        with pytest.raises(ValueError, match="^partition must have integer parts"):
+        with pytest.raises(ValueError, match="^partition must have positive"):
             check_partition((2.5,))  # else truncated to (2,)
+
+
+class TestWarmTables:
+    """The cached entry points check every call, so a warm table answers
+    no key that the check refuses."""
+
+    @pytest.mark.parametrize("door, warm, bad", [
+        (kostka, ((2,), (2,)), ((2,), (2.0,))),  # else 1
+        (standard_count, ((2, 1),), ((2.0, 1),)),  # else 2
+        (ind_sgn_character, ((2, 1),), ((2.0, 1),)),  # else the cached character
+        (enumerate_partitions, (3,), (3.0,)),  # else ((3.0,), (2.0, 1), ...)
+        (multiplicity_table, (3,), (3.0,)),  # else the table of degree 3
+    ], ids=["kostka", "standard-count", "ind-sgn", "enumerate", "multiplicity-table"])
+    def test_float_key_equal_to_a_warm_key(self, door, warm, bad):
+        door(*warm)
+        with pytest.raises(ValueError):
+            door(*bad)
+
+    @pytest.mark.parametrize("door, args", [
+        (enumerate_partitions, (6,)),
+        (kostka, ((4, 2), (2, 2, 1, 1))),
+        (eq2_check, ((3, 2, 1), (3, 2))),
+    ], ids=["enumerate", "kostka", "eq2"])
+    def test_cap_holds_on_a_warm_table(self, monkeypatch, door, args):
+        door(*args)
+        monkeypatch.setenv("YOUNGLAB_MAX_N", "5")
+        with pytest.raises(LimitError):
+            door(*args)

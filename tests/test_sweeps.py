@@ -10,8 +10,9 @@ import pytest
 from younglab import linsys, sweeps
 from younglab.cli import main
 from younglab.errors import LimitError, SelfCheckError
+from younglab.forms import example4_check
 from younglab.partitions import max_n as degree_cap
-from younglab.sweeps import SWEEPS, run_sweep
+from younglab.sweeps import SWEEPS, example4_passes, run_sweep
 
 OWN_CAPS = {"statement2": 6, "theorem5": 6, "two-row": 10}
 
@@ -91,6 +92,21 @@ def test_theorem5_counterexample(monkeypatch, key):
         lambda lam, n: {**real(lam, n), key: lam != (2, 1)},
     )
     _fails_on(run_sweep("theorem5", 3), {"lambda": [2, 1]}, 1 + 2 + 3)
+
+
+@pytest.mark.parametrize("key, broken", [
+    ("dims", lambda dims: {**dims, "pair": 1}),
+    ("invariant", lambda flags: {**flags, "specht": False}),
+    ("characters_match", lambda flags: {**flags, "odd_natural": False}),
+    ("direct_sum", lambda flag: False),
+    ("even_odd_dims", lambda dims: (7, 5)),
+    ("parity_assignments", lambda flag: False),
+    ("c_relation", lambda flag: False),
+], ids=["dims", "invariant", "characters", "direct-sum", "even-odd", "parity", "c-relation"])
+def test_example4_verdict_fails_on_each_condition(key, broken):
+    report = example4_check()
+    assert example4_passes(report)
+    assert not example4_passes({**report, key: broken(report[key])})
 
 
 @pytest.mark.parametrize("change", [

@@ -1,8 +1,9 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
-from itertools import permutations, product
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,6 @@ from younglab.tableaux import (
     enumerate_standard,
     eq2_check,
     format_tableau,
-    is_semistandard,
     kostka,
     strip_weight,
     theorem4_bijection,
@@ -62,7 +62,7 @@ class TestEnumerateSsyt:
         for lam in enumerate_partitions(6):
             for w in enumerate_partitions(6):
                 for t in enumerate_ssyt(lam, w):
-                    assert is_semistandard(t)
+                    assert semistandard_oracle(t)
                     assert tableau_shape(t) == lam
                     assert strip_weight(tableau_weight(t)) == w
 
@@ -101,26 +101,12 @@ class TestEnumerateSsyt:
                 assert enumerate_ssyt(mu, w) == ssyt_backtracking_oracle(mu, w)
 
 
-def small_arrays(max_rows, max_len, symbols):
-    """Every tuple of at most max_rows rows, each of at most max_len
-    entries drawn from symbols: ragged shapes, empty rows and zeros."""
-    rows = [r for k in range(max_len + 1) for r in product(symbols, repeat=k)]
-    for k in range(max_rows + 1):
-        yield from product(rows, repeat=k)
-
-
-class TestIsSemistandard:
-    @pytest.mark.parametrize("max_rows, max_len", [(3, 2), (2, 3)])
-    def test_agrees_with_cell_by_cell_test(self, max_rows, max_len):
-        for t in small_arrays(max_rows, max_len, range(-1, 4)):
-            assert is_semistandard(t) == semistandard_oracle(t), t
-
-    def test_examples(self):
-        assert is_semistandard(((1, 1, 2), (2, 3)))
-        assert is_semistandard(((1,), ()))
-        assert not is_semistandard(((1,), (2, 3)))  # ragged
-        assert not is_semistandard(((0, 1),))
-        assert not is_semistandard(((1, 2), (1, 3)))  # column not strict
+def test_semistandard_oracle_examples():
+    assert semistandard_oracle(((1, 1, 2), (2, 3)))
+    assert semistandard_oracle(((1,), ()))
+    assert not semistandard_oracle(((1,), (2, 3)))  # ragged
+    assert not semistandard_oracle(((0, 1),))
+    assert not semistandard_oracle(((1, 2), (1, 3)))  # column not strict
 
 
 class TestKostka:
@@ -173,18 +159,16 @@ class TestKostka:
         assert from_count.type is from_list.type
 
     @pytest.mark.parametrize("shape, weight, message", [
-        ((2.5,), (2,), "^shape must have integer parts"),  # else counted as (2,)
+        ((2.5,), (2,), "^shape must have positive"),  # else counted as (2,)
         ((2,), (2.0,), "^weight counts must be nonnegative integers"),  # else 1
     ])
     def test_rejects_non_integer_parts_and_counts(self, shape, weight, message):
-        kostka.cache_clear()  # checked on a cache miss, and (2.0,) == (2,) as a key
         for route in (kostka, enumerate_ssyt):
             with pytest.raises(ValueError, match=message):
                 route(shape, weight)
 
     def test_size_cap_checked_before_work(self, monkeypatch):
         monkeypatch.setenv("YOUNGLAB_MAX_N", "5")
-        kostka.cache_clear()  # the cap is checked on a cache miss
         for route in (kostka, enumerate_ssyt):
             with pytest.raises(LimitError):
                 route((6,), (1,) * 6)
@@ -201,16 +185,28 @@ class TestStrips:
                     assert sorted(got) == sorted(strips_oracle(mu, size))
 
     def test_import_leaves_the_table_empty(self):
+        # every functools cache table of the package, private ones included:
+        # this one, and those behind the checked entry points, which the
+        # benchmark's cold-start gate cannot see
         root = Path(__file__).resolve().parent.parent
         done = subprocess.run(
             [sys.executable, "-c",
-             "import younglab; from younglab import tableaux; "
-             "print(tableaux._strips.cache_info().currsize)"],
+             "import functools, json, sys, younglab, younglab.cli\n"
+             "print(json.dumps({f'{name}.{attr}': fn.cache_info().currsize\n"
+             "    for name, module in list(sys.modules.items())\n"
+             "    if name.startswith('younglab')\n"
+             "    for attr, fn in vars(module).items()\n"
+             "    if isinstance(fn, functools._lru_cache_wrapper)}))"],
             cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
             capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "0\n"
+        sizes = json.loads(done.stdout)
+        assert {"younglab.tableaux._strips", "younglab.tableaux._kostka",
+                "younglab.partitions._enumerate_partitions",
+                "younglab.partitions._standard_count",
+                "younglab.characters._multiplicity_table"} <= sizes.keys()
+        assert {name: size for name, size in sizes.items() if size} == {}
 
 
 def weak_compositions(n, parts):
@@ -237,7 +233,7 @@ class TestCornerRemoval:
                                 rows[i] = short
                             else:
                                 rows.pop(i)
-                            assert is_semistandard(tuple(rows))
+                            assert semistandard_oracle(tuple(rows))
 
 
 class TestEq2:
@@ -479,12 +475,13 @@ class TestBijection:
     ])
     def test_rejects_non_partitions_at_entry(self, monkeypatch, lam, rho):
         monkeypatch.setattr(tableaux, "_ssyt", None)  # nothing may be listed
-        with pytest.raises(ValueError, match="parts must be"):
+        name = "lam" if lam == (2, 3) else "rho"  # the first non-partition
+        with pytest.raises(ValueError, match=rf"^{name} must have positive"):
             theorem4_bijection(lam, rho)
 
     def test_rejects_non_integer_parts(self, monkeypatch):
         monkeypatch.setattr(tableaux, "_ssyt", None)  # nothing may be listed
-        with pytest.raises(ValueError, match="^lam must have integer parts"):
+        with pytest.raises(ValueError, match="^lam must have positive"):
             theorem4_bijection((2.6, 1), (2,))  # else certified as (2, 1)
 
     def test_size_cap_checked_before_listing(self, monkeypatch):

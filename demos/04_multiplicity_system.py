@@ -7,17 +7,17 @@ Run:  python3 demos/04_multiplicity_system.py
 
 from collections import Counter
 
-from younglab.linsys import build_system3, statement1_check
+from younglab.linsys import statement1_check
 from younglab.partitions import enumerate_partitions, format_partition
 
 
 def show_system(lam):
-    system = build_system3(lam)
     report = statement1_check(lam)
     print(f"lambda = {format_partition(lam)}")
-    print("    columns:", "  ".join(format_partition(c) for c in system.col_index))
-    for rho, row in zip(system.row_index, system.matrix.entries):
-        print(f"    {format_partition(rho):>8} |", " ".join(str(int(x)) for x in row))
+    print("    columns:", "  ".join(format_partition(c) for c in report.col_index))
+    for rho, row in zip(report.row_index, report.matrix):
+        print(f"    {format_partition(rho):>8} |",
+              " ".join(str(row.get(j, 0)) for j in range(len(report.col_index))))
     print(f"    bar-bijective: {report.bar_bijective}  square: {report.square}  "
           f"unipotent: {report.unipotent}  kernel dim: {report.kernel_dim}")
     print()

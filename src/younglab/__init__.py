@@ -40,11 +40,7 @@ from .characters import (
     theorem1_check,
     eq1_check,
 )
-from .linsys import (
-    build_system3,
-    polymorphism_feasibility,
-    statement1_check,
-)
+from .linsys import polymorphism_feasibility, statement1_check
 from .forms import (
     Form,
     example4_check,

@@ -194,8 +194,10 @@ def perm_character(lam: Partition) -> ClassFunction:
     Its value at rho is the number of ways to split the cycles of rho into
     the rows with prescribed sums: the coefficient of m_lam in the power
     sum p_rho.  Every shape of the degree is expanded in one pass and
-    cached per degree (`_perm_characters`)."""
-    return _perm_characters(sum(check_partition(lam, "lam")))[lam]
+    cached per degree (`_perm_characters`); the degree is checked on
+    every call, so a lowered cap holds on a warm table."""
+    lam = check_partition(lam, "lam")
+    return _perm_characters(check_degree(sum(lam)))[lam]
 
 
 @cache
@@ -286,8 +288,9 @@ def _multiplicity_table(n: int) -> MultiplicityTable:
     chis: dict[Partition, ClassFunction] = {}
     rows: dict[Partition, tuple[int, ...]] = {}
     columns: list[list[int]] = [[] for _ in sizes]  # irreducibles so far, by class
+    psis = _perm_characters(n)
     for lam in shapes:
-        psi = perm_character(lam)
+        psi = psis[lam]
         multiplicity = _multiplicities(psi)
         ms = []
         for mu, chi in chis.items():
@@ -363,7 +366,8 @@ def conjugate_twist_check(n: int) -> bool:
 def theorem1_components(lam: Partition) -> list[tuple[Partition, int, int]]:
     """Irreducibles common to both induced modules of lam, with their
     multiplicities in each; the contract is the single entry (lam, 1, 1)."""
-    table = multiplicity_table(sum(check_partition(lam, "lam")))
+    lam = check_partition(lam, "lam")
+    table = multiplicity_table(sum(lam))
     multiplicity = _multiplicities(ind_sgn_character(lam))
     out = []
     for (mu, chi), a in zip(table.characters.items(), table.rows[lam]):

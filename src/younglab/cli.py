@@ -33,11 +33,7 @@ from .forms import (
     theorem5_check,
     two_row_decomposition,
 )
-from .linsys import (
-    build_system3,
-    polymorphism_feasibility,
-    statement1_check,
-)
+from .linsys import polymorphism_feasibility, statement1_check
 from .partitions import enumerate_partitions, format_partition, parse_partition
 from .sweeps import SWEEPS, example4_passes, run_sweep, theorem5_passes, two_row_passes
 from .tableaux import (
@@ -204,13 +200,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_linsys(args) -> int:
     lam = parse_partition(getattr(args, "lambda"))
-    system = build_system3(lam)
     report = statement1_check(lam)
+    matrix = [[row.get(j, 0) for j in range(len(report.col_index))] for row in report.matrix]
     payload = {
         "lambda": list(lam),
-        "rows": [list(r) for r in system.row_index],
-        "columns": [list(c) for c in system.col_index],
-        "matrix": [list(row) for row in system.matrix.entries],
+        "rows": [list(r) for r in report.row_index],
+        "columns": [list(c) for c in report.col_index],
+        "matrix": matrix,
         "bar_bijective": report.bar_bijective,
         "square": report.square,
         "kernel_dim": report.kernel_dim,
@@ -218,15 +214,15 @@ def _cmd_linsys(args) -> int:
     }
     lines = [
         f"lambda: {format_partition(lam)}",
-        "rows: " + "  ".join(format_partition(r) for r in system.row_index),
-        "columns: " + "  ".join(format_partition(c) for c in system.col_index),
+        "rows: " + "  ".join(format_partition(r) for r in report.row_index),
+        "columns: " + "  ".join(format_partition(c) for c in report.col_index),
     ]
-    lines += [" ".join(map(str, row)) for row in system.matrix.entries]
+    lines += [" ".join(map(str, row)) for row in matrix]
     lines.append(
         f"bar_bijective: {report.bar_bijective}  square: {report.square}  "
         f"kernel_dim: {report.kernel_dim}  unipotent: {report.unipotent}"
     )
-    tsv = ["\t".join(map(str, row)) for row in system.matrix.entries]
+    tsv = ["\t".join(map(str, row)) for row in matrix]
     _emit(args, payload, lines, tsv)
     return 0
 

@@ -15,8 +15,8 @@ back-substitution with the same step and then divides each pivot row by
 its pivot, the only place a Fraction is made here; ``Subspace`` keeps
 those sparse pivot rows as its basis.  The output of ``rref`` is
 cross-checked against a plain Fraction Gauss-Jordan reduction in the test
-suite.  The dense ``RationalMatrix`` is left for reports that print a
-system and for the argument of ``kernel``.
+suite.  The dense ``RationalMatrix`` is left only for ``kernel`` and
+``restricted_trace``, which no library code calls.
 """
 
 from __future__ import annotations

@@ -361,6 +361,7 @@ def theorem5_check(lam: Partition, n: int) -> dict:
     """
     if n > THEOREM5_MAX_N:
         raise LimitError(f"n={n} exceeds the supported {THEOREM5_MAX_N}")
+    lam = check_partition(lam, "lam")
     if sum(lam) != n:
         raise SizeMismatchError(f"|{lam}| != {n}")
     ambient = x_monomials(lam, n)

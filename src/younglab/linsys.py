@@ -5,7 +5,9 @@ The system attached to a shape lam has one equation per partition rho of
 n-1 dominating bar(lam) and one unknown per partition mu of n dominating
 lam, with a unit entry exactly when mu covers rho.  When mu -> bar(mu)
 identifies unknowns with equations, the matrix is unitriangular along the
-dominance order and the deviations must vanish.
+dominance order and the deviations must vanish.  ``statement1_check``
+builds the system once, as sparse {column: 1} rows, and returns it in
+one record with those verdicts.
 
 The transport problem asks for a nonnegative kernel supported on covering
 pairs that pushes the uniform distribution on level n-1 to the uniform
@@ -20,7 +22,7 @@ from math import lcm
 from typing import NamedTuple, Optional
 
 from .errors import SelfCheckError
-from .exactla import RationalMatrix, rank
+from .exactla import rank
 # not used here: perfbench/tests/test_perfbench.py reaches younglab.linsys.kernel
 from .exactla import kernel  # noqa: F401
 from .partitions import (
@@ -36,79 +38,62 @@ from .partitions import (
 __all__ = [
     "FlowInstance",
     "Statement1Report",
-    "System3",
     "build_flow_instance",
-    "build_system3",
     "polymorphism_feasibility",
     "statement1_check",
     "verify_witness",
 ]
 
 
-class System3(NamedTuple):
-    """0/1 system for one shape: rows rho over bar(lam), columns mu over lam."""
-
-    lam: Partition
-    row_index: tuple[Partition, ...]
-    col_index: tuple[Partition, ...]
-    matrix: RationalMatrix
-
-
-def _cover_rows(lam: Partition):
-    """Row and column index sets of lam's system and its rows as sparse
-    {column: 1} dicts: row rho holds column mu exactly when mu covers rho."""
-    if sum(check_partition(lam, "lam")) < 2:
-        raise ValueError("need a partition of n >= 2")
-    rows = tuple(dominance_upset(bar(lam)))
-    cols = tuple(dominance_upset(lam))
-    row_pos = {rho: i for i, rho in enumerate(rows)}
-    sparse: list[dict[int, int]] = [{} for _ in rows]
-    for j, mu in enumerate(cols):
-        for g, _ in predecessors(mu):
-            sparse[row_pos[g]][j] = 1
-    return rows, cols, sparse
-
-
-def build_system3(lam: Partition) -> System3:
-    rows, cols, sparse = _cover_rows(lam)
-    entries = [[row.get(j, 0) for j in range(len(cols))] for row in sparse]
-    return System3(lam, rows, cols, RationalMatrix(entries, cols=len(cols)))
-
-
 class Statement1Report(NamedTuple):
+    """The system of lam and what Statement 1 asks of it: rows rho over
+    bar(lam), columns mu over lam, and the rows as sparse {column: 1}
+    dicts, row rho holding column mu exactly when mu covers rho."""
+
     lam: Partition
     bar_bijective: bool
     square: bool
     kernel_dim: int
     unipotent: bool
+    row_index: tuple[Partition, ...]
+    col_index: tuple[Partition, ...]
+    matrix: tuple[dict[int, int], ...]
 
 
 def statement1_check(lam: Partition) -> Statement1Report:
-    """Inspect the system of lam: is mu -> bar(mu) a bijection onto the row
-    set, and is the matrix square, unitriangular under that identification,
-    and of zero kernel?
+    """Build the system of lam and inspect it: is mu -> bar(mu) a bijection
+    onto the row set, and is the matrix square, unitriangular under that
+    identification, and of zero kernel?
 
     The contract (verified across the sweep tests) is one-directional:
     bijective implies the other three.  Shapes whose index sets differ in
     size are reported as-is; their kernel dimension is experimental output.
     """
-    rows, cols, sparse = _cover_rows(lam)
+    lam = check_partition(lam, "lam")
+    if sum(lam) < 2:
+        raise ValueError("need a partition of n >= 2")
+    rows = tuple(dominance_upset(bar(lam)))
+    cols = tuple(dominance_upset(lam))
+    row_pos = {rho: i for i, rho in enumerate(rows)}
+    matrix = tuple({} for _ in rows)
+    for j, mu in enumerate(cols):
+        for g, _ in predecessors(mu):
+            matrix[row_pos[g]][j] = 1
     images = [bar(mu) for mu in cols]
     bijective = len(set(images)) == len(images) and set(images) == set(rows)
     square = len(rows) == len(cols)
-    kdim = len(cols) - rank(sparse)
+    kdim = len(cols) - rank(matrix)
 
     unipotent = False
     if bijective:
         # the column of mu has a 1 in the row of bar(mu) and no nonzero
         # entry in a later row
-        row_pos = {rho: i for i, rho in enumerate(rows)}
         at = [row_pos[image] for image in images]
         unipotent = (
-            all(sparse[i].get(j) == 1 for j, i in enumerate(at))
-            and all(i <= at[j] for i, row in enumerate(sparse) for j in row)
+            all(matrix[i].get(j) == 1 for j, i in enumerate(at))
+            and all(i <= at[j] for i, row in enumerate(matrix) for j in row)
         )
-    return Statement1Report(lam, bijective, square, kdim, unipotent)
+    return Statement1Report(lam, bijective, square, kdim, unipotent, rows, cols, matrix)
 
 
 class FlowInstance(NamedTuple):

@@ -382,11 +382,17 @@ def sparse_rows(rows, rng=None) -> list[dict]:
     return out
 
 
-def unipotent_oracle(system) -> bool:
+def dense_rows(report) -> list[list[int]]:
+    """The sparse {column: 1} rows of a deviation system laid out densely."""
+    return [[row.get(j, 0) for j in range(len(report.col_index))] for row in report.matrix]
+
+
+def unipotent_oracle(report) -> bool:
     """Whether the dense matrix of a deviation system is unitriangular once
     the column of each mu is moved to the row of bar(mu); False when
     mu -> bar(mu) is not a bijection onto the rows."""
-    rows, cols = system.row_index, system.col_index
+    rows, cols = report.row_index, report.col_index
+    entries = dense_rows(report)
     images = [bar(mu) for mu in cols]
     if len(set(images)) != len(images) or set(images) != set(rows):
         return False
@@ -396,7 +402,7 @@ def unipotent_oracle(system) -> bool:
         perm[row_pos[image]] = j
     for i in range(len(rows)):
         for k in range(len(cols)):
-            entry = system.matrix.entries[i][perm[k]]
+            entry = entries[i][perm[k]]
             if k == i and entry != 1:
                 return False
             if k < i and entry != 0:

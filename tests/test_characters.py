@@ -35,8 +35,8 @@ from younglab.characters import (
     theorem1_components,
 )
 from younglab.errors import DegreeMismatchError, OrthogonalizationError
-from younglab.forms import x_monomials
-from younglab.linsys import build_system3, statement1_check
+from younglab.forms import statement2_check, theorem5_check, x_monomials
+from younglab.linsys import statement1_check
 from younglab.partitions import (
     conjugate,
     enumerate_partitions,
@@ -319,10 +319,10 @@ class TestOrthogonalizationFaults:
         ((0, -1, -3), "bad multiplicity at ((3,), (2, 1))"),
     ], ids=["non-integer", "non-unit-norm", "negative"])
     def test_fault_raises(self, monkeypatch, values, message):
-        real = characters.perm_character
+        real = characters._perm_characters
         monkeypatch.setattr(
-            characters, "perm_character",
-            lambda lam: ClassFunction(3, values) if lam == (2, 1) else real(lam),
+            characters, "_perm_characters",
+            lambda n: {**real(n), (2, 1): ClassFunction(3, values)} if n == 3 else real(n),
         )
         with pytest.raises(OrthogonalizationError) as excinfo:
             irreducible_characters(3)
@@ -393,7 +393,7 @@ class TestConjugateTwist:
     (ind_sgn_character, ((1, 2),), "lam"),  # else a bare IndexError
     (statement1_check, ((3, -1),), "lam"),  # else a report of a square system
     (statement1_check, ((2.0, 1),), "lam"),  # else a report with lam=(2.0, 1)
-    (build_system3, ((1, 2),), "lam"),  # else the system of (2, 1)
+    (statement1_check, ((1, 2),), "lam"),  # else the system of (2, 1)
     (x_monomials, ((2, 0, 1), 3), "lam"),  # else three monomials
     (standard_count, ((1, 2),), "lam"),  # else 1, cached under (1, 2)
     (class_size, ((0,),), "rho"),  # else a ZeroDivisionError
@@ -401,8 +401,24 @@ class TestConjugateTwist:
     (class_size, ((-1,),), "rho"),  # else a factorial error
 ], ids=["lemma1", "eq1-lam", "eq1-rho", "theorem1", "components", "components-zero",
         "perm-negative", "perm-increasing", "ind-sgn", "statement1", "statement1-float",
-        "system3", "x-monomials", "standard-count", "class-size-zero",
+        "statement1-increasing", "x-monomials", "standard-count", "class-size-zero",
         "class-size-zero-part", "class-size-negative"])
 def test_rejects_non_partitions_naming_the_argument(check, args, name):
     with pytest.raises(ValueError, match=rf"^{name} must have positive"):
         check(*args)
+
+
+@pytest.mark.parametrize("check, args", [
+    (perm_character, ()),
+    (theorem1_check, ()),
+    (theorem1_components, ()),
+    (lemma1_check, ()),
+    (statement1_check, ()),
+    (statement2_check, (3,)),
+    (theorem5_check, (3,)),
+], ids=["perm-character", "theorem1", "components", "lemma1", "statement1", "statement2",
+        "theorem5"])
+def test_a_list_answers_like_the_equal_tuple(check, args):
+    # the checked tuple, not the caller's list, is the cache key and the
+    # shape a report records
+    assert check([2, 1], *args) == check((2, 1), *args)

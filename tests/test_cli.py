@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from younglab import characters, cli, forms, sweeps
+from younglab import characters, cli, exactla, forms, sweeps
 from younglab.cli import build_parser, main
 from younglab.partitions import parse_partition
 from younglab.sweeps import SWEEPS
@@ -329,11 +329,11 @@ class TestErrorsAndDeterminism:
         assert errors[0]["error"] == "wrong dimension at (4,)"
 
     def test_negative_multiplicity_is_an_internal_error(self, capsys, monkeypatch):
-        real = characters.perm_character
+        real = characters._perm_characters
         # psi^(3, 1) negated pairs to -1 with the trivial character
         monkeypatch.setattr(
-            characters, "perm_character",
-            lambda lam: real(lam).scaled(-1) if lam == (3, 1) else real(lam),
+            characters, "_perm_characters",
+            lambda n: {**real(n), (3, 1): real(n)[(3, 1)].scaled(-1)} if n == 4 else real(n),
         )
         characters.multiplicity_table.cache_clear()
         try:
@@ -436,6 +436,51 @@ class TestErrorsAndDeterminism:
         # frozen byte-level snapshots: SHA-256 of the JSON payload on stdout
         _, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert sha256_hex(out) == digest
+
+    @pytest.mark.parametrize("lam, fmt, digest", [
+        ("2,2", "ascii", "479591cd5cc8c8961ec82ab5ee18b4276db5091b62d8c99a2ef183af46c7bfa8"),
+        ("2,2", "tsv", "c099c4639aee86b3f7c2509280056545fd915a0b882674153d9fedec3e903e48"),
+        ("2,2", "json", "0e8deacff47cbf0c811d1a98273d477e0455273b868a116d25e468c26b5dc546"),
+        ("3,3", "ascii", "348da9424a02ad48c4d291dce33bf5cb0597091a7e08213e2386e1949d662b9a"),
+        ("3,3", "tsv", "f46cdb9eb5d9f9e16d4676f2e550df69f86cb9dc257610ecddd68f34893983fe"),
+        ("3,3", "json", "be3a9e83a404eedf69d113f44e88abe5850ba4b1585c6d9420bb5c79dc3b24b6"),
+        ("4,2,2,1", "ascii", "cddccbad3452484eb212af80c200dc93b333e7dbd41afb0ea0d01c877cc79077"),
+        ("4,2,2,1", "tsv", "1bd98e8c48272805ec9a24b3cfbe77d2af4ab7760750bc0d7711a1d7edb8802c"),
+        ("4,2,2,1", "json", "738323a91b1a72a6298ab8d116edd4277d11976f8341283f99e026f01f72b29f"),
+    ])
+    def test_linsys_bytes(self, capsys, lam, fmt, digest):
+        # non-square systems with a kernel, in every format
+        code, out, _ = run_cli(capsys, "linsys", "--lambda", lam, "--format", fmt)
+        assert code == 0
+        assert sha256_hex(out) == digest
+
+
+class TestNoDenseMatrix:
+    """No command builds a dense ``RationalMatrix``: every system and span
+    the library runs on is held as sparse rows."""
+
+    @pytest.mark.parametrize("argv", [
+        ["partitions", "--n", "4"],
+        ["kostka", "--mu", "3,1", "--lambda", "2,1,1"],
+        ["ssyt", "--shape", "3,1", "--weight", "2,1,1"],
+        ["bijection", "--lambda", "3,1", "--rho", "2,1"],
+        ["character-table", "--n", "4"],
+        *(["verify", name, "--max-n", "4"] for name in SWEEPS),
+        ["linsys", "--lambda", "2,2"],
+        ["polymorphism", "--n", "4"],
+        ["forms", "--check", "example4"],
+        ["forms", "--check", "statement2", "--lambda", "2,1,1"],
+        ["forms", "--check", "specht", "--lambda", "2,1,1"],
+        ["forms", "--check", "two-row", "--n", "4", "--k", "2"],
+    ], ids=lambda argv: "-".join(a for a in argv[:3] if not a.startswith("--")))
+    def test_command_builds_no_dense_matrix(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense RationalMatrix was built")
+
+        monkeypatch.setattr(exactla.RationalMatrix, "__init__", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, error_records(err)) == (0, [])
+        assert out != ""
 
 
 class TestOptimizedInterpreter:

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import min_cut_oracle, rref_oracle, unipotent_oracle
+from oracles import dense_rows, min_cut_oracle, rref_oracle, unipotent_oracle
 from younglab.errors import SelfCheckError
 from younglab.linsys import (
     FlowInstance,
     _Dinic,
     build_flow_instance,
-    build_system3,
     polymorphism_feasibility,
     statement1_check,
     verify_witness,
@@ -23,36 +22,35 @@ from younglab.partitions import (
 
 
 class TestBuildSystem3:
+    """The cover system as `statement1_check` builds and reports it."""
+
     def test_single_row(self):
-        system = build_system3((5,))
-        assert system.row_index == ((4,),)
-        assert system.col_index == ((5,),)
-        assert system.matrix.entries == ((1,),)
+        report = statement1_check((5,))
+        assert report.row_index == ((4,),)
+        assert report.col_index == ((5,),)
+        assert report.matrix == ({0: 1},)
 
     def test_2_1_1(self):
-        system = build_system3((2, 1, 1))
-        assert system.row_index == ((3,), (2, 1), (1, 1, 1))
-        assert system.col_index == ((4,), (3, 1), (2, 2), (2, 1, 1))
-        assert system.matrix.rows == 3 and system.matrix.cols == 4
+        report = statement1_check((2, 1, 1))
+        assert report.row_index == ((3,), (2, 1), (1, 1, 1))
+        assert report.col_index == ((4,), (3, 1), (2, 2), (2, 1, 1))
+        assert len(report.matrix) == 3
 
     def test_2_2(self):
-        system = build_system3((2, 2))
-        assert system.row_index == ((3,), (2, 1))
-        assert system.col_index == ((4,), (3, 1), (2, 2))
-        assert [list(r) for r in system.matrix.entries] == [[1, 1, 0], [0, 1, 1]]
+        report = statement1_check((2, 2))
+        assert report.row_index == ((3,), (2, 1))
+        assert report.col_index == ((4,), (3, 1), (2, 2))
+        assert report.matrix == ({0: 1, 1: 1}, {1: 1, 2: 1})
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_entries_are_cover_indicators_and_no_zero_column(self, n):
         for lam in enumerate_partitions(n):
-            system = build_system3(lam)
-            for i, rho in enumerate(system.row_index):
-                for j, mu in enumerate(system.col_index):
-                    expected = rho in {g for g, _ in predecessors(mu)}
-                    assert system.matrix.entries[i][j] == (1 if expected else 0)
-            for j in range(system.matrix.cols):
-                assert any(
-                    system.matrix.entries[i][j] for i in range(system.matrix.rows)
-                )
+            report = statement1_check(lam)
+            for i, rho in enumerate(report.row_index):
+                covers = {j for j, mu in enumerate(report.col_index)
+                          if rho in {g for g, _ in predecessors(mu)}}
+                assert report.matrix[i] == dict.fromkeys(covers, 1)
+            assert set().union(*report.matrix) == set(range(len(report.col_index)))
 
 
 class TestStatement1:
@@ -92,14 +90,16 @@ class TestStatement1:
     def test_unipotent_matches_the_dense_oracle(self, n):
         # both directions, bijective or not
         for lam in enumerate_partitions(n):
-            assert statement1_check(lam).unipotent == unipotent_oracle(build_system3(lam))
+            report = statement1_check(lam)
+            assert report.unipotent == unipotent_oracle(report)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_kernel_dim_is_columns_minus_oracle_rank(self, n):
         for lam in enumerate_partitions(n):
-            matrix = build_system3(lam).matrix
-            _, oracle_rank, _ = rref_oracle(matrix.entries, matrix.cols)
-            assert statement1_check(lam).kernel_dim == matrix.cols - oracle_rank
+            report = statement1_check(lam)
+            cols = len(report.col_index)
+            _, oracle_rank, _ = rref_oracle(dense_rows(report), cols)
+            assert report.kernel_dim == cols - oracle_rank
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_index_sizes_match_dominance_counts(self, n):
@@ -109,9 +109,9 @@ class TestStatement1:
             return sum(1 for mu in enumerate_partitions(sum(lam)) if dominates(mu, lam))
 
         for lam in enumerate_partitions(n):
-            system = build_system3(lam)
-            assert len(system.row_index) == h(bar(lam))
-            assert len(system.col_index) == h(lam)
+            report = statement1_check(lam)
+            assert len(report.row_index) == h(bar(lam))
+            assert len(report.col_index) == h(lam)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_index_sets_are_closed_under_the_graph_moves(self, n):
@@ -120,14 +120,14 @@ class TestStatement1:
         from younglab.partitions import add_cell, addable_rows, dominance_upset
 
         for lam in enumerate_partitions(n):
-            system = build_system3(lam)
-            rows, cols = set(system.row_index), set(system.col_index)
+            report = statement1_check(lam)
+            rows, cols = set(report.row_index), set(report.col_index)
             for mu in cols:
                 assert {g for g, _ in predecessors(mu)} <= rows
             for rho in rows:
                 assert add_cell(rho, addable_rows(rho)[0]) in cols
             union = set()
-            for gamma, _ in predecessors(system.lam):
+            for gamma, _ in predecessors(report.lam):
                 union |= set(dominance_upset(gamma))
             assert union == rows
 

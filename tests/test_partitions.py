@@ -1,6 +1,6 @@
 import pytest
 
-from younglab.characters import ind_sgn_character, multiplicity_table
+from younglab.characters import ind_sgn_character, lemma1_check, multiplicity_table, perm_character
 from younglab.errors import EmptyPartitionError, LimitError, SizeMismatchError
 from younglab.partitions import (
     addable_rows,
@@ -289,7 +289,9 @@ class TestWarmTables:
         (enumerate_partitions, (6,)),
         (kostka, ((4, 2), (2, 2, 1, 1))),
         (eq2_check, ((3, 2, 1), (3, 2))),
-    ], ids=["enumerate", "kostka", "eq2"])
+        (perm_character, ((3, 2, 1),)),
+        (lemma1_check, ((3, 2, 1),)),
+    ], ids=["enumerate", "kostka", "eq2", "perm-character", "lemma1"])
     def test_cap_holds_on_a_warm_table(self, monkeypatch, door, args):
         door(*args)
         monkeypatch.setenv("YOUNGLAB_MAX_N", "5")

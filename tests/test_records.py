@@ -14,7 +14,7 @@ import pytest
 from younglab.characters import ClassFunction, multiplicity_table
 from younglab.errors import DegreeMismatchError
 from younglab.forms import Form, span_of_forms
-from younglab.linsys import build_flow_instance, build_system3, statement1_check
+from younglab.linsys import build_flow_instance, statement1_check
 from younglab.sweeps import run_sweep
 from younglab.tableaux import theorem4_bijection
 
@@ -33,14 +33,10 @@ RECORDS = {
         f"BijectionCertificate(lam=(2,), rho=(1,), pairs=({PAIR_REPR},))"),
     "Statement1Report": (
         lambda: statement1_check((2,)),
-        ("lam", "bar_bijective", "square", "kernel_dim", "unipotent"),
+        ("lam", "bar_bijective", "square", "kernel_dim", "unipotent",
+         "row_index", "col_index", "matrix"),
         "Statement1Report(lam=(2,), bar_bijective=True, square=True, kernel_dim=0, "
-        "unipotent=True)"),
-    "System3": (
-        lambda: build_system3((2,)),
-        ("lam", "row_index", "col_index", "matrix"),
-        "System3(lam=(2,), row_index=((1,),), col_index=((2,),), "
-        "matrix=RationalMatrix(1x1: 1))"),
+        "unipotent=True, row_index=((1,),), col_index=((2,),), matrix=({0: 1},))"),
     "FlowInstance": (
         lambda: build_flow_instance(2),
         ("n", "left", "right", "edges", "supply", "demand"),

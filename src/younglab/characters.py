@@ -34,13 +34,14 @@ from operator import mul
 from .errors import DegreeMismatchError, OrthogonalizationError, SizeMismatchError
 from .partitions import (
     Partition,
+    _enumerate_partitions,
+    _standard_count,
     check_degree,
     check_pair,
     check_partition,
     conjugate,
     enumerate_partitions,
     predecessors,
-    standard_count,
     successors,
 )
 
@@ -282,7 +283,7 @@ def multiplicity_table(n: int) -> MultiplicityTable:
 
 @cache
 def _multiplicity_table(n: int) -> MultiplicityTable:
-    shapes = enumerate_partitions(n)
+    shapes = _enumerate_partitions(n)
     nfact = factorial(n)
     sizes = _class_sizes(n)
     chis: dict[Partition, ClassFunction] = {}
@@ -302,7 +303,7 @@ def _multiplicity_table(n: int) -> MultiplicityTable:
         chi = ClassFunction(n, reduced)
         if sum(s * v * v for s, v in zip(sizes, reduced)) != nfact:
             raise OrthogonalizationError(f"non-unit norm at {lam}")
-        if chi.degree != standard_count(lam):
+        if chi.degree != _standard_count(lam):
             raise OrthogonalizationError(f"wrong dimension at {lam}")
         chis[lam] = chi
         rows[lam] = (*ms, 1)
@@ -326,11 +327,7 @@ def restrict(f: ClassFunction) -> ClassFunction:
     each cycle type of degree n-1 with a fixed point."""
     if f.n == 0:
         raise DegreeMismatchError("cannot restrict degree 0")
-    values = []
-    for tau in class_types(f.n - 1):
-        extended = tuple(sorted(tau + (1,), reverse=True))
-        values.append(f(extended))
-    return ClassFunction(f.n - 1, tuple(values))
+    return ClassFunction(f.n - 1, tuple(f(tau + (1,)) for tau in class_types(f.n - 1)))
 
 
 def lemma1_check(lam: Partition) -> bool:
@@ -350,8 +347,7 @@ def eq1_check(lam: Partition, rho: Partition) -> tuple[int, int]:
     """Both sides of the multiplicity recurrence for (lam, rho)."""
     lam, rho = check_pair(lam, rho)
     n = sum(lam)
-    big = multiplicity_table(n)
-    small = multiplicity_table(n - 1)
+    big, small = _multiplicity_table(n), _multiplicity_table(n - 1)
     left = sum(big(mu, lam) for mu in successors(rho))
     right = sum(c * small(rho, gamma) for gamma, c in predecessors(lam))
     return left, right

@@ -28,7 +28,7 @@ from .errors import (
 from .exactla import Subspace, rank
 # not used here: perfbench/tests/test_perfbench.py reaches younglab.forms.restricted_trace
 from .exactla import restricted_trace  # noqa: F401
-from .partitions import Partition, check_partition, standard_count
+from .partitions import Partition, check_degree, check_partition, standard_count
 from .tableaux import Tableau, enumerate_standard
 
 Monomial = tuple[int, ...]
@@ -191,12 +191,13 @@ def x_monomials(lam: Partition, n: int) -> list[Monomial]:
     There are n!/prod(lam_i!) of them: equal rows carry different
     exponents, so all assignments stay distinct.  Returned in the frozen
     monomial order.  Raises LimitError for n > STATEMENT2_MAX_N before any
-    other check.
+    other check, and for n over max_n() before any work.
     """
     if n > STATEMENT2_MAX_N:
         raise LimitError(f"n={n} exceeds the supported {STATEMENT2_MAX_N}")
     if sum(check_partition(lam, "lam")) != n:
         raise SizeMismatchError(f"|{lam}| != {n}")
+    check_degree(n)
     exponents: list[int] = []
     for i, part in enumerate(lam):
         exponents.extend([i] * part)
@@ -459,6 +460,7 @@ def two_row_decomposition(n: int, k: int) -> dict:
         raise SizeMismatchError(f"need n >= 1, got n={n}")
     if not 0 <= k <= n // 2:
         raise SizeMismatchError(f"need 0 <= k <= n/2, got k={k}, n={n}")
+    check_degree(n)
     ambient = squarefree_monomials(n, k)
     chis = irreducible_characters(n)
     components: list[FormSpace] = []

@@ -28,6 +28,7 @@ from .exactla import kernel  # noqa: F401
 from .partitions import (
     Partition,
     bar,
+    check_degree,
     check_partition,
     dominance_upset,
     enumerate_partitions,
@@ -72,6 +73,7 @@ def statement1_check(lam: Partition) -> Statement1Report:
     lam = check_partition(lam, "lam")
     if sum(lam) < 2:
         raise ValueError("need a partition of n >= 2")
+    check_degree(sum(lam))
     rows = tuple(dominance_upset(bar(lam)))
     cols = tuple(dominance_upset(lam))
     row_pos = {rho: i for i, rho in enumerate(rows)}
@@ -110,6 +112,7 @@ class FlowInstance(NamedTuple):
 def build_flow_instance(n: int) -> FlowInstance:
     if n < 2:
         raise ValueError("need n >= 2")
+    check_degree(n)
     left = enumerate_partitions(n - 1)
     right = enumerate_partitions(n)
     edges = tuple(

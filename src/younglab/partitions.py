@@ -149,57 +149,12 @@ def dominates(mu: Partition, lam: Partition) -> bool:
     """True iff mu dominance-majorizes lam (every prefix sum at least as big).
 
     Both partitions must have the same total; raises SizeMismatchError
-    otherwise.
+    otherwise.  A mu with more parts than lam falls short of the total at
+    row len(lam), so comparing the prefix sums both have suffices.
     """
     if sum(mu) != sum(lam):
         raise SizeMismatchError(f"|{mu}| != |{lam}|")
-    acc_mu = acc_lam = 0
-    for k in range(max(len(mu), len(lam))):
-        acc_mu += mu[k] if k < len(mu) else 0
-        acc_lam += lam[k] if k < len(lam) else 0
-        if acc_mu < acc_lam:
-            return False
-    return True
-
-
-def removable_rows(lam: Partition) -> list[int]:
-    """1-based rows whose last cell can be removed leaving a partition."""
-    rows = []
-    for i, part in enumerate(lam):
-        below = lam[i + 1] if i + 1 < len(lam) else 0
-        if part > below:
-            rows.append(i + 1)
-    return rows
-
-
-def addable_rows(lam: Partition) -> list[int]:
-    """1-based rows (including a fresh row len+1) where a cell can be added."""
-    rows = [1]
-    for i in range(1, len(lam) + 1):
-        above = lam[i - 1]
-        here = lam[i] if i < len(lam) else 0
-        if here < above:
-            rows.append(i + 1)
-    return rows
-
-
-def remove_cell(lam: Partition, row: int) -> Partition:
-    """Remove the last cell of the given 1-based row."""
-    parts = list(lam)
-    parts[row - 1] -= 1
-    if parts[row - 1] == 0:
-        parts.pop(row - 1)
-    return tuple(parts)
-
-
-def add_cell(lam: Partition, row: int) -> Partition:
-    """Add a cell at the end of the given 1-based row (row may be len+1)."""
-    parts = list(lam)
-    if row == len(parts) + 1:
-        parts.append(1)
-    else:
-        parts[row - 1] += 1
-    return tuple(parts)
+    return all(map(ge, accumulate(mu), accumulate(lam)))
 
 
 def predecessors(lam: Partition) -> list[tuple[Partition, int]]:
@@ -207,23 +162,30 @@ def predecessors(lam: Partition) -> list[tuple[Partition, int]]:
 
     c(lam, gamma) is the multiplicity in lam of the part value being
     shortened, i.e. the number of rows of lam whose shortening by one cell
-    yields gamma.  Pairs are listed by removable row, top to bottom, which
-    runs from the dominance-minimal gamma (= bar(lam)) upward.
+    yields gamma.  Pairs are listed by removable row (one longer than the
+    row below), top to bottom, which runs from the dominance-minimal gamma
+    (= bar(lam)) upward.
     """
+    lam = tuple(lam)
     if not lam:
         raise EmptyPartitionError("the empty partition has no predecessors")
-    out = []
-    for row in removable_rows(lam):
-        gamma = remove_cell(lam, row)
-        c = lam.count(lam[row - 1])
-        out.append((gamma, c))
-    return out
+    return [
+        (lam[:i] + ((part - 1,) if part > 1 else ()) + lam[i + 1:], lam.count(part))
+        for i, (part, below) in enumerate(zip(lam, lam[1:] + (0,)))
+        if part > below
+    ]
 
 
 def successors(rho: Partition) -> list[Partition]:
     """All partitions covering rho in the Young graph, in enumeration order
-    (a cell added to a higher row gives a lex-larger partition)."""
-    return [add_cell(rho, row) for row in addable_rows(rho)]
+    (a cell added to a higher row gives a lex-larger partition): a cell on
+    row 0 or on any row shorter than the row above, a fresh row included."""
+    rho = tuple(rho)
+    return [
+        rho[:i] + (part + 1,) + rho[i + 1:]
+        for i, part in enumerate(rho + (0,))
+        if i == 0 or part < rho[i - 1]
+    ]
 
 
 def bar(lam: Partition) -> Partition:
@@ -231,9 +193,7 @@ def bar(lam: Partition) -> Partition:
 
     The result is the dominance-minimal element of predecessors(lam).
     """
-    if not lam:
-        raise EmptyPartitionError("bar of the empty partition is undefined")
-    return remove_cell(lam, removable_rows(lam)[0])
+    return predecessors(lam)[0][0]
 
 
 def dominance_upset(lam: Partition) -> list[Partition]:

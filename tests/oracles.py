@@ -14,6 +14,8 @@ independent of the horizontal-strip recursion the library lists them with;
 horizontal strips are found among all shapes inside the given one, and a
 Theorem-4 certificate is checked cell by cell against those fillings.
 Minimum s-t cuts are found by trying every cut, independent of max-flow.
+The shapes a partition covers are found by shortening every row and
+sorting, and dominance by comparing zero-padded prefix sums row by row.
 Unitriangularity of a deviation system is read entry by entry off its
 dense matrix with the columns reordered, not off sparse rows.
 The explicit permutations (0-based image tuples), the substitution action
@@ -507,6 +509,30 @@ def strips_oracle(mu: Partition, size: int) -> list[Partition]:
         for nu in product(*(range(part + 1) for part in mu))
         if all(b <= x for b, x in zip(below, nu)) and sum(mu) - sum(nu) == size
     ]
+
+
+def predecessors_oracle(lam: Partition) -> list[tuple[Partition, int]]:
+    """Each row of lam shortened by one cell and the parts sorted again:
+    the distinct results, in the order of the first row giving each, with
+    the number of rows giving each."""
+    counts: dict[Partition, int] = {}
+    for i in range(len(lam)):
+        shortened = [part - (j == i) for j, part in enumerate(lam)]
+        gamma = tuple(sorted((part for part in shortened if part), reverse=True))
+        counts[gamma] = counts.get(gamma, 0) + 1
+    return list(counts.items())
+
+
+def dominates_oracle(mu: Partition, lam: Partition) -> bool:
+    """Whether every prefix sum of mu is at least lam's, the shorter
+    partition padded with zeros."""
+    acc_mu = acc_lam = 0
+    for k in range(max(len(mu), len(lam))):
+        acc_mu += mu[k] if k < len(mu) else 0
+        acc_lam += lam[k] if k < len(lam) else 0
+        if acc_mu < acc_lam:
+            return False
+    return True
 
 
 def _covers_oracle(rho: Partition) -> list[Partition]:

@@ -316,7 +316,7 @@ class TestErrorsAndDeterminism:
         assert "not invariant" in errors[0]["error"]
 
     def test_failed_orthogonalization_is_an_internal_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(characters, "standard_count", lambda lam: 0)
+        monkeypatch.setattr(characters, "_standard_count", lambda lam: 0)
         characters.multiplicity_table.cache_clear()
         try:
             code, out, err = run_cli(capsys, "character-table", "--n", "4")

@@ -1,9 +1,18 @@
 import pytest
 
-from younglab.characters import ind_sgn_character, lemma1_check, multiplicity_table, perm_character
+from oracles import dominates_oracle, predecessors_oracle
+from younglab import forms, partitions
+from younglab.characters import (
+    eq1_check,
+    ind_sgn_character,
+    lemma1_check,
+    multiplicity_table,
+    perm_character,
+)
 from younglab.errors import EmptyPartitionError, LimitError, SizeMismatchError
+from younglab.forms import statement2_check, theorem5_check, two_row_decomposition
+from younglab.linsys import polymorphism_feasibility, statement1_check
 from younglab.partitions import (
-    addable_rows,
     bar,
     check_partition,
     conjugate,
@@ -14,7 +23,6 @@ from younglab.partitions import (
     parse_partition,
     partition_count,
     predecessors,
-    removable_rows,
     standard_count,
     successors,
 )
@@ -119,6 +127,13 @@ class TestDominance:
         with pytest.raises(SizeMismatchError):
             dominates((3,), (2, 2))
 
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_matches_the_padded_prefix_oracle(self, n):
+        ps = enumerate_partitions(n)
+        for mu in ps:
+            for lam in ps:
+                assert dominates(mu, lam) == dominates_oracle(mu, lam)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_antitone_under_conjugation(self, n):
         for mu in enumerate_partitions(n):
@@ -143,6 +158,17 @@ class TestYoungGraph:
         assert predecessors((2, 2, 1)) == [((2, 1, 1), 2), ((2, 2), 1)]
         assert predecessors((3, 2, 1)) == [((2, 2, 1), 1), ((3, 1, 1), 1), ((3, 2), 1)]
         assert predecessors((5,)) == [((4,), 1)]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_predecessors_match_the_oracle(self, n):
+        for lam in enumerate_partitions(n):
+            assert predecessors(lam) == predecessors_oracle(lam)
+
+    def test_list_arguments_answer_like_tuples(self):
+        assert predecessors([2, 2, 1]) == predecessors((2, 2, 1))
+        assert successors([3, 1]) == successors((3, 1))
+        assert bar([2, 2]) == bar((2, 2))
+        assert dominates([3, 1], [2, 2]) == dominates((3, 1), (2, 2))
 
     def test_predecessors_multiplicities_sum_to_part_count(self):
         for n in range(1, 11):
@@ -173,11 +199,6 @@ class TestYoungGraph:
             for rho in enumerate_partitions(n - 1):
                 for mu in successors(rho):
                     assert rho in [g for g, _ in predecessors(mu)]
-
-    def test_removable_addable(self):
-        assert removable_rows((3, 2, 1)) == [1, 2, 3]
-        assert removable_rows((2, 2, 1)) == [2, 3]
-        assert addable_rows((4, 1)) == [1, 2, 3]
 
 
 class TestBar:
@@ -291,9 +312,32 @@ class TestWarmTables:
         (eq2_check, ((3, 2, 1), (3, 2))),
         (perm_character, ((3, 2, 1),)),
         (lemma1_check, ((3, 2, 1),)),
-    ], ids=["enumerate", "kostka", "eq2", "perm-character", "lemma1"])
+        (eq1_check, ((3, 2, 1), (3, 2))),
+        (multiplicity_table, (6,)),
+    ], ids=["enumerate", "kostka", "eq2", "perm-character", "lemma1", "eq1",
+            "multiplicity-table"])
     def test_cap_holds_on_a_warm_table(self, monkeypatch, door, args):
         door(*args)
         monkeypatch.setenv("YOUNGLAB_MAX_N", "5")
         with pytest.raises(LimitError):
             door(*args)
+
+
+class TestCapBeforeWork:
+    """An entry point over the cap raises before its first piece of work."""
+
+    @pytest.mark.parametrize("module, work, entry, args", [
+        (partitions, "_enumerate_partitions", statement1_check, ((6,),)),
+        (partitions, "_enumerate_partitions", polymorphism_feasibility, (6,)),
+        (forms, "_arrangements", statement2_check, ((3, 3), 6)),
+        (forms, "_arrangements", theorem5_check, ((3, 3), 6)),
+        (forms, "squarefree_monomials", two_row_decomposition, (6, 3)),
+    ], ids=["statement1", "polymorphism", "statement2", "theorem5", "two-row"])
+    def test_limit_before_any_work(self, monkeypatch, module, work, entry, args):
+        def not_reached(*_):
+            raise AssertionError(f"{work} ran above the cap")
+
+        monkeypatch.setattr(module, work, not_reached)
+        monkeypatch.setenv("YOUNGLAB_MAX_N", "5")
+        with pytest.raises(LimitError):
+            entry(*args)

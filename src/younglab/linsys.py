@@ -78,10 +78,12 @@ def statement1_check(lam: Partition) -> Statement1Report:
     cols = tuple(dominance_upset(lam))
     row_pos = {rho: i for i, rho in enumerate(rows)}
     matrix = tuple({} for _ in rows)
+    images = []
     for j, mu in enumerate(cols):
-        for g, _ in predecessors(mu):
+        covered = predecessors(mu)
+        images.append(covered[0][0])  # bar(mu), the first pair's gamma
+        for g, _ in covered:
             matrix[row_pos[g]][j] = 1
-    images = [bar(mu) for mu in cols]
     bijective = len(set(images)) == len(images) and set(images) == set(rows)
     square = len(rows) == len(cols)
     kdim = len(cols) - rank(matrix)
@@ -127,6 +129,13 @@ def build_flow_instance(n: int) -> FlowInstance:
 class _Dinic:
     """Max flow with exact integer capacities.
 
+    Arcs live in flat arrays: arc e runs into head[e] with the residual
+    capacity cap[e], and adj[u] lists the ids of the arcs out of u in the
+    order they were added, the order a list of [head, residual, reverse
+    index] arcs per node would have.  Arcs come in pairs, 2k forward and
+    2k + 1 reverse (capacity 0), so the reverse of e is e ^ 1 and the flow
+    on a forward arc is the residual of its reverse, cap[e ^ 1].
+
     Each phase labels nodes by their exact residual distance to the sink
     (Ahuja, Magnanti and Orlin, *Network Flows*, 1993, section 7.4) and
     pushes one blocking flow along the arcs u -> v with dist[v] ==
@@ -139,67 +148,87 @@ class _Dinic:
     """
 
     def __init__(self, n: int):
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.head: list[int] = []
+        self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+    def add_edge(self, u: int, v: int, cap: int) -> int:
+        """Add the arc u -> v and its reverse; return the forward arc id."""
+        head, caps = self.head, self.cap
+        e = len(head)
+        head.append(v)
+        head.append(u)
+        caps.append(cap)
+        caps.append(0)
+        self.adj[u].append(e)
+        self.adj[v].append(e + 1)
+        return e
 
     def _levels(self, s: int, t: int) -> Optional[list[int]]:
         """Residual distances to t, by a BFS backward from t that stops once
         s is labelled; None when s cannot reach t.  Seen from adj[v], the
-        arc u -> v has the residual capacity adj[u][rev][1]."""
-        adj = self.adj
+        arc e leads back to u = head[e], and u -> v is the arc e ^ 1."""
+        adj, head, cap = self.adj, self.head, self.cap
         dist = [-1] * len(adj)
         dist[t] = 0
         queue = [t]
         for v in queue:
             d = dist[v] + 1
-            for u, _, rev in adj[v]:
-                if dist[u] < 0 and adj[u][rev][1]:
+            for e in adj[v]:
+                u = head[e]
+                if dist[u] < 0 and cap[e ^ 1]:
                     dist[u] = d
                     if u == s:
                         return dist
                     queue.append(u)
         return None
 
-    def _push(self, u: int, t: int, limit: int, dist, it) -> int:
-        """Push up to `limit` from u to t along the arcs u -> v with
-        dist[v] == dist[u] - 1; it[u] moves only past saturated or blocked
-        arcs, and a node whose arcs are all spent leaves the phase."""
-        if u == t:
-            return limit
-        total = 0
-        below = dist[u] - 1
-        while it[u] < len(self.adj[u]):
-            edge = self.adj[u][it[u]]
-            v, cap, rev = edge
-            if cap and dist[v] == below:
-                pushed = self._push(v, t, min(limit - total, cap), dist, it)
-                if pushed:
-                    edge[1] -= pushed
-                    self.adj[v][rev][1] += pushed
-                    total += pushed
-                    if total == limit:
-                        return total
-            it[u] += 1
-        dist[u] = -1  # blocked: no later arc of this phase may enter u
-        return total
-
     def max_flow(self, s: int, t: int) -> int:
+        adj, head, cap = self.adj, self.head, self.cap
         flow = 0
-        while True:
-            dist = self._levels(s, t)
-            if dist is None:
-                return flow
-            flow += self._push(s, t, 1 << 62, dist, [0] * len(self.adj))
+        while (dist := self._levels(s, t)) is not None:
+            it = [0] * len(adj)
+
+            def push(u: int, limit: int) -> int:
+                """Push up to `limit` from u to t along the arcs u -> v with
+                dist[v] == dist[u] - 1; it[u] moves only past saturated or
+                blocked arcs, and a node whose arcs are all spent leaves the
+                phase.  Labels fall strictly along the path, so the call down
+                an arc e of u neither reenters u nor changes cap[e]."""
+                total = 0
+                below = dist[u] - 1
+                arcs = adj[u]
+                for i in range(it[u], len(arcs)):
+                    e = arcs[i]
+                    c = cap[e]
+                    if c:
+                        v = head[e]
+                        if dist[v] == below:
+                            want = limit - total
+                            if c < want:
+                                want = c
+                            pushed = want if v == t else push(v, want)
+                            if pushed:
+                                cap[e] = c - pushed
+                                cap[e ^ 1] += pushed
+                                total += pushed
+                                if total == limit:
+                                    it[u] = i
+                                    return total
+                dist[u] = -1  # blocked: no later arc of this phase may enter u
+                return total
+
+            flow += push(s, 1 << 62)
+        return flow
 
     def reachable_in_residual(self, s: int) -> set[int]:
+        adj, head, cap = self.adj, self.head, self.cap
         seen = {s}
         queue = [s]
         for u in queue:
-            for v, cap, _ in self.adj[u]:
-                if cap and v not in seen:
+            for e in adj[u]:
+                v = head[e]
+                if cap[e] and v not in seen:
                     seen.add(v)
                     queue.append(v)
         return seen
@@ -224,11 +253,7 @@ def polymorphism_feasibility(n: int) -> dict:
     net = _Dinic(sink + 1)
     for g in instance.left:
         net.add_edge(source, left_id[g], p2)
-    edge_slots: dict[tuple[Partition, Partition], tuple[int, int]] = {}
-    for g, m in instance.edges:
-        u = left_id[g]
-        edge_slots[(g, m)] = (u, len(net.adj[u]))
-        net.add_edge(u, right_id[m], scale)
+    arcs = [net.add_edge(left_id[g], right_id[m], scale) for g, m in instance.edges]
     for m in instance.right:
         net.add_edge(right_id[m], sink, p1)
 
@@ -243,10 +268,9 @@ def polymorphism_feasibility(n: int) -> dict:
     }
     if flow == scale:
         witness = {}
-        for (g, m), (u, idx) in edge_slots.items():
-            used = scale - net.adj[u][idx][1]
-            if used:
-                witness[(g, m)] = Fraction(used, scale)
+        for edge, e in zip(instance.edges, arcs):
+            if used := net.cap[e ^ 1]:
+                witness[edge] = Fraction(used, scale)
         if not verify_witness(instance, witness):
             raise SelfCheckError(f"flow witness for n={n} fails verification")
         report["witness"] = witness

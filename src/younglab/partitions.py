@@ -63,8 +63,8 @@ def check_degree(n) -> int:
         raise ValueError(f"n must be an integer, got {n!r}") from None
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > max_n():
-        raise LimitError(f"n={n} exceeds the configured maximum {max_n()}")
+    if n > (cap := max_n()):
+        raise LimitError(f"n={n} exceeds the configured maximum {cap}")
     return n
 
 

@@ -13,11 +13,15 @@ tableaux are filled here one cell at a time and tested cell by cell,
 independent of the horizontal-strip recursion the library lists them with;
 horizontal strips are found among all shapes inside the given one, and a
 Theorem-4 certificate is checked cell by cell against those fillings.
-Minimum s-t cuts are found by trying every cut, independent of max-flow.
+Minimum s-t cuts are found by trying every cut, independent of max-flow,
+and the max flow is recomputed arc by arc on the list-of-lists network the
+library kept before its flat arc arrays (each arc a [head, residual,
+reverse index] list), the reference for the library's flow on every arc.
 The shapes a partition covers are found by shortening every row and
 sorting, and dominance by comparing zero-padded prefix sums row by row.
 Unitriangularity of a deviation system is read entry by entry off its
-dense matrix with the columns reordered, not off sparse rows.
+dense matrix with the columns reordered, not off sparse rows, and bar(mu)
+is the first shape `predecessors_oracle` lists.
 The explicit permutations (0-based image tuples), the substitution action
 on forms and the tableau text parser are built here too: from the library
 the oracles take only its types and enumerations.
@@ -27,10 +31,11 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations as iperms, product
 from math import factorial
+from typing import Optional
 
 from younglab.characters import ClassFunction, class_types
 from younglab.forms import Form
-from younglab.partitions import Partition, bar
+from younglab.partitions import Partition
 
 Permutation = tuple[int, ...]
 Tabloid = tuple[frozenset, ...]
@@ -395,7 +400,7 @@ def unipotent_oracle(report) -> bool:
     mu -> bar(mu) is not a bijection onto the rows."""
     rows, cols = report.row_index, report.col_index
     entries = dense_rows(report)
-    images = [bar(mu) for mu in cols]
+    images = [predecessors_oracle(mu)[0][0] for mu in cols]
     if len(set(images)) != len(images) or set(images) != set(rows):
         return False
     row_pos = {rho: i for i, rho in enumerate(rows)}
@@ -597,3 +602,79 @@ def min_cut_oracle(n: int, arcs, s: int, t: int) -> int:
         sum(cap for u, v, cap in arcs if u in side and v not in side)
         for side in sides
     )
+
+
+class ListDinic:
+    """`linsys._Dinic` as it was on lists: each arc a [head, residual,
+    reverse index] list in adj[u], the same labels by residual distance to
+    the sink, arc order, it[u] pointers and -1 mark of a spent node.  It is
+    the arc-by-arc reference for the library's flat arc arrays."""
+
+    def __init__(self, n: int):
+        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
+
+    def add_edge(self, u: int, v: int, cap: int) -> None:
+        self.adj[u].append([v, cap, len(self.adj[v])])
+        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+
+    def _levels(self, s: int, t: int) -> Optional[list[int]]:
+        """Residual distances to t, by a BFS backward from t that stops once
+        s is labelled; None when s cannot reach t.  Seen from adj[v], the
+        arc u -> v has the residual capacity adj[u][rev][1]."""
+        adj = self.adj
+        dist = [-1] * len(adj)
+        dist[t] = 0
+        queue = [t]
+        for v in queue:
+            d = dist[v] + 1
+            for u, _, rev in adj[v]:
+                if dist[u] < 0 and adj[u][rev][1]:
+                    dist[u] = d
+                    if u == s:
+                        return dist
+                    queue.append(u)
+        return None
+
+    def _push(self, u: int, t: int, limit: int, dist, it) -> int:
+        """Push up to `limit` from u to t along the arcs u -> v with
+        dist[v] == dist[u] - 1; it[u] moves only past saturated or blocked
+        arcs, and a node whose arcs are all spent leaves the phase."""
+        if u == t:
+            return limit
+        total = 0
+        below = dist[u] - 1
+        while it[u] < len(self.adj[u]):
+            edge = self.adj[u][it[u]]
+            v, cap, rev = edge
+            if cap and dist[v] == below:
+                pushed = self._push(v, t, min(limit - total, cap), dist, it)
+                if pushed:
+                    edge[1] -= pushed
+                    self.adj[v][rev][1] += pushed
+                    total += pushed
+                    if total == limit:
+                        return total
+            it[u] += 1
+        dist[u] = -1  # blocked: no later arc of this phase may enter u
+        return total
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        while True:
+            dist = self._levels(s, t)
+            if dist is None:
+                return flow
+            flow += self._push(s, t, 1 << 62, dist, [0] * len(self.adj))
+
+
+def dinic_oracle(n: int, arcs, s: int, t: int) -> tuple[int, list[int]]:
+    """The max-flow value of the network on nodes 0..n-1 with arcs
+    (u, v, cap), added in that order to a `ListDinic`, and the flow on
+    each arc: its capacity less its residual."""
+    net = ListDinic(n)
+    slots = []
+    for u, v, cap in arcs:
+        slots.append((u, len(net.adj[u])))
+        net.add_edge(u, v, cap)
+    value = net.max_flow(s, t)
+    return value, [cap - net.adj[u][idx][1] for (_, _, cap), (u, idx) in zip(arcs, slots)]

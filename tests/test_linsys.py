@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_rows, min_cut_oracle, rref_oracle, unipotent_oracle
+from oracles import (
+    dense_rows,
+    dinic_oracle,
+    min_cut_oracle,
+    rref_oracle,
+    unipotent_oracle,
+)
 from younglab.errors import SelfCheckError
 from younglab.linsys import (
     FlowInstance,
@@ -296,24 +302,35 @@ def _random_network(seed):
     return n, [(u, v, cap) for u, v, cap in arcs if u != v]
 
 
-@pytest.mark.parametrize("seeds", [range(k, k + 100) for k in range(0, 500, 100)],
-                         ids=lambda seeds: f"{seeds.start}-{seeds.stop - 1}")
+SEED_CHUNKS = [range(k, k + 100) for k in range(0, 500, 100)]
+
+
+def _chunk_id(seeds):
+    return f"{seeds.start}-{seeds.stop - 1}"
+
+
+def _flat_flow(n, arcs, s, t):
+    """The max-flow value of the network on flat arc arrays, and the flow
+    on each arc read as the residual of its reverse."""
+    net = _Dinic(n)
+    ids = [net.add_edge(u, v, cap) for u, v, cap in arcs]
+    return net.max_flow(s, t), [net.cap[e ^ 1] for e in ids]
+
+
+@pytest.mark.parametrize("seeds", SEED_CHUNKS, ids=_chunk_id)
 def test_max_flow_equals_brute_force_min_cut(seeds):
     for seed in seeds:
         n, arcs = _random_network(seed)
         s, t = 0, n - 1
         net = _Dinic(n)
-        slots = []
-        for u, v, cap in arcs:
-            slots.append((u, len(net.adj[u])))
-            net.add_edge(u, v, cap)
+        ids = [net.add_edge(u, v, cap) for u, v, cap in arcs]
         value = net.max_flow(s, t)
         assert value == min_cut_oracle(n, arcs, s, t), seed
         # the residual arcs hold a feasible flow of that value ...
         excess = [0] * n
-        for (u, v, cap), (node, idx) in zip(arcs, slots):
-            used = cap - net.adj[node][idx][1]
-            assert 0 <= used <= cap, seed
+        for (u, v, cap), e in zip(arcs, ids):
+            used = net.cap[e ^ 1]
+            assert 0 <= used <= cap and net.cap[e] == cap - used, seed
             excess[u] -= used
             excess[v] += used
         assert excess[t] == value == -excess[s], seed
@@ -323,3 +340,40 @@ def test_max_flow_equals_brute_force_min_cut(seeds):
         assert t not in side, seed
         assert sum(cap for u, v, cap in arcs
                    if u in side and v not in side) == value, seed
+
+
+@pytest.mark.parametrize("seeds", SEED_CHUNKS, ids=_chunk_id)
+def test_flow_equals_list_of_lists_oracle_arc_by_arc(seeds):
+    for seed in seeds:
+        n, arcs = _random_network(seed)
+        assert _flat_flow(n, arcs, 0, n - 1) == dinic_oracle(n, arcs, 0, n - 1), seed
+
+
+def _young_network(n):
+    """The transport network of level n-1 -> n with its arcs in the order
+    polymorphism_feasibility adds them: source -> gamma, the covering pairs
+    in instance order, then mu -> sink."""
+    instance = build_flow_instance(n)
+    p1, p2 = len(instance.left), len(instance.right)
+    sink = 1 + p1 + p2
+    left_id = {g: 1 + i for i, g in enumerate(instance.left)}
+    right_id = {m: 1 + p1 + j for j, m in enumerate(instance.right)}
+    arcs = [(0, left_id[g], p2) for g in instance.left]
+    arcs += [(left_id[g], right_id[m], p1 * p2) for g, m in instance.edges]
+    arcs += [(right_id[m], sink, p1) for m in instance.right]
+    return instance, sink + 1, arcs, 0, sink
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_young_graph_flow_equals_list_of_lists_oracle_arc_by_arc(n):
+    instance, nodes, arcs, s, t = _young_network(n)
+    value, flows = _flat_flow(nodes, arcs, s, t)
+    assert (value, flows) == dinic_oracle(nodes, arcs, s, t)
+    # the witness is the flow on the covering-pair arcs over the scale
+    scale = len(instance.left) * len(instance.right)
+    first = len(instance.left)
+    expected = {
+        edge: Fraction(used, scale)
+        for edge, used in zip(instance.edges, flows[first:]) if used
+    }
+    assert list(polymorphism_feasibility(n)["witness"].items()) == list(expected.items())

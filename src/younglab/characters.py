@@ -35,14 +35,15 @@ from .errors import DegreeMismatchError, OrthogonalizationError, SizeMismatchErr
 from .partitions import (
     Partition,
     _enumerate_partitions,
+    _predecessors,
     _standard_count,
+    _successors,
     check_degree,
     check_pair,
     check_partition,
     conjugate,
     enumerate_partitions,
     predecessors,
-    successors,
 )
 
 __all__ = [
@@ -344,12 +345,17 @@ def lemma1_check(lam: Partition) -> bool:
 
 
 def eq1_check(lam: Partition, rho: Partition) -> tuple[int, int]:
-    """Both sides of the multiplicity recurrence for (lam, rho)."""
-    lam, rho = check_pair(lam, rho)
+    """Both sides of the multiplicity recurrence for (lam, rho).  Each call
+    checks the pair first; `_eq1_sides`, which the eq1 sweep calls on the
+    pairs it generates, does not."""
+    return _eq1_sides(*check_pair(lam, rho))
+
+
+def _eq1_sides(lam: Partition, rho: Partition) -> tuple[int, int]:
     n = sum(lam)
     big, small = _multiplicity_table(n), _multiplicity_table(n - 1)
-    left = sum(big(mu, lam) for mu in successors(rho))
-    right = sum(c * small(rho, gamma) for gamma, c in predecessors(lam))
+    left = sum(big(mu, lam) for mu in _successors(rho))
+    right = sum(c * small(rho, gamma) for gamma, c in _predecessors(lam))
     return left, right
 
 

@@ -188,6 +188,21 @@ def successors(rho: Partition) -> list[Partition]:
     ]
 
 
+@cache
+def _predecessors(lam: Partition) -> tuple[tuple[Partition, int], ...]:
+    """`predecessors(lam)` as a tuple, built once per shape for the process.
+    Only checked or generated partitions may reach it: at most
+    sum over k <= 20 of p(k) = 2,714 keys."""
+    return tuple(predecessors(lam))
+
+
+@cache
+def _successors(rho: Partition) -> tuple[Partition, ...]:
+    """`successors(rho)` as a tuple, built once per shape for the process,
+    on the same terms as `_predecessors`."""
+    return tuple(successors(rho))
+
+
 def bar(lam: Partition) -> Partition:
     """Remove one cell from the topmost removable row.
 

@@ -12,21 +12,26 @@ suite both call it.  The pass rules of the Example-4, Specht and two-row
 reports, ``example4_passes``, ``theorem5_passes`` and ``two_row_passes``,
 are also the verdicts of the CLI's ``forms`` command.
 
-The checks look the library functions up by their module-global names at
-call time, so rebinding those names (as a tracer or a test does) is seen
-by every sweep.
+The pair sweeps (``youngs-rule``, ``eq1``, ``eq2``) call the unchecked
+bodies behind ``kostka``, ``multiplicity_table``, ``eq1_check`` and
+``eq2_check``: ``run_sweep`` refuses a ``max_n`` over the cap before any
+work, and every pair is built from ``enumerate_partitions``, so a second
+check per pair would find nothing.  The checks look the library functions
+up by their module-global names at call time, so rebinding those names (as
+a tracer or a test does) is seen by every sweep.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .characters import (
+    _eq1_sides,
+    _multiplicity_table,
     conjugate_twist_check,
-    eq1_check,
     lemma1_check,
-    multiplicity_table,
     theorem1_check,
     theorem1_components,
 )
@@ -41,7 +46,7 @@ from .forms import (
 )
 from .linsys import polymorphism_feasibility, statement1_check
 from .partitions import enumerate_partitions, max_n as degree_cap, standard_count, successors
-from .tableaux import eq2_check, kostka
+from .tableaux import _eq2_sides, _kostka
 
 __all__ = ["SWEEPS", "Sweep", "VerificationReport", "example4_passes", "run_sweep",
            "theorem5_passes", "two_row_passes"]
@@ -82,7 +87,7 @@ class Sweep(NamedTuple):
 
 
 def _pairs(n: int, m: int):
-    return [(a, b) for a in enumerate_partitions(n) for b in enumerate_partitions(m)]
+    return list(product(enumerate_partitions(n), enumerate_partitions(m)))
 
 
 def _theorem1(lam):
@@ -102,11 +107,12 @@ def _theorem1(lam):
 
 def _youngs_rule(pair):
     mu, lam = pair
-    multiplicity = multiplicity_table(sum(mu))(mu, lam)
-    if multiplicity == kostka(mu, lam):
+    multiplicity = _multiplicity_table(sum(mu))(mu, lam)
+    count = _kostka(mu, lam)
+    if multiplicity == count:
         return None
     return {"mu": list(mu), "lambda": list(lam),
-            "multiplicity": multiplicity, "kostka": kostka(mu, lam)}
+            "multiplicity": multiplicity, "kostka": count}
 
 
 def _recurrence(pair, sides):
@@ -118,11 +124,11 @@ def _recurrence(pair, sides):
 
 
 def _eq1(pair):
-    return _recurrence(pair, eq1_check(*pair))
+    return _recurrence(pair, _eq1_sides(*pair))
 
 
 def _eq2(pair):
-    return _recurrence(pair, eq2_check(*pair))
+    return _recurrence(pair, _eq2_sides(*pair))
 
 
 def _lemma1(lam):

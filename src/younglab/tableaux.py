@@ -18,10 +18,11 @@ from typing import NamedTuple
 from .errors import SelfCheckError, SizeMismatchError
 from .partitions import (
     Partition,
+    _predecessors,
+    _successors,
     check_degree,
     check_pair,
     check_partition,
-    predecessors,
     successors,
 )
 
@@ -73,10 +74,11 @@ def _listed(shape: Partition, weight: Weight, memo: dict) -> list[Tableau]:
 def _ssyt(mu: Partition, w: Weight, memo: dict) -> list[Tableau]:
     """Tableaux of shape mu and weight w, unsorted: those of shape nu and
     weight w[:-1], for mu/nu a horizontal strip of w[-1] cells, with len(w)
-    appended row by row.  The strips are read from the `_strips` table,
-    which lasts for the process; the tableaux go into `memo`, which lasts
-    for one listing or one certificate (a process-wide tableau memo would
-    hold every list ever built) and holds lists no caller may mutate."""
+    appended row by row (nu[i] >= mu[i+1]: at most one new row, the last).
+    The strips are read from the `_strips` table, which lasts for the process;
+    the tableaux go into `memo`, which lasts for one listing or one
+    certificate (a process-wide tableau memo would hold every list ever
+    built) and holds lists no caller may mutate."""
     if len(mu) > len(w):
         return []
     if not w:
@@ -84,10 +86,11 @@ def _ssyt(mu: Partition, w: Weight, memo: dict) -> list[Tableau]:
     found = memo.get((mu, w))
     if found is None:
         found = memo[mu, w] = []
+        k = len(w)
         for nu in _strips(mu, w[-1]):
-            pad = ((),) * (len(mu) - len(nu))
-            tails = [(len(w),) * (m - v) for m, v in zip(mu, nu + (0,) * len(pad))]
-            found += [tuple(map(add, t + pad, tails)) for t in _ssyt(nu, w[:-1], memo)]
+            tails = [(k,) * (m - v) for m, v in zip(mu, nu)]
+            new = ((k,) * mu[-1],) if len(nu) < len(mu) else ()
+            found += [(*map(add, t, tails), *new) for t in _ssyt(nu, w[:-1], memo)]
     return found
 
 
@@ -136,10 +139,15 @@ def eq2_check(lam: Partition, rho: Partition) -> tuple[int, int]:
 
     left  = sum over covers mu of rho of K(mu, lam)
     right = sum over gamma covered by lam of c(lam, gamma) * K(rho, gamma)
+
+    Each call checks the pair; `_eq2_sides`, which the eq2 sweep calls, does not.
     """
-    lam, rho = check_pair(lam, rho)
-    left = sum(_kostka(mu, lam) for mu in successors(rho))
-    right = sum(c * _kostka(rho, gamma) for gamma, c in predecessors(lam))
+    return _eq2_sides(*check_pair(lam, rho))
+
+
+def _eq2_sides(lam: Partition, rho: Partition) -> tuple[int, int]:
+    left = sum(_kostka(mu, lam) for mu in _successors(rho))
+    right = sum(c * _kostka(rho, gamma) for gamma, c in _predecessors(lam))
     return left, right
 
 
@@ -183,25 +191,29 @@ class BijectionCertificate(NamedTuple):
         """Verify that the pairing is a bijection between the two sides,
         without listing either side.
 
-        Each pair must hold a removed symbol x of lam with its weight
-        `gamma_weight` equal to lam minus one x, a left item whose shape
-        covers rho and a right item of shape rho.  Each tableau is walked
-        once by `_fills`: rows weakly and columns strictly increase, and its
-        entries, sorted, are the word of lam (left) or of lam minus one x
-        (right), built once per certificate.  With the shape a partition
-        that is semistandardness with that weight, positive entries at most
-        len(lam) included.  No item may repeat, and the number of pairs
-        must equal both counts of `eq2_check` (Kostka numbers from the strip
+        lam and rho are checked as `eq2_check` checks them, so a list
+        answers like the equal tuple.  Each pair must hold a removed symbol x
+        of lam with its weight `gamma_weight` equal to lam minus one x, a
+        left item whose shape covers rho (from the uncached `successors`: a
+        hand-built field reaches no cache) and a right item of shape rho.
+        Each tableau is walked once by `_fills`: rows weakly and columns
+        strictly increase, and its entries, sorted, are the word of lam
+        (left) or of lam minus one x (right); words and weights are built
+        once per certificate.  With the shape a partition that is
+        semistandardness with that weight, positive entries at most len(lam)
+        included.  No item may repeat, and the number of pairs must equal
+        both sides of the recurrence (Kostka numbers from the strip
         recursion).  Distinct members of a side, as many as the side has,
         are the whole side.
         """
-        lam, rho = self.lam, self.rho
+        lam, rho = check_pair(self.lam, self.rho)
         covers = set(successors(rho))
         word = [x for x, c in enumerate(lam, 1) for _ in range(c)]
-        # minus[x]: the word with its first x dropped, for x = 1..len(lam)
+        # for x = 1..len(lam), minus[x]: the word with its first x dropped
         minus = [None] + [word[:i] + word[i + 1:] for i in accumulate((0,) + lam[:-1])]
+        weights = [None] + _weights(lam)
         for t, x, s, w, _ in self.pairs:
-            if not (1 <= x <= len(lam) and w == _minus_one(lam, x)):
+            if not (1 <= x <= len(lam) and w == weights[x]):
                 return False
             if not (tuple(map(len, t)) in covers and _fills(t, word)):
                 return False
@@ -212,7 +224,7 @@ class BijectionCertificate(NamedTuple):
             return False
         if len({(p.gamma_weight, p.rho_tableau) for p in self.pairs}) != n:
             return False
-        return eq2_check(lam, rho) == (n, n)
+        return _eq2_sides(lam, rho) == (n, n)
 
 
 def _fills(t: Tableau, word: list[int]) -> bool:
@@ -226,10 +238,10 @@ def _fills(t: Tableau, word: list[int]) -> bool:
     return sorted(chain.from_iterable(t)) == word
 
 
-def _minus_one(lam: Partition, x: int) -> Weight:
-    """The weight lam with one occurrence of symbol x removed, kept as a
-    composition (trailing zeros dropped)."""
-    return strip_weight(lam[:x - 1] + (lam[x - 1] - 1,) + lam[x:])
+def _weights(lam: Partition) -> list[Weight]:
+    """The weights lam with one occurrence of symbol x removed, for
+    x = 1..len(lam), kept as compositions (trailing zeros dropped)."""
+    return [strip_weight(lam[:i] + (c - 1,) + lam[i + 1:]) for i, c in enumerate(lam)]
 
 
 def _corner_row(mu: Partition, rho: Partition) -> int:
@@ -267,20 +279,21 @@ def theorem4_bijection(lam: Partition, rho: Partition) -> BijectionCertificate:
     k-th unused right item.  Nothing relates the two tableaux of such a
     pair, so only the bijection itself is certified.
 
-    Both partitions and the size cap are checked before any listing; both
-    sides share one `_ssyt` memo and are listed as `enumerate_ssyt` lists.
+    Both partitions and the size cap are checked before any listing; the
+    corner row is found once per cover of rho, the weight lam minus one x
+    once per symbol x.  Both sides share one `_ssyt` memo and are listed as
+    `enumerate_ssyt` lists.
     """
     lam, rho = check_pair(lam, rho)
     memo: dict = {}  # shared by both sides: their weight prefixes overlap
-    left = [
-        (t, _corner_row(mu, rho))
-        for mu in successors(rho)
-        for t in _listed(mu, lam, memo)
-    ]
+    left: list[tuple[Tableau, int]] = []
+    for mu in _successors(rho):
+        r = _corner_row(mu, rho)
+        left += [(t, r) for t in _listed(mu, lam, memo)]
+    weights = _weights(lam)
     # (gamma weight, tableau) -> removed symbol, in listing order
     right: dict[tuple[Weight, Tableau], int] = {}
-    for x in range(1, len(lam) + 1):
-        w = _minus_one(lam, x)
+    for x, w in enumerate(weights, 1):
         right.update(((w, s), x) for s in _listed(rho, w, memo))
 
     pairs: list[BijectionPair | None] = [None] * len(left)
@@ -288,7 +301,7 @@ def theorem4_bijection(lam: Partition, rho: Partition) -> BijectionCertificate:
         s = _canonical_image(t, r)
         if s is None:
             continue
-        w = _minus_one(lam, r)
+        w = weights[r - 1]
         if right.pop((w, s), None):
             pairs[k] = BijectionPair(t, r, s, w, True)
 

@@ -26,7 +26,7 @@ from younglab.partitions import (
     standard_count,
     successors,
 )
-from younglab.tableaux import eq2_check, kostka
+from younglab.tableaux import eq2_check, kostka, theorem4_bijection
 
 
 def pentagonal_p(n: int) -> int:
@@ -194,6 +194,13 @@ class TestYoungGraph:
                 expected = [mu for mu in enumerate_partitions(n + 1) if covers(mu, rho)]
                 assert successors(rho) == expected
 
+    @pytest.mark.parametrize("n", range(13))
+    def test_cover_tables_are_the_cover_lists(self, n):
+        for p in enumerate_partitions(n):
+            assert partitions._successors(p) == tuple(successors(p))
+            if p:
+                assert partitions._predecessors(p) == tuple(predecessors(p))
+
     def test_successors_predecessors_are_adjoint(self):
         for n in range(1, 10):
             for rho in enumerate_partitions(n - 1):
@@ -321,6 +328,17 @@ class TestWarmTables:
         monkeypatch.setenv("YOUNGLAB_MAX_N", "5")
         with pytest.raises(LimitError):
             door(*args)
+
+    @pytest.mark.parametrize("door", [eq2_check, eq1_check, theorem4_bijection],
+                             ids=["eq2", "eq1", "theorem4"])
+    def test_cap_holds_on_warm_cover_tables(self, monkeypatch, door):
+        lam, rho = (4, 3, 2, 1), (4, 3, 2)  # degree 10
+        door(lam, rho)
+        tables = (partitions._successors, partitions._predecessors)
+        assert all(table.cache_info().currsize for table in tables)
+        monkeypatch.setenv("YOUNGLAB_MAX_N", "8")
+        with pytest.raises(LimitError):
+            door(lam, rho)
 
 
 class TestCapBeforeWork:

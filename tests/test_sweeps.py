@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from younglab import linsys, sweeps
+from younglab import characters, linsys, sweeps, tableaux
 from younglab.cli import main
 from younglab.errors import LimitError, SelfCheckError
 from younglab.forms import example4_check
@@ -124,6 +124,34 @@ def test_two_row_counterexample(monkeypatch, change):
         lambda n, k: {**real(n, k), **change} if (n, k) == (4, 2) else real(n, k),
     )
     _fails_on(run_sweep("two-row", 4), {"n": 4, "k": 2}, 2 + 2 + 3)
+
+
+@pytest.mark.parametrize("name, body, args, bump, record", [
+    ("youngs-rule", "_kostka", ((2, 1), (1, 1, 1)), lambda k: k + 1,
+     {"mu": [2, 1], "lambda": [1, 1, 1], "multiplicity": 2, "kostka": 3}),
+    ("eq1", "_eq1_sides", ((2, 1), (2,)), lambda sides: (sides[0], sides[1] + 1),
+     {"lambda": [2, 1], "rho": [2], "left": 2, "right": 3}),
+    ("eq2", "_eq2_sides", ((2, 1), (2,)), lambda sides: (sides[0], sides[1] + 1),
+     {"lambda": [2, 1], "rho": [2], "left": 2, "right": 3}),
+])
+def test_pair_sweep_counterexample_through_its_body(monkeypatch, capsys, name, body,
+                                                    args, bump, record):
+    real = getattr(sweeps, body)
+    monkeypatch.setattr(
+        sweeps, body, lambda *a: bump(real(*a)) if a == args else real(*a))
+    assert main(["verify", name, "--max-n", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: FAIL (max_n=4)", f"counterexample: {json.dumps(record)}"]
+
+
+@pytest.mark.parametrize("name, module", [("eq1", characters), ("eq2", tableaux)])
+def test_pair_sweep_checks_no_pair(monkeypatch, name, module):
+    # run_sweep checks the range once; the pairs come from enumerate_partitions
+    calls = []
+    real = module.check_pair
+    monkeypatch.setattr(module, "check_pair", lambda *a: calls.append(a) or real(*a))
+    assert run_sweep(name, 8).status == "pass"
+    assert calls == []
 
 
 def test_transport_witness_that_fails_verification(monkeypatch, capsys):

@@ -26,6 +26,7 @@ from younglab.partitions import (
     successors,
 )
 from younglab.tableaux import (
+    BijectionCertificate,
     enumerate_ssyt,
     enumerate_standard,
     eq2_check,
@@ -184,6 +185,14 @@ class TestStrips:
                     assert type(got) is tuple
                     assert sorted(got) == sorted(strips_oracle(mu, size))
 
+    def test_a_strip_opens_at_most_one_new_row(self):
+        # nu[i] >= mu[i+1]: `_ssyt` appends at most one new row, the last of mu
+        for n in range(9):
+            for mu in enumerate_partitions(n):
+                for size in range(n + 1):
+                    for nu in tableaux._strips(mu, size):
+                        assert len(mu) - 1 <= len(nu) <= len(mu)
+
     def test_import_leaves_the_table_empty(self):
         # every functools cache table of the package, private ones included:
         # this one, and those behind the checked entry points, which the
@@ -205,6 +214,8 @@ class TestStrips:
         assert {"younglab.tableaux._strips", "younglab.tableaux._kostka",
                 "younglab.partitions._enumerate_partitions",
                 "younglab.partitions._standard_count",
+                "younglab.partitions._successors",
+                "younglab.partitions._predecessors",
                 "younglab.characters._multiplicity_table"} <= sizes.keys()
         assert {name: size for name, size in sizes.items() if size} == {}
 
@@ -390,6 +401,19 @@ class TestBijection:
         mutant = cert._replace(pairs=(wrong,) + cert.pairs[1:])
         assert not mutant.check()
         assert not certificate_check_oracle(mutant)
+
+    @pytest.mark.parametrize("lam, rho", [([2, 1], (2,)), ((2, 1), [2])],
+                             ids=["lam", "rho"])
+    def test_check_answers_a_list_like_the_equal_tuple(self, lam, rho):
+        pairs = theorem4_bijection((2, 1), (2,)).pairs
+        assert BijectionCertificate(lam, rho, pairs).check()
+        assert not BijectionCertificate(lam, rho, pairs[1:]).check()
+
+    @pytest.mark.parametrize("keep", [0, 2], ids=["no-pairs", "all-pairs"])
+    def test_check_refuses_a_field_that_is_not_a_partition(self, keep):
+        pairs = theorem4_bijection((2, 1), (2,)).pairs[:keep]
+        with pytest.raises(ValueError, match="^lam must have positive"):
+            BijectionCertificate((1, 2), (2,), pairs).check()
 
     def test_mutants_are_well_formed(self):
         cert, mutants = certificate_mutants()

@@ -34,10 +34,9 @@ from operator import mul
 from .errors import DegreeMismatchError, OrthogonalizationError, SizeMismatchError
 from .partitions import (
     Partition,
+    _branching_sides,
     _enumerate_partitions,
-    _predecessors,
     _standard_count,
-    _successors,
     check_degree,
     check_pair,
     check_partition,
@@ -353,10 +352,7 @@ def eq1_check(lam: Partition, rho: Partition) -> tuple[int, int]:
 
 def _eq1_sides(lam: Partition, rho: Partition) -> tuple[int, int]:
     n = sum(lam)
-    big, small = _multiplicity_table(n), _multiplicity_table(n - 1)
-    left = sum(big(mu, lam) for mu in _successors(rho))
-    right = sum(c * small(rho, gamma) for gamma, c in _predecessors(lam))
-    return left, right
+    return _branching_sides(_multiplicity_table(n), _multiplicity_table(n - 1), lam, rho)
 
 
 def conjugate_twist_check(n: int) -> bool:

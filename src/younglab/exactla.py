@@ -57,22 +57,6 @@ class RationalMatrix:
             [[int(i == j) for j in range(n)] for i in range(n)]
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(str(x) for x in row) for row in self.entries
-        )
-        return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
 
 def _clear(v: dict[int, int], c: int, b: dict[int, int]) -> None:
     """The one row-combination step: v becomes p*v - f*b, with f = v[c]

@@ -185,29 +185,35 @@ def _arrangements(items: list[int]) -> set[tuple[int, ...]]:
     return out
 
 
-def x_monomials(lam: Partition, n: int) -> list[Monomial]:
-    """Monomials with exponent i-1 on each variable assigned to row i.
+def _monomial_model(lam) -> list[Monomial]:
+    """The monomials with exponent i-1 on each variable assigned to row i,
+    in the frozen monomial order; no cap and no argument check.
 
     There are n!/prod(lam_i!) of them: equal rows carry different
-    exponents, so all assignments stay distinct.  Returned in the frozen
-    monomial order.  Raises LimitError for n > STATEMENT2_MAX_N before any
-    other check, and for n over max_n() before any work.
+    exponents, so all assignments stay distinct.
     """
-    if n > STATEMENT2_MAX_N:
-        raise LimitError(f"n={n} exceeds the supported {STATEMENT2_MAX_N}")
-    if sum(check_partition(lam, "lam")) != n:
-        raise SizeMismatchError(f"|{lam}| != {n}")
-    check_degree(n)
     exponents: list[int] = []
     for i, part in enumerate(lam):
         exponents.extend([i] * part)
     monos = _arrangements(exponents)
-    expected = factorial(n)
+    expected = factorial(len(exponents))
     for part in lam:
         expected //= factorial(part)
     if len(monos) != expected:
         raise SelfCheckError(f"{len(monos)} monomials for {lam}, expected {expected}")
     return sorted(monos, key=monomial_sort_key)
+
+
+def x_monomials(lam: Partition, n: int) -> list[Monomial]:
+    """The monomial model of lam (`_monomial_model`).  Raises LimitError
+    for n > STATEMENT2_MAX_N before any other check, and for n over max_n()
+    before any work."""
+    if n > STATEMENT2_MAX_N:
+        raise LimitError(f"n={n} exceeds the supported {STATEMENT2_MAX_N}")
+    if sum(check_partition(lam, "lam")) != n:
+        raise SizeMismatchError(f"|{lam}| != {n}")
+    check_degree(n)
+    return _monomial_model(lam)
 
 
 def monomial_action_character(monomials: list[Monomial], n: int) -> ClassFunction:
@@ -351,7 +357,8 @@ def d_kernel_dim(ambient: list[Monomial], n: int) -> int:
 
 def theorem5_check(lam: Partition, n: int) -> dict:
     """Verify the Specht-module facts for one shape of degree n, at most
-    THEOREM5_MAX_N.
+    THEOREM5_MAX_N (checked first, then lam, its size and max_n(); no other
+    cap applies), inside the monomial model of lam.
 
     (a) the standard Specht polynomials are independent, of rank equal to
         the standard-tableau count;
@@ -365,7 +372,8 @@ def theorem5_check(lam: Partition, n: int) -> dict:
     lam = check_partition(lam, "lam")
     if sum(lam) != n:
         raise SizeMismatchError(f"|{lam}| != {n}")
-    ambient = x_monomials(lam, n)
+    check_degree(n)
+    ambient = _monomial_model(lam)
     tableaux = enumerate_standard(lam)
     polys = [specht_poly(t, n) for t in tableaux]
     space = span_of_forms(polys, ambient)
@@ -401,14 +409,10 @@ def elementary_symmetric(n: int, variables: list[int], p: int) -> Form:
 
 
 def squarefree_monomials(n: int, k: int) -> list[Monomial]:
-    """All degree-k squarefree monomials in n variables, frozen order."""
-    monos = []
-    for combo in combinations(range(n), k):
-        e = [0] * n
-        for i in combo:
-            e[i] = 1
-        monos.append(tuple(e))
-    return sorted(monos, key=monomial_sort_key)
+    """All degree-k squarefree monomials in n variables, frozen order: the
+    monomial model of (n-k, k), the permutation module on k-subsets (none
+    for k > n)."""
+    return _monomial_model((n - k, k)) if k <= n else []
 
 
 def difference_product_generators(n: int, l: int, k: int) -> list[Form]:
@@ -440,8 +444,30 @@ def _independent(spaces: list[Subspace]) -> bool:
     return rank(rows) == sum(space.dim for space in spaces)
 
 
+def _decomposition(groups: dict, ambient: list[Monomial], n: int, total: int):
+    """A proposed decomposition of the span of `ambient`, where `groups`
+    maps a name to (forms, shape): the span of each group's forms by name;
+    by name, whether it carries the irreducible character of its shape
+    (`restricted_character` raises NotInvariantError unless it is
+    invariant); and whether the dimensions add up to `total` and to the
+    rank of the stacked bases, a direct sum filling a space of dimension
+    `total`."""
+    chis = irreducible_characters(n)
+    spaces = {name: span_of_forms(forms, ambient) for name, (forms, _) in groups.items()}
+    characters = {
+        name: restricted_character(spaces[name], n) == chis[shape]
+        for name, (_, shape) in groups.items()
+    }
+    direct_sum = (
+        sum(space.dim for space in spaces.values()) == total
+        and _independent([space.subspace for space in spaces.values()])
+    )
+    return spaces, characters, direct_sum
+
+
 def two_row_decomposition(n: int, k: int) -> dict:
-    """Decompose the squarefree degree-k space into its l-components.
+    """Decompose the squarefree degree-k space, the monomial model of
+    (n-k, k), into its l-components by `_decomposition`.
 
     Component l is spanned by `difference_product_generators`; once that
     span is invariant it holds the S_n-orbit of a pairing product, so it is
@@ -462,23 +488,12 @@ def two_row_decomposition(n: int, k: int) -> dict:
         raise SizeMismatchError(f"need 0 <= k <= n/2, got k={k}, n={n}")
     check_degree(n)
     ambient = squarefree_monomials(n, k)
-    chis = irreducible_characters(n)
-    components: list[FormSpace] = []
-    dims_ok = True
-    characters_ok = True
-    for l in range(k + 1):
-        generators = difference_product_generators(n, l, k)
-        space = span_of_forms(generators, ambient)
-        components.append(space)
-        if space.dim != standard_count(two_row_partition(n, l)):
-            dims_ok = False
-        if restricted_character(space, n) != chis[two_row_partition(n, l)]:
-            characters_ok = False
-
-    direct_sum = (
-        sum(space.dim for space in components) == comb(n, k)
-        and _independent([space.subspace for space in components])
-    )
+    groups = {
+        l: (difference_product_generators(n, l, k), two_row_partition(n, l))
+        for l in range(k + 1)
+    }
+    spaces, characters, direct_sum = _decomposition(groups, ambient, n, comb(n, k))
+    components = list(spaces.values())
     # a direct sum meets pairwise in zero, so test pairs only when it is not
     pairwise_zero = direct_sum or all(
         _independent([a.subspace, b.subspace])
@@ -488,19 +503,19 @@ def two_row_decomposition(n: int, k: int) -> dict:
         "n": n,
         "k": k,
         "dims": [space.dim for space in components],
-        "dims_match": dims_ok,
+        "dims_match": all(spaces[l].dim == standard_count(shape)
+                          for l, (_, shape) in groups.items()),
         "direct_sum": direct_sum,
         "pairwise_zero": pairwise_zero,
-        "characters_match": characters_ok,
+        "characters_match": all(characters.values()),
         "top_is_shift_invariant": None,
     }
     if n % 2 == 0 and k == n // 2:
-        # generators holds the l = k ones from the last pass; the top
-        # component lies in the kernel of D and has its dimension, so
-        # equals it
+        # the top component lies in the kernel of D and has its dimension,
+        # so equals it
         report["top_is_shift_invariant"] = (
-            all(not f.derivative_sum() for f in generators)
-            and components[k].dim == d_kernel_dim(ambient, n)
+            all(not f.derivative_sum() for f in groups[k][0])
+            and spaces[k].dim == d_kernel_dim(ambient, n)
         )
     return report
 
@@ -562,41 +577,24 @@ def example4_check() -> dict:
         return x[kk - 1] * x[kk - 1] * lin - x[kk - 1] * quad
 
     groups = {
-        "trivial": [d_form],
-        "pair": [c1, c2],
-        "specht": [sp1, sp2, sp3],
-        "even_natural": [a_form(1), a_form(2), a_form(3)],
-        "odd_natural": [b_form(1), b_form(2), b_form(3)],
+        "trivial": ([d_form], (4,)),
+        "pair": ([c1, c2], (2, 2)),
+        "specht": ([sp1, sp2, sp3], (2, 1, 1)),
+        "even_natural": ([a_form(1), a_form(2), a_form(3)], (3, 1)),
+        "odd_natural": ([b_form(1), b_form(2), b_form(3)], (3, 1)),
     }
-    expected_shapes = {
-        "trivial": (4,),
-        "pair": (2, 2),
-        "specht": (2, 1, 1),
-        "even_natural": (3, 1),
-        "odd_natural": (3, 1),
-    }
-    chis = irreducible_characters(n)
-    spaces = {name: span_of_forms(fs, ambient) for name, fs in groups.items()}
-
+    spaces, characters, direct_sum = _decomposition(groups, ambient, n, 12)
     dims = {name: space.dim for name, space in spaces.items()}
-    characters = {
-        name: restricted_character(spaces[name], n) == chis[expected_shapes[name]]
-        for name in groups
-    }
     # restricted_character raised NotInvariantError unless every span is
     # invariant under both generators of S_4, so each one is invariant
     invariant = dict.fromkeys(groups, True)
-    direct_sum = (
-        sum(dims.values()) == 12
-        and _independent([space.subspace for space in spaces.values()])
-    )
 
     def swapped(f: Form) -> Form:
         return Form(n, {_degree_swap(m): c for m, c in f.terms.items()})
 
     even = {"trivial", "pair", "even_natural"}
     parity_ok = True
-    for name, fs in groups.items():
+    for name, (fs, _) in groups.items():
         want_even = name in even
         for f in fs:
             image = swapped(f)

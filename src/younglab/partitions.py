@@ -203,6 +203,17 @@ def _successors(rho: Partition) -> tuple[Partition, ...]:
     return tuple(successors(rho))
 
 
+def _branching_sides(big, small, lam: Partition, rho: Partition) -> tuple[int, int]:
+    """Both sides of the branching recurrence for |lam| = |rho| + 1:
+    (sum over mu covering rho of big(mu, lam),
+     sum over gamma covered by lam of c(lam, gamma) * small(rho, gamma)),
+    read from the cover tables.  Checks nothing: its callers pass checked
+    or generated pairs, and their own tables as big and small."""
+    left = sum(big(mu, lam) for mu in _successors(rho))
+    right = sum(c * small(rho, gamma) for gamma, c in _predecessors(lam))
+    return left, right
+
+
 def bar(lam: Partition) -> Partition:
     """Remove one cell from the topmost removable row.
 

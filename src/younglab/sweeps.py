@@ -87,7 +87,7 @@ class Sweep(NamedTuple):
 
 
 def _pairs(n: int, m: int):
-    return list(product(enumerate_partitions(n), enumerate_partitions(m)))
+    return product(enumerate_partitions(n), enumerate_partitions(m))
 
 
 def _theorem1(lam):

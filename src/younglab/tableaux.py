@@ -18,12 +18,11 @@ from typing import NamedTuple
 from .errors import SelfCheckError, SizeMismatchError
 from .partitions import (
     Partition,
-    _predecessors,
+    _branching_sides,
     _successors,
     check_degree,
     check_pair,
     check_partition,
-    successors,
 )
 
 Tableau = tuple[tuple[int, ...], ...]
@@ -146,9 +145,7 @@ def eq2_check(lam: Partition, rho: Partition) -> tuple[int, int]:
 
 
 def _eq2_sides(lam: Partition, rho: Partition) -> tuple[int, int]:
-    left = sum(_kostka(mu, lam) for mu in _successors(rho))
-    right = sum(c * _kostka(rho, gamma) for gamma, c in _predecessors(lam))
-    return left, right
+    return _branching_sides(_kostka, _kostka, lam, rho)
 
 
 def enumerate_standard(lam: Partition) -> list[Tableau]:
@@ -192,37 +189,41 @@ class BijectionCertificate(NamedTuple):
         without listing either side.
 
         lam and rho are checked as `eq2_check` checks them, so a list
-        answers like the equal tuple.  Each pair must hold a removed symbol x
-        of lam with its weight `gamma_weight` equal to lam minus one x, a
-        left item whose shape covers rho (from the uncached `successors`: a
-        hand-built field reaches no cache) and a right item of shape rho.
-        Each tableau is walked once by `_fills`: rows weakly and columns
-        strictly increase, and its entries, sorted, are the word of lam
-        (left) or of lam minus one x (right); words and weights are built
-        once per certificate.  With the shape a partition that is
+        answers like the equal tuple; that check also makes rho a valid key
+        of the `_successors` cover table.  Each pair must hold a removed
+        symbol x of lam with its weight `gamma_weight` equal to lam minus
+        one x, a left item whose shape covers rho and a right item of shape
+        rho.  Each tableau is walked once by `_fills`: rows weakly and
+        columns strictly increase, and its entries, sorted, are the word of
+        lam (left) or of lam minus one x (right); words and weights are
+        built once per certificate.  With the shape a partition that is
         semistandardness with that weight, positive entries at most len(lam)
         included.  No item may repeat, and the number of pairs must equal
         both sides of the recurrence (Kostka numbers from the strip
         recursion).  Distinct members of a side, as many as the side has,
-        are the whole side.
+        are the whole side.  A field of another type (a tableau with list
+        rows, say) makes the check answer False, not raise TypeError.
         """
         lam, rho = check_pair(self.lam, self.rho)
-        covers = set(successors(rho))
+        covers = set(_successors(rho))
         word = [x for x, c in enumerate(lam, 1) for _ in range(c)]
         # for x = 1..len(lam), minus[x]: the word with its first x dropped
         minus = [None] + [word[:i] + word[i + 1:] for i in accumulate((0,) + lam[:-1])]
         weights = [None] + _weights(lam)
-        for t, x, s, w, _ in self.pairs:
-            if not (1 <= x <= len(lam) and w == weights[x]):
-                return False
-            if not (tuple(map(len, t)) in covers and _fills(t, word)):
-                return False
-            if not (tuple(map(len, s)) == rho and _fills(s, minus[x])):
-                return False
         n = len(self.pairs)
-        if len({p.mu_tableau for p in self.pairs}) != n:
-            return False
-        if len({(p.gamma_weight, p.rho_tableau) for p in self.pairs}) != n:
+        try:
+            for t, x, s, w, _ in self.pairs:
+                if not (1 <= x <= len(lam) and w == weights[x]):
+                    return False
+                if not (tuple(map(len, t)) in covers and _fills(t, word)):
+                    return False
+                if not (tuple(map(len, s)) == rho and _fills(s, minus[x])):
+                    return False
+            if len({p.mu_tableau for p in self.pairs}) != n:
+                return False
+            if len({(p.gamma_weight, p.rho_tableau) for p in self.pairs}) != n:
+                return False
+        except TypeError:  # an unhashable or malformed field
             return False
         return _eq2_sides(lam, rho) == (n, n)
 

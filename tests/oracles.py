@@ -8,7 +8,9 @@ pair class functions by Fraction sums over enumerated class sizes
 rather than by the library's `inner`, and reduce matrices
 by plain Fraction Gauss-Jordan elimination, independent of the library's
 fraction-free `rref`.  The two-row components are spanned here by their
-product over every pairing, not by standard tableaux.  Semistandard
+product over every pairing, not by standard tableaux, and the squarefree
+monomials are listed one per subset of the variables, not as the monomial
+model of a two-row shape.  Semistandard
 tableaux are filled here one cell at a time and tested cell by cell,
 independent of the horizontal-strip recursion the library lists them with;
 horizontal strips are found among all shapes inside the given one, and a
@@ -426,6 +428,19 @@ def _pairings(items: tuple[int, ...]):
     for i in range(1, len(items)):
         for rest in _pairings(items[1:i] + items[i + 1:]):
             yield ((items[0], items[i]),) + rest
+
+
+def squarefree_oracle(n: int, k: int) -> list[tuple[int, ...]]:
+    """Every degree-k squarefree monomial in n variables, one per k-subset
+    of the variables, in the frozen order (all of one degree, so
+    descending lex)."""
+    monos = []
+    for combo in combinations(range(n), k):
+        e = [0] * n
+        for i in combo:
+            e[i] = 1
+        monos.append(tuple(e))
+    return sorted(monos, reverse=True)
 
 
 def pairing_generators_oracle(n: int, l: int, k: int) -> list[Form]:

@@ -51,6 +51,7 @@ from oracles import (
     pairing_generators_oracle,
     restricted_character_oracle,
     sparse_rows,
+    squarefree_oracle,
 )
 
 
@@ -315,6 +316,28 @@ class TestTheorem5:
     def test_limit(self):
         with pytest.raises(LimitError):
             theorem5_check((7,), 7)
+
+    def test_only_its_own_cap_applies(self, monkeypatch):
+        monkeypatch.setattr(forms, "STATEMENT2_MAX_N", 5)
+        assert theorem5_passes(theorem5_check((3, 3), 6))
+        with pytest.raises(LimitError):
+            x_monomials((3, 3), 6)
+
+    def test_limit_before_the_model(self, monkeypatch):
+        calls = []
+        model = forms._monomial_model
+
+        def spy(lam):
+            calls.append(lam)
+            return model(lam)
+
+        monkeypatch.setattr(forms, "_monomial_model", spy)
+        monkeypatch.setattr(forms, "THEOREM5_MAX_N", 5)
+        with pytest.raises(LimitError):
+            theorem5_check((3, 3), 6)
+        assert calls == []
+        assert theorem5_passes(theorem5_check((2, 1), 3))
+        assert calls == [(2, 1)]
 
     def test_specht_span_invariant_under_action(self):
         for lam in enumerate_partitions(4):
@@ -587,6 +610,11 @@ class TestTwoRow:
         monos = squarefree_monomials(5, 2)
         assert len(monos) == comb(5, 2)
         assert all(sum(m) == 2 and max(m) == 1 for m in monos)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_square_free_basis_is_one_monomial_per_subset(self, n):
+        for k in range(n + 2):
+            assert squarefree_monomials(n, k) == squarefree_oracle(n, k), k
 
     def test_elementary_symmetric(self):
         e2 = elementary_symmetric(4, [1, 2, 3], 2)

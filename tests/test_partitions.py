@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import dominates_oracle, predecessors_oracle
-from younglab import forms, partitions
+from younglab import characters, forms, partitions, tableaux
 from younglab.characters import (
     eq1_check,
     ind_sgn_character,
@@ -339,6 +339,32 @@ class TestWarmTables:
         monkeypatch.setenv("YOUNGLAB_MAX_N", "8")
         with pytest.raises(LimitError):
             door(lam, rho)
+
+
+class TestBranchingSides:
+    """eq1 and eq2 share the body `_branching_sides`, not its tables."""
+
+    PAIRS = [((3, 2, 1), (3, 2)), ((4, 1), (2, 2)), ((2, 2), (2, 1))]
+
+    def test_eq1_reads_no_kostka_number(self, monkeypatch):
+        want = [eq1_check(lam, rho) for lam, rho in self.PAIRS]
+        monkeypatch.setattr(tableaux, "_kostka", lambda mu, lam: 0)
+        assert [eq2_check(lam, rho) for lam, rho in self.PAIRS] == [(0, 0)] * 3
+        assert [eq1_check(lam, rho) for lam, rho in self.PAIRS] == want
+
+    def test_eq2_reads_no_multiplicity(self, monkeypatch):
+        want = [eq2_check(lam, rho) for lam, rho in self.PAIRS]
+        monkeypatch.setattr(characters, "_multiplicity_table", lambda n: lambda mu, lam: 0)
+        assert [eq1_check(lam, rho) for lam, rho in self.PAIRS] == [(0, 0)] * 3
+        assert [eq2_check(lam, rho) for lam, rho in self.PAIRS] == want
+
+    def test_sides_of_a_known_pair(self):
+        # left, over the covers (4,1), (3,2), (3,1,1) of rho: K = 2 + 1 + 1;
+        # right, over (2,1,1) with c = 1 and (3,1) with c = 2: 1*2 + 2*1
+        assert eq2_check((3, 1, 1), (3, 1)) == (4, 4)
+        # with every table value 1, the sides count covers and removals
+        assert partitions._branching_sides(
+            lambda mu, lam: 1, lambda rho, gamma: 1, (3, 1, 1), (3, 1)) == (3, 3)
 
 
 class TestCapBeforeWork:

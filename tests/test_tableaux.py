@@ -415,6 +415,19 @@ class TestBijection:
         with pytest.raises(ValueError, match="^lam must have positive"):
             BijectionCertificate((1, 2), (2,), pairs).check()
 
+    @pytest.mark.parametrize("field, change", [
+        ("mu_tableau", lambda t: tuple(list(row) for row in t)),
+        ("mu_tableau", lambda t: (1,) * len(t)),
+        ("rho_tableau", lambda t: [list(row) for row in t]),
+        ("gamma_weight", list),
+    ], ids=["mu-list-rows", "mu-not-rows", "rho-list", "gamma-list"])
+    def test_check_answers_false_on_a_field_of_another_type(self, field, change):
+        cert = theorem4_bijection((2, 1), (2,))
+        first = cert.pairs[0]
+        changed = first._replace(**{field: change(getattr(first, field))})
+        assert cert.check()
+        assert not cert._replace(pairs=(changed, *cert.pairs[1:])).check()
+
     def test_mutants_are_well_formed(self):
         cert, mutants = certificate_mutants()
         assert cert.check() and certificate_check_oracle(cert)

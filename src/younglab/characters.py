@@ -103,8 +103,20 @@ class ClassFunction:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values):
+        self._fill(n, values, class_types(n))
+
+    @classmethod
+    def _of(cls, n: int, values) -> "ClassFunction":
+        """The library's own constructions, at a degree it reached through
+        a check (a table's degree, or one below by restriction): the length
+        is taken from the cached partitions of n and the cap is not read."""
+        f = object.__new__(cls)
+        f._fill(n, values, _enumerate_partitions(n))
+        return f
+
+    def _fill(self, n: int, values, types: tuple[Partition, ...]) -> None:
         values = tuple(values)
-        if len(values) != len(class_types(n)):
+        if len(values) != len(types):
             raise DegreeMismatchError("one value per cycle type is required")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
@@ -135,10 +147,10 @@ class ClassFunction:
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         _same_degree(self, other)
-        return ClassFunction(self.n, tuple(a + b for a, b in zip(self.values, other.values)))
+        return ClassFunction._of(self.n, tuple(a + b for a, b in zip(self.values, other.values)))
 
     def scaled(self, c: int) -> "ClassFunction":
-        return ClassFunction(self.n, tuple(c * v for v in self.values))
+        return ClassFunction._of(self.n, tuple(c * v for v in self.values))
 
 
 def _same_degree(f: ClassFunction, g: ClassFunction) -> None:
@@ -184,7 +196,7 @@ def _perm_characters(n: int) -> dict[Partition, ClassFunction]:
             expand((r, *sigma), size + r, grown)
 
     expand((), 0, {(): 1})
-    return {lam: ClassFunction(n, tuple(table.pop(lam))) for lam in shapes}
+    return {lam: ClassFunction._of(n, tuple(table.pop(lam))) for lam in shapes}
 
 
 def perm_character(lam: Partition) -> ClassFunction:
@@ -208,7 +220,7 @@ def _signs(n: int) -> tuple[int, ...]:
 
 def sign_twist(f: ClassFunction) -> ClassFunction:
     """Pointwise product with the sign character; an involution."""
-    return ClassFunction(f.n, tuple(map(mul, _signs(f.n), f.values)))
+    return ClassFunction._of(f.n, tuple(map(mul, _signs(f.n), f.values)))
 
 
 def ind_sgn_character(lam: Partition) -> ClassFunction:
@@ -300,7 +312,7 @@ def _multiplicity_table(n: int) -> MultiplicityTable:
                 raise OrthogonalizationError(f"bad multiplicity at ({mu}, {lam})")
             ms.append(m)
         reduced = tuple(v - sum(map(mul, ms, col)) for v, col in zip(psi.values, columns))
-        chi = ClassFunction(n, reduced)
+        chi = ClassFunction._of(n, reduced)
         if sum(s * v * v for s, v in zip(sizes, reduced)) != nfact:
             raise OrthogonalizationError(f"non-unit norm at {lam}")
         if chi.degree != _standard_count(lam):
@@ -327,7 +339,8 @@ def restrict(f: ClassFunction) -> ClassFunction:
     each cycle type of degree n-1 with a fixed point."""
     if f.n == 0:
         raise DegreeMismatchError("cannot restrict degree 0")
-    return ClassFunction(f.n - 1, tuple(f(tau + (1,)) for tau in class_types(f.n - 1)))
+    return ClassFunction._of(
+        f.n - 1, tuple(f(tau + (1,)) for tau in _enumerate_partitions(f.n - 1)))
 
 
 def lemma1_check(lam: Partition) -> bool:

@@ -12,12 +12,15 @@ one record with those verdicts.
 The transport problem asks for a nonnegative kernel supported on covering
 pairs that pushes the uniform distribution on level n-1 to the uniform
 distribution on level n; it is decided exactly by integer max-flow on the
-network scaled by p(n-1) * p(n).
+network scaled by p(n-1) * p(n).  One integer balance rule, `_balanced`,
+checks both the arc flows and, through `verify_witness`, a witness of
+Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import NamedTuple, Optional
 
@@ -27,12 +30,12 @@ from .exactla import rank
 from .exactla import kernel  # noqa: F401
 from .partitions import (
     Partition,
+    _predecessors,
     bar,
     check_degree,
     check_partition,
     dominance_upset,
     enumerate_partitions,
-    predecessors,
     successors,
 )
 
@@ -80,7 +83,7 @@ def statement1_check(lam: Partition) -> Statement1Report:
     matrix = tuple({} for _ in rows)
     images = []
     for j, mu in enumerate(cols):
-        covered = predecessors(mu)
+        covered = _predecessors(mu)
         images.append(covered[0][0])  # bar(mu), the first pair's gamma
         for g, _ in covered:
             matrix[row_pos[g]][j] = 1
@@ -135,6 +138,7 @@ class _Dinic:
     index] arcs per node would have.  Arcs come in pairs, 2k forward and
     2k + 1 reverse (capacity 0), so the reverse of e is e ^ 1 and the flow
     on a forward arc is the residual of its reverse, cap[e ^ 1].
+    `add_edges` adds a run of arcs of one capacity under consecutive ids.
 
     Each phase labels nodes by their exact residual distance to the sink
     (Ahuja, Magnanti and Orlin, *Network Flows*, 1993, section 7.4) and
@@ -152,17 +156,22 @@ class _Dinic:
         self.head: list[int] = []
         self.cap: list[int] = []
 
+    def add_edges(self, pairs, cap: int) -> range:
+        """Add u -> v with capacity cap and its reverse for each pair
+        (u, v) in turn; return the forward arc ids."""
+        adj, head = self.adj, self.head
+        first = e = len(head)
+        for u, v in pairs:
+            head += (v, u)
+            adj[u].append(e)
+            adj[v].append(e + 1)
+            e += 2
+        self.cap += (cap, 0) * ((e - first) // 2)
+        return range(first, e, 2)
+
     def add_edge(self, u: int, v: int, cap: int) -> int:
         """Add the arc u -> v and its reverse; return the forward arc id."""
-        head, caps = self.head, self.cap
-        e = len(head)
-        head.append(v)
-        head.append(u)
-        caps.append(cap)
-        caps.append(0)
-        self.adj[u].append(e)
-        self.adj[v].append(e + 1)
-        return e
+        return self.add_edges(((u, v),), cap)[0]
 
     def _levels(self, s: int, t: int) -> Optional[list[int]]:
         """Residual distances to t, by a BFS backward from t that stops once
@@ -240,22 +249,22 @@ def polymorphism_feasibility(n: int) -> dict:
 
     Returns a report with an exact witness kernel when feasible, or an
     exact max-flow certificate (flow value plus a saturated cut) when not.
-    The witness is re-verified against every constraint before returning.
+    A full flow is checked by `_balanced` on the integer arc flows; the
+    witness maps each pair with flow f > 0 to f / (p(n-1) * p(n)), one
+    Fraction per distinct f.
     """
     instance = build_flow_instance(n)
     p1, p2 = len(instance.left), len(instance.right)
     scale = p1 * p2
     source = 0
     sink = 1 + p1 + p2
-    left_id = {g: 1 + i for i, g in enumerate(instance.left)}
-    right_id = {m: 1 + p1 + j for j, m in enumerate(instance.right)}
+    left_id, right_id = _node_ids(instance)
+    pairs = [(left_id[g], right_id[m]) for g, m in instance.edges]
 
     net = _Dinic(sink + 1)
-    for g in instance.left:
-        net.add_edge(source, left_id[g], p2)
-    arcs = [net.add_edge(left_id[g], right_id[m], scale) for g, m in instance.edges]
-    for m in instance.right:
-        net.add_edge(right_id[m], sink, p1)
+    net.add_edges(zip(repeat(source), range(1, 1 + p1)), p2)
+    arcs = net.add_edges(pairs, scale)
+    net.add_edges(zip(range(1 + p1, sink), repeat(sink)), p1)
 
     flow = net.max_flow(source, sink)
     report = {
@@ -267,13 +276,13 @@ def polymorphism_feasibility(n: int) -> dict:
         "cut": None,
     }
     if flow == scale:
-        witness = {}
-        for edge, e in zip(instance.edges, arcs):
-            if used := net.cap[e ^ 1]:
-                witness[edge] = Fraction(used, scale)
-        if not verify_witness(instance, witness):
+        flows = net.cap[arcs.start + 1:arcs.stop:2]  # cap[e ^ 1] for e in arcs
+        if not _balanced(pairs, flows, p1, p2, p2, p1):
             raise SelfCheckError(f"flow witness for n={n} fails verification")
-        report["witness"] = witness
+        value = {f: Fraction(f, scale) for f in set(flows) if f}
+        report["witness"] = {
+            edge: value[f] for edge, f in zip(instance.edges, flows) if f
+        }
     else:
         # source side of a minimum cut certifies the upper bound exactly
         side = net.reachable_in_residual(source)
@@ -297,24 +306,40 @@ def polymorphism_feasibility(n: int) -> dict:
     return report
 
 
+def _node_ids(instance: FlowInstance) -> tuple[dict[Partition, int], dict[Partition, int]]:
+    """Node ids 1..p1 for level n-1 and p1+1..p1+p2 for level n, in order;
+    0 is the source and p1+p2+1 the sink."""
+    p1 = len(instance.left)
+    return ({g: 1 + i for i, g in enumerate(instance.left)},
+            {m: 1 + p1 + j for j, m in enumerate(instance.right)})
+
+
+def _balanced(pairs, flows, p1: int, p2: int, supply: int, demand: int) -> bool:
+    """Every flow is nonnegative, and along the pairs (u, v) of node ids
+    each node 1..p1 sends `supply` and each node p1+1..p1+p2 receives
+    `demand`."""
+    sums = [0] * (1 + p1 + p2)
+    for (u, v), f in zip(pairs, flows):
+        if f < 0:
+            return False
+        sums[u] += f
+        sums[v] += f
+    return sums[1:1 + p1] == [supply] * p1 and sums[1 + p1:] == [demand] * p2
+
+
 def verify_witness(instance: FlowInstance, witness: dict) -> bool:
-    """Exact check of support, nonnegativity, and all row/column sums,
-    in one pass over the witness.  The sums are taken in integers over one
-    common denominator D of the witness, supply and demand."""
+    """Exact check of a witness {(gamma, mu): Fraction}: every key is a
+    covering pair, and over the lcm D of all denominators the numerators
+    pass `_balanced` with the targets supply * D and demand * D."""
     allowed = set(instance.edges)
+    if not allowed.issuperset(witness):
+        return False
     supply, demand = instance.supply, instance.demand
     d = lcm(supply.denominator, demand.denominator,
-            *(value.denominator for value in witness.values()))
-    rows = dict.fromkeys(instance.left, 0)
-    cols = dict.fromkeys(instance.right, 0)
-    for key, value in witness.items():
-        if key not in allowed or value.numerator < 0:
-            return False
-        g, m = key
-        scaled = value.numerator * (d // value.denominator)
-        rows[g] += scaled
-        cols[m] += scaled
-    supply_d = supply.numerator * (d // supply.denominator)
-    demand_d = demand.numerator * (d // demand.denominator)
-    return (all(row == supply_d for row in rows.values())
-            and all(col == demand_d for col in cols.values()))
+            *{value.denominator for value in witness.values()})
+    left_id, right_id = _node_ids(instance)
+    pairs = [(left_id[g], right_id[m]) for g, m in witness]
+    flows = [value.numerator * (d // value.denominator) for value in witness.values()]
+    return _balanced(pairs, flows, len(instance.left), len(instance.right),
+                     supply.numerator * (d // supply.denominator),
+                     demand.numerator * (d // demand.denominator))

@@ -12,6 +12,7 @@ extension of reverse dominance, which the character orthogonalization in
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from functools import cache
 from itertools import accumulate
 from operator import ge, index
@@ -103,26 +104,18 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 
 @cache
 def _enumerate_partitions(n: int) -> tuple[Partition, ...]:
+    """The partitions (f, *p) for each first part f from n down to 1 and
+    each p of n - f with first part at most f, in the order of the cached
+    table of n - f: descending lex order, in which those p are a tail."""
     if n == 0:
         return ((),)
     out: list[Partition] = []
-    cur = [n]
-    while True:
-        out.append(tuple(cur))
-        # Find the rightmost part > 1, decrement it, and repack the tail
-        # greedily; this steps to the next partition in descending lex order.
-        i = len(cur) - 1
-        while i >= 0 and cur[i] == 1:
-            i -= 1
-        if i < 0:
-            return tuple(out)
-        rest = len(cur) - i  # cells freed by the tail plus the decrement
-        cur[i] -= 1
-        del cur[i + 1:]
-        while rest > 0:
-            nxt = min(cur[-1], rest)
-            cur.append(nxt)
-            rest -= nxt
+    for f in range(n, 0, -1):
+        tails = _enumerate_partitions(n - f)
+        start = bisect_left(tails, -f, key=lambda p: -p[0]) if n - f > f else 0
+        head = (f,)
+        out += [head + p for p in tails[start:]]
+    return tuple(out)
 
 
 enumerate_partitions.cache_info = _enumerate_partitions.cache_info

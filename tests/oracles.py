@@ -19,8 +19,9 @@ Minimum s-t cuts are found by trying every cut, independent of max-flow,
 and the max flow is recomputed arc by arc on the list-of-lists network the
 library kept before its flat arc arrays (each arc a [head, residual,
 reverse index] list), the reference for the library's flow on every arc.
-The shapes a partition covers are found by shortening every row and
-sorting, and dominance by comparing zero-padded prefix sums row by row.
+Partitions are generated by a plain recursion on the first part, with
+no table and no search for the admissible tails.  The shapes a partition
+covers are found by shortening every row and sorting, and dominance by comparing zero-padded prefix sums row by row.
 Unitriangularity of a deviation system is read entry by entry off its
 dense matrix with the columns reordered, not off sparse rows, and bar(mu)
 is the first shape `predecessors_oracle` lists.
@@ -529,6 +530,18 @@ def strips_oracle(mu: Partition, size: int) -> list[Partition]:
         for nu in product(*(range(part + 1) for part in mu))
         if all(b <= x for b, x in zip(below, nu)) and sum(mu) - sum(nu) == size
     ]
+
+
+def partitions_oracle(n: int, largest: Optional[int] = None):
+    """The partitions of n with parts at most `largest` (default n), each
+    first part from the largest down and the rest by recursion: descending
+    lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in partitions_oracle(n - first, first):
+            yield (first, *rest)
 
 
 def predecessors_oracle(lam: Partition) -> list[tuple[Partition, int]]:

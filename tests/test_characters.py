@@ -15,7 +15,7 @@ from oracles import (
     sign_character,
     trivial_character,
 )
-from younglab import characters
+from younglab import characters, partitions
 from younglab.characters import (
     ClassFunction,
     _multiplicities,
@@ -199,6 +199,20 @@ class TestTheorem1:
                 if a and b:
                     common.append((mu, a, b))
             assert common == [(lam, 1, 1)] == theorem1_components(lam)
+
+
+    def test_sweep_reads_the_cap_only_at_the_doors(self, monkeypatch):
+        # four checked doors per shape (theorem1_check reaches perm_character
+        # twice, theorem1_components reaches multiplicity_table and
+        # perm_character once each), one enumeration per degree and at most
+        # one miss of each of the four per-degree tables; the ClassFunctions
+        # built inside read no cap
+        shapes = sum(len(enumerate_partitions(n)) for n in range(1, 11))
+        reads = []
+        real = partitions.max_n
+        monkeypatch.setattr(partitions, "max_n", lambda: reads.append(1) or real())
+        assert run_sweep("theorem1", 10).status == "pass"
+        assert len(reads) <= 4 * shapes + 5 * 10
 
 
 class TestIrreducibles:

@@ -15,6 +15,7 @@ from younglab.errors import SelfCheckError
 from younglab.linsys import (
     FlowInstance,
     _Dinic,
+    _node_ids,
     build_flow_instance,
     polymorphism_feasibility,
     statement1_check,
@@ -209,7 +210,7 @@ class TestPolymorphism:
             assert sum(v for (_, b), v in witness.items() if b == m) == instance.demand
         assert not verify_witness(instance, witness)
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 21))
     def test_sweep_feasible_and_verified(self, n):
         report = polymorphism_feasibility(n)
         assert report["feasible"]
@@ -218,9 +219,28 @@ class TestPolymorphism:
     def test_failed_witness_check_raises(self, monkeypatch):
         import younglab.linsys as linsys
 
-        monkeypatch.setattr(linsys, "verify_witness", lambda instance, witness: False)
+        monkeypatch.setattr(linsys, "_balanced", lambda *args: False)
         with pytest.raises(SelfCheckError):
             polymorphism_feasibility(3)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_add_edges_builds_the_network_of_repeated_add_edge(self, n):
+        instance = build_flow_instance(n)
+        p1, p2 = len(instance.left), len(instance.right)
+        left_id, right_id = _node_ids(instance)
+        sink = 1 + p1 + p2
+        runs = [
+            ([(0, 1 + i) for i in range(p1)], p2),
+            ([(left_id[g], right_id[m]) for g, m in instance.edges], p1 * p2),
+            ([(1 + p1 + j, sink) for j in range(p2)], p1),
+        ]
+        one_pass, one_by_one = _Dinic(sink + 1), _Dinic(sink + 1)
+        for pairs, cap in runs:
+            ids = one_pass.add_edges(pairs, cap)
+            assert list(ids) == [one_by_one.add_edge(u, v, cap) for u, v in pairs]
+        assert one_pass.head == one_by_one.head
+        assert one_pass.cap == one_by_one.cap
+        assert one_pass.adj == one_by_one.adj
 
     def test_instance_mass_balance(self):
         for n in range(2, 10):

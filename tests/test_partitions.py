@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import dominates_oracle, predecessors_oracle
+from oracles import dominates_oracle, partitions_oracle, predecessors_oracle
 from younglab import characters, forms, partitions, tableaux
 from younglab.characters import (
     eq1_check,
@@ -77,6 +77,10 @@ class TestEnumeration:
         ps = enumerate_partitions(n)
         assert len(set(ps)) == len(ps)
         assert set(ps) == brute_partitions(n)
+
+    @pytest.mark.parametrize("n", range(0, 21))
+    def test_exact_order_of_the_plain_recursion(self, n):
+        assert enumerate_partitions(n) == tuple(partitions_oracle(n))
 
     @pytest.mark.parametrize("n", [6, 10, 14])
     def test_count_matches_pentagonal_recurrence(self, n):

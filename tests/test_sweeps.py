@@ -157,8 +157,40 @@ def test_pair_sweep_checks_no_pair(monkeypatch, name, module):
 def test_transport_witness_that_fails_verification(monkeypatch, capsys):
     # the sweep does not re-verify a witness: a failed verification inside
     # polymorphism_feasibility is a bug and stops the sweep
-    monkeypatch.setattr(linsys, "verify_witness", lambda instance, witness: False)
+    monkeypatch.setattr(linsys, "_balanced", lambda *args: False)
     with pytest.raises(SelfCheckError):
+        run_sweep("transport", 5)
+    assert main(["verify", "transport", "--max-n", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = [json.loads(line) for line in err.splitlines()]
+    assert [line for line in lines if "error" in line] == [
+        {"error": "flow witness for n=2 fails verification", "kind": "internal"}]
+
+
+def _max_flow_with_a_moved_unit(real):
+    """`_Dinic.max_flow` that returns the true value after moving one unit
+    from one arc out of the first node behind the source to the next arc
+    out of it: that node still sends its supply, while the two nodes at
+    the far ends receive one unit too few and one too many."""
+    def max_flow(net, s, t):
+        value = real(net, s, t)
+        u = net.head[net.adj[s][0]]
+        out = [e for e in net.adj[u] if e % 2 == 0]  # forward arcs of u
+        donor = next(e for e in out if net.cap[e ^ 1])
+        taker = next(e for e in out if e != donor)
+        for e, delta in ((donor, -1), (taker, 1)):
+            net.cap[e ^ 1] += delta
+            net.cap[e] -= delta
+        return value
+
+    return max_flow
+
+
+def test_transport_flow_with_a_moved_unit_fails_verification(monkeypatch, capsys):
+    monkeypatch.setattr(
+        linsys._Dinic, "max_flow", _max_flow_with_a_moved_unit(linsys._Dinic.max_flow))
+    with pytest.raises(SelfCheckError, match="^flow witness for n=2 fails verification$"):
         run_sweep("transport", 5)
     assert main(["verify", "transport", "--max-n", "5"]) == 2
     out, err = capsys.readouterr()

@@ -6,30 +6,29 @@ of a row-stabilizer subgroup at a class rho is the coefficient of m_lam in
 the power sum p_rho.  All of one degree come from one depth-first pass
 over the cycle types, which carries each p_sigma of a common tail sigma
 in the monomial basis and multiplies it by one power sum per step; the
-table is cached per degree and `perm_character` looks a shape up in it.
+degree's table is cached and `perm_character` looks a shape up in it.
 Irreducible characters are recovered by orthogonalizing the permutation
 characters along the dominance order, which keeps everything inside exact
 arithmetic and leaves Kostka numbers (counted independently by the
 horizontal-strip recursion in :mod:`younglab.tableaux`) available as a
 cross-check rather than an ingredient.
 
-All pairings are plain products without conjugation: every class function
-built here is integer-valued.  A multiplicity weights the reducible side by
-the class sizes once, on the classes where it is nonzero, and pairs it with
-an irreducible in one integer dot product and one exact division by n!.
-The multiplicities the orthogonalization strips are the multiplicity table,
-one triangular row per shape; each must be a nonnegative integer.  `inner`
-returns the same pairing as a Fraction.
+The orthogonalization packs a vector into one int (Kronecker
+substitution), entry j in a signed slot of W bytes at bit 8Wj, so one
+big-integer sum does a whole vector step: with Q_rho holding chi(rho) of
+the j-th irreducible found in slot j, sum_rho |C_rho| psi(rho) Q_rho holds
+n! times every multiplicity in psi.  Checked bounds fix W (`_slot_widths`),
+so no slot can wrap; a slot decodes as a byte slice once half a slot is
+added to each.  The tables of the last two degrees read are kept.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import compress
-from math import factorial
-from typing import Callable, NamedTuple
-from operator import mul
+from functools import cache, lru_cache
+from math import factorial, isqrt
+from typing import NamedTuple
+from operator import mul, sub
 
 from .errors import DegreeMismatchError, OrthogonalizationError, SizeMismatchError
 from .partitions import (
@@ -158,7 +157,7 @@ def _same_degree(f: ClassFunction, g: ClassFunction) -> None:
         raise DegreeMismatchError(f"degrees differ: {f.n} != {g.n}")
 
 
-@cache
+@lru_cache(maxsize=2)
 def _perm_characters(n: int) -> dict[Partition, ClassFunction]:
     """Every permutation character of degree n, keyed by shape in the
     frozen order: psi^lam(rho) is the coefficient of m_lam in p_rho.
@@ -207,7 +206,7 @@ def perm_character(lam: Partition) -> ClassFunction:
     Its value at rho is the number of ways to split the cycles of rho into
     the rows with prescribed sums: the coefficient of m_lam in the power
     sum p_rho.  Every shape of the degree is expanded in one pass and
-    cached per degree (`_perm_characters`); the degree is checked on
+    cached with the degree (`_perm_characters`); the degree is checked on
     every call, so a lowered cap holds on a warm table."""
     lam = check_partition(lam, "lam")
     return _perm_characters(check_degree(sum(lam)))[lam]
@@ -237,29 +236,52 @@ def inner(f: ClassFunction, g: ClassFunction) -> Fraction:
     return Fraction(sum(map(mul, f.values, weighted)), factorial(f.n))
 
 
-def _multiplicities(f: ClassFunction) -> Callable[[Partition, ClassFunction], int]:
-    """The multiplicity in f of the irreducible chi of mu, as a function of
-    mu and chi; it must be an integer.  f is weighted by the class sizes
-    once, on the classes where it is nonzero, and only those classes are
-    multiplied: a permutation character vanishes on most classes."""
-    values = f.values
-    weighted = [size * v for size, v in zip(_class_sizes(f.n), values) if v]
-    nfact = factorial(f.n)
-
-    def multiplicity(mu: Partition, chi: ClassFunction) -> int:
-        total = sum(map(mul, weighted, compress(chi.values, values)))
-        m, r = divmod(total, nfact)
-        if r:
-            raise OrthogonalizationError(
-                f"non-integer multiplicity {Fraction(total, nfact)} of {mu}")
-        return m
-
-    return multiplicity
+@cache
+def _slot_widths(n: int) -> tuple[int, int]:
+    """Bytes per signed slot at degree n, over the shapes and over the
+    classes.  With F = n!, each psi is checked to have |psi(rho)| <= F and
+    each chi has unit norm, so |chi(rho)| <= R = isqrt(F).  By Cauchy-
+    Schwarz a pairing sum is at most F*F, a multiplicity at most F, and
+    what psi loses at a class to the fewer than p irreducibles before it
+    at most p*F*R."""
+    f, p = factorial(n), len(_enumerate_partitions(n))
+    return tuple(b.bit_length() // 8 + 1 for b in (f * f, p * f * isqrt(f)))
 
 
-def theorem1_check(lam: Partition) -> Fraction:
-    """Pairing of the two induced characters attached to lam; contract: 1."""
-    return inner(perm_character(lam), ind_sgn_character(lam))
+def _halves(count: int, width: int) -> int:
+    """Half a slot in each of count slots: added to signed slots, it makes
+    every slot an unsigned byte slice."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(values, width: int) -> int:
+    """values in signed slots of width bytes, the first lowest."""
+    half = 1 << 8 * width - 1
+    data = b"".join((v + half).to_bytes(width, "little") for v in values)
+    return int.from_bytes(data, "little") - _halves(len(values), width)
+
+
+def _unpack(x: int, count: int, width: int) -> list[int]:
+    """The count lowest signed slots of x, lowest first."""
+    size, half, read = count * width, 1 << 8 * width - 1, int.from_bytes
+    data = ((x + _halves(count, width)) & (1 << 8 * size) - 1).to_bytes(size, "little")
+    return [read(data[k:k + width], "little") - half for k in range(0, size, width)]
+
+
+def _pairings(f: ClassFunction, lam: Partition, columns, count: int) -> list[int]:
+    """n! times the multiplicity in f of each of the first count packed
+    irreducibles; f is refused unless |f(rho)| <= n!, as the widths need."""
+    if max(map(abs, f.values)) > factorial(f.n):
+        raise OrthogonalizationError(f"value out of bound at {lam}")
+    total = sum(s * v * q for s, v, q in zip(_class_sizes(f.n), f.values, columns) if v)
+    return _unpack(total, count, _slot_widths(f.n)[0])
+
+
+def _multiplicity(total: int, nfact: int, mu: Partition) -> int:
+    m, r = divmod(total, nfact)
+    if r:
+        raise OrthogonalizationError(f"non-integer multiplicity {Fraction(total, nfact)} of {mu}")
+    return m
 
 
 class MultiplicityTable(NamedTuple):
@@ -293,25 +315,30 @@ def multiplicity_table(n: int) -> MultiplicityTable:
     return _multiplicity_table(check_degree(n))
 
 
-@cache
 def _multiplicity_table(n: int) -> MultiplicityTable:
-    shapes = _enumerate_partitions(n)
-    nfact = factorial(n)
-    sizes = _class_sizes(n)
+    return _character_layer(n)[0]
+
+
+@lru_cache(maxsize=2)
+def _character_layer(n: int) -> tuple[MultiplicityTable, tuple[int, ...]]:
+    """The table of degree n and the packed columns Q_rho it was built from."""
+    shapes, nfact, sizes = _enumerate_partitions(n), factorial(n), _class_sizes(n)
+    width, class_width = _slot_widths(n)
     chis: dict[Partition, ClassFunction] = {}
     rows: dict[Partition, tuple[int, ...]] = {}
-    columns: list[list[int]] = [[] for _ in sizes]  # irreducibles so far, by class
+    columns = [0] * len(shapes)  # Q_rho
+    packed = []  # each irreducible so far, packed over the classes
     psis = _perm_characters(n)
-    for lam in shapes:
+    for i, lam in enumerate(shapes):
         psi = psis[lam]
-        multiplicity = _multiplicities(psi)
         ms = []
-        for mu, chi in chis.items():
-            m = multiplicity(mu, chi)
+        for mu, total in zip(chis, _pairings(psi, lam, columns, i)):
+            m = _multiplicity(total, nfact, mu)
             if m < 0:
                 raise OrthogonalizationError(f"bad multiplicity at ({mu}, {lam})")
             ms.append(m)
-        reduced = tuple(v - sum(map(mul, ms, col)) for v, col in zip(psi.values, columns))
+        lost = _unpack(sum(m * x for m, x in zip(ms, packed) if m), len(shapes), class_width)
+        reduced = tuple(map(sub, psi.values, lost))
         chi = ClassFunction._of(n, reduced)
         if sum(s * v * v for s, v in zip(sizes, reduced)) != nfact:
             raise OrthogonalizationError(f"non-unit norm at {lam}")
@@ -319,13 +346,15 @@ def _multiplicity_table(n: int) -> MultiplicityTable:
             raise OrthogonalizationError(f"wrong dimension at {lam}")
         chis[lam] = chi
         rows[lam] = (*ms, 1)
-        for col, v in zip(columns, reduced):
-            col.append(v)
-    return MultiplicityTable(n, rows, chis)
+        packed.append(_pack(reduced, class_width))
+        for k, v in enumerate(reduced):
+            if v:
+                columns[k] += v << 8 * width * i
+    return MultiplicityTable(n, rows, chis), tuple(columns)
 
 
-multiplicity_table.cache_info = _multiplicity_table.cache_info
-multiplicity_table.cache_clear = _multiplicity_table.cache_clear
+multiplicity_table.cache_info = _character_layer.cache_info
+multiplicity_table.cache_clear = _character_layer.cache_clear
 
 
 def irreducible_characters(n: int) -> dict[Partition, ClassFunction]:
@@ -346,14 +375,14 @@ def restrict(f: ClassFunction) -> ClassFunction:
 def lemma1_check(lam: Partition) -> bool:
     """Restriction of the lam row character decomposes over the covered
     shapes with the removal multiplicities."""
-    if sum(check_partition(lam, "lam")) < 2:
+    lam = check_partition(lam, "lam")
+    if (n := sum(lam)) < 2:
         raise SizeMismatchError("need degree at least 2")
-    lhs = restrict(perm_character(lam))
-    n1 = lhs.n
-    rhs = ClassFunction(n1, (0,) * len(class_types(n1)))
+    below = _perm_characters(check_degree(n) - 1)  # first: see _eq1_sides
+    rhs = ClassFunction._of(n - 1, (0,) * len(below))
     for gamma, c in predecessors(lam):
-        rhs = rhs + perm_character(gamma).scaled(c)
-    return lhs == rhs
+        rhs = rhs + below[gamma].scaled(c)
+    return restrict(_perm_characters(n)[lam]) == rhs
 
 
 def eq1_check(lam: Partition, rho: Partition) -> tuple[int, int]:
@@ -364,8 +393,11 @@ def eq1_check(lam: Partition, rho: Partition) -> tuple[int, int]:
 
 
 def _eq1_sides(lam: Partition, rho: Partition) -> tuple[int, int]:
+    # degree n - 1 is read before n, so that a sweep's next degree drops
+    # n - 1 from the two-degree caches, not n
     n = sum(lam)
-    return _branching_sides(_multiplicity_table(n), _multiplicity_table(n - 1), lam, rho)
+    small = _multiplicity_table(n - 1)
+    return _branching_sides(_multiplicity_table(n), small, lam, rho)
 
 
 def conjugate_twist_check(n: int) -> bool:
@@ -374,15 +406,30 @@ def conjugate_twist_check(n: int) -> bool:
     return all(sign_twist(chis[mu]) == chis[conjugate(mu)] for mu in chis)
 
 
+def theorem1_check(lam: Partition) -> Fraction:
+    """Pairing of the two induced characters attached to lam; contract: 1."""
+    lam = check_partition(lam, "lam")
+    check_degree(sum(lam))
+    return _theorem1_pairings(lam)[0]
+
+
 def theorem1_components(lam: Partition) -> list[tuple[Partition, int, int]]:
     """Irreducibles common to both induced modules of lam, with their
     multiplicities in each; the contract is the single entry (lam, 1, 1)."""
     lam = check_partition(lam, "lam")
-    table = multiplicity_table(sum(lam))
-    multiplicity = _multiplicities(ind_sgn_character(lam))
+    check_degree(sum(lam))
+    return _theorem1_pairings(lam)[1]
+
+
+def _theorem1_pairings(lam: Partition) -> tuple[Fraction, list[tuple[Partition, int, int]]]:
+    """Both answers above from the sign-twisted character built once;
+    checks nothing (the public functions check lam, the sweep its cap)."""
+    n = sum(lam)
+    psis, (table, columns) = _perm_characters(n), _character_layer(n)
+    phi, row, nfact = sign_twist(psis[conjugate(lam)]), table.rows[lam], factorial(n)
     out = []
-    for (mu, chi), a in zip(table.characters.items(), table.rows[lam]):
-        b = multiplicity(mu, chi) if a else 0
+    for mu, a, total in zip(table.characters, row, _pairings(phi, lam, columns, len(row))):
+        b = _multiplicity(total, nfact, mu) if a else 0
         if b:
             out.append((mu, a, b))
-    return out
+    return inner(psis[lam], phi), out

@@ -14,9 +14,10 @@ are also the verdicts of the CLI's ``forms`` command.
 
 The pair sweeps (``youngs-rule``, ``eq1``, ``eq2``) call the unchecked
 bodies behind ``kostka``, ``multiplicity_table``, ``eq1_check`` and
-``eq2_check``: ``run_sweep`` refuses a ``max_n`` over the cap before any
-work, and every pair is built from ``enumerate_partitions``, so a second
-check per pair would find nothing.  The checks look the library functions
+``eq2_check``, and ``theorem1`` the one body behind ``theorem1_check`` and
+``theorem1_components``: ``run_sweep`` refuses a ``max_n`` over the cap
+before any work, and every item is built from ``enumerate_partitions``,
+so a second check per item would find nothing.  The checks look the library functions
 up by their module-global names at call time, so rebinding those names (as
 a tracer or a test does) is seen by every sweep.
 """
@@ -30,10 +31,9 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .characters import (
     _eq1_sides,
     _multiplicity_table,
+    _theorem1_pairings,
     conjugate_twist_check,
     lemma1_check,
-    theorem1_check,
-    theorem1_components,
 )
 from .errors import LimitError
 from .forms import (
@@ -91,8 +91,7 @@ def _pairs(n: int, m: int):
 
 
 def _theorem1(lam):
-    value = theorem1_check(lam)
-    common = theorem1_components(lam)
+    value, common = _theorem1_pairings(lam)
     if value == 1 and common == [(lam, 1, 1)]:
         return None
     return {

@@ -22,6 +22,10 @@ reverse index] list), the reference for the library's flow on every arc.
 Partitions are generated by a plain recursion on the first part, with
 no table and no search for the admissible tails.  The shapes a partition
 covers are found by shortening every row and sorting, and dominance by comparing zero-padded prefix sums row by row.
+The multiplicity table is recomputed from the library's permutation
+characters by the plain orthogonalization the library ran before it
+packed integers (one integer dot product per pair, class sizes from the
+z_rho formula), the reference for the packed one.
 Unitriangularity of a deviation system is read entry by entry off its
 dense matrix with the columns reordered, not off sparse rows, and bar(mu)
 is the first shape `predecessors_oracle` lists.
@@ -32,8 +36,9 @@ the oracles take only its types and enumerations.
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations as iperms, product
+from itertools import combinations, compress, permutations as iperms, product
 from math import factorial
+from operator import mul
 from typing import Optional
 
 from younglab.characters import ClassFunction, class_types
@@ -296,6 +301,69 @@ def pairing_oracle(f: ClassFunction, g: ClassFunction) -> Fraction:
     for rho in class_types(n):
         total += Fraction(sizes[rho] * f(rho) * g(rho), factorial(n))
     return total
+
+
+def _class_sizes_by_formula(n: int) -> list[int]:
+    """n!/z_rho for each cycle type in the frozen order, z_rho being the
+    product over each part length r, present m times, of r^m m!."""
+    out = []
+    for rho in class_types(n):
+        z = 1
+        for r in set(rho):
+            m = rho.count(r)
+            z *= r ** m * factorial(m)
+        out.append(factorial(n) // z)
+    return out
+
+
+def orthogonalization_oracle(n: int, psis: dict) -> tuple[dict, dict]:
+    """Multiplicity rows and irreducible characters of degree n from the
+    given permutation characters (keyed in the frozen order), by the plain
+    orthogonalization the library ran before it packed integers: each psi,
+    weighted by the class sizes once on its nonzero classes, is paired with
+    every irreducible found so far by one integer dot product and one
+    exact division by n!, and loses the multiplicities times those
+    irreducibles class by class.  Returns (rows, characters) like the
+    library's table; a broken step fails an assert."""
+    sizes, nfact = _class_sizes_by_formula(n), factorial(n)
+    rows: dict = {}
+    chis: dict = {}
+    columns: list[list[int]] = [[] for _ in sizes]  # irreducibles so far, by class
+    for lam, psi in psis.items():
+        values = psi.values
+        weighted = [size * v for size, v in zip(sizes, values) if v]
+        ms = []
+        for chi in chis.values():
+            m, r = divmod(sum(map(mul, weighted, compress(chi.values, values))), nfact)
+            assert r == 0 and m >= 0, (lam, m, r)
+            ms.append(m)
+        reduced = tuple(v - sum(map(mul, ms, col)) for v, col in zip(values, columns))
+        assert sum(s * v * v for s, v in zip(sizes, reduced)) == nfact, lam
+        chis[lam] = ClassFunction(n, reduced)
+        rows[lam] = (*ms, 1)
+        for col, v in zip(columns, reduced):
+            col.append(v)
+    return rows, chis
+
+
+def theorem1_components_oracle(lam: Partition, psis: dict, rows: dict,
+                               chis: dict) -> list[tuple[Partition, int, int]]:
+    """The irreducibles common to the row- and column-induced modules of
+    lam, from the oracle's table: the column-induced character is psi of
+    the conjugate shape times the sign (-1)^(n - number of cycles), and
+    each multiplicity b in it one integer dot product divided by n!."""
+    n = sum(lam)
+    conj = tuple(sum(1 for part in lam if part > j) for j in range(lam[0])) if lam else ()
+    signs = [(-1) ** (n - len(rho)) for rho in class_types(n)]
+    phi = [s * v for s, v in zip(signs, psis[conj].values)]
+    weighted = [size * v for size, v in zip(_class_sizes_by_formula(n), phi)]
+    out = []
+    for (mu, chi), a in zip(chis.items(), rows[lam]):
+        b, r = divmod(sum(map(mul, weighted, chi.values)), factorial(n))
+        assert r == 0, (lam, mu)
+        if a and b:
+            out.append((mu, a, b))
+    return out
 
 
 def power_sum_expansion_oracle(rho: Partition, k: int) -> dict[tuple[int, ...], int]:

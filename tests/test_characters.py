@@ -8,17 +8,20 @@ from oracles import (
     double_coset_count,
     ind_sgn_coset_oracle,
     murnaghan_nakayama_oracle,
+    orthogonalization_oracle,
     pairing_oracle,
     perm_character_placement_oracle,
     perm_character_tabloid_oracle,
     power_sum_expansion_oracle,
     sign_character,
+    theorem1_components_oracle,
     trivial_character,
 )
 from younglab import characters, partitions
 from younglab.characters import (
     ClassFunction,
-    _multiplicities,
+    _multiplicity,
+    _pairings,
     class_size,
     class_types,
     conjugate_twist_check,
@@ -170,7 +173,9 @@ class TestInner:
         assert inner(trivial_character(2), half) == Fraction(1, 2)
         with pytest.raises(OrthogonalizationError,
                            match=r"^non-integer multiplicity 1/2 of \(2,\)$"):
-            _multiplicities(trivial_character(2))((2,), half)
+            # half as the one packed irreducible: one slot per class
+            total, = _pairings(trivial_character(2), (2,), half.values, 1)
+            _multiplicity(total, 2, (2,))  # 2 = 2!
 
 
 class TestTheorem1:
@@ -202,17 +207,17 @@ class TestTheorem1:
 
 
     def test_sweep_reads_the_cap_only_at_the_doors(self, monkeypatch):
-        # four checked doors per shape (theorem1_check reaches perm_character
-        # twice, theorem1_components reaches multiplicity_table and
-        # perm_character once each), one enumeration per degree and at most
-        # one miss of each of the four per-degree tables; the ClassFunctions
+        # no read per shape: the sweep calls the unchecked body of
+        # theorem1_check and theorem1_components once per shape.  Per degree
+        # one enumeration and at most one miss of each of the four tables
+        # that list the cycle types through the checked door (permutation
+        # characters, type index, class sizes, signs); the ClassFunctions
         # built inside read no cap
-        shapes = sum(len(enumerate_partitions(n)) for n in range(1, 11))
         reads = []
         real = partitions.max_n
         monkeypatch.setattr(partitions, "max_n", lambda: reads.append(1) or real())
         assert run_sweep("theorem1", 10).status == "pass"
-        assert len(reads) <= 4 * shapes + 5 * 10
+        assert len(reads) <= 5 * 10
 
 
 class TestIrreducibles:
@@ -234,6 +239,23 @@ class TestIrreducibles:
         for lam, chi in irreducible_characters(n).items():
             for rho in class_types(n):
                 assert chi(rho) == murnaghan_nakayama_oracle(lam, rho)
+
+    @pytest.mark.parametrize("n", range(0, 15))
+    def test_matches_the_plain_orthogonalization(self, n):
+        # rows and characters of the packed table, in order, against one
+        # integer dot product per pair on the same permutation characters
+        rows, chis = orthogonalization_oracle(n, characters._perm_characters(n))
+        table = multiplicity_table(n)
+        assert list(table.rows.items()) == list(rows.items())
+        assert list(table.characters.items()) == list(chis.items())
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_components_match_the_plain_pairings(self, n):
+        psis = characters._perm_characters(n)
+        rows, chis = orthogonalization_oracle(n, psis)
+        for lam in enumerate_partitions(n):
+            want = theorem1_components_oracle(lam, psis, rows, chis)
+            assert theorem1_components(lam) == want == [(lam, 1, 1)]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_orthonormal_family(self, n):
@@ -316,6 +338,22 @@ class TestMultiplicities:
         assert run_sweep("youngs-rule", n).status == "pass"
 
 
+class TestTwoDegreeCaches:
+    """The permutation characters and the tables keep two degrees, and the
+    sweeps that read n and n - 1 build each degree once."""
+
+    @pytest.mark.parametrize("name, tables", [
+        ("eq1", 9), ("lemma1", 0), ("theorem1", 9), ("conjugate-twist", 9),
+    ])
+    def test_each_degree_is_built_once(self, name, tables):
+        multiplicity_table.cache_clear()
+        characters._perm_characters.cache_clear()
+        assert run_sweep(name, 9).status == "pass"
+        perms, layers = characters._perm_characters.cache_info(), multiplicity_table.cache_info()
+        assert (perms.misses, layers.misses) == (9, tables)
+        assert perms.currsize == 2 and layers.currsize == min(tables, 2)
+
+
 class TestOrthogonalizationFaults:
     """Each check of the orthogonalization fires on a faulty permutation
     character.  In degree 3, at the classes (3), (2, 1), (1, 1, 1) of sizes
@@ -342,6 +380,25 @@ class TestOrthogonalizationFaults:
             irreducible_characters(3)
         assert str(excinfo.value) == message
 
+    def test_value_over_the_slot_bound_is_refused_before_decoding(self, monkeypatch):
+        # |psi(rho)| <= 3! fixes the slot width; 3 + 6 * 2^64 at the
+        # identity would spill the pairing with the trivial character out
+        # of its slot.  Every integer decoded must be exactly its slots.
+        real = characters._perm_characters
+        bad = ClassFunction(3, (0, 1, 3 + (6 << 64)))
+        monkeypatch.setattr(characters, "_perm_characters",
+                            lambda n: {**real(n), (2, 1): bad} if n == 3 else real(n))
+        unpack = characters._unpack
+
+        def exact_unpack(x, count, width):
+            values = unpack(x, count, width)
+            assert characters._pack(values, width) == x
+            return values
+
+        monkeypatch.setattr(characters, "_unpack", exact_unpack)
+        with pytest.raises(OrthogonalizationError, match=r"^value out of bound at \(2, 1\)$"):
+            irreducible_characters(3)
+
 
 class TestRestriction:
     def test_single_row_both_sides_trivial(self):
@@ -357,6 +414,18 @@ class TestRestriction:
     def test_sweep(self, n):
         for lam in enumerate_partitions(n):
             assert lemma1_check(lam)
+
+    def test_sweep_reads_the_cap_once_per_shape(self, monkeypatch):
+        # lemma1_check's own door per shape; its zero and the covered
+        # shapes' characters come from the table of degree n - 1 unchecked.
+        # Per degree one enumeration and at most one miss of each of the
+        # two tables that list the cycle types through the checked door
+        shapes = sum(len(enumerate_partitions(n)) for n in range(2, 10))
+        reads = []
+        real = partitions.max_n
+        monkeypatch.setattr(partitions, "max_n", lambda: reads.append(1) or real())
+        assert run_sweep("lemma1", 9).status == "pass"
+        assert len(reads) <= shapes + 3 * 9
 
 
 class TestEq1:

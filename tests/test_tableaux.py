@@ -216,7 +216,7 @@ class TestStrips:
                 "younglab.partitions._standard_count",
                 "younglab.partitions._successors",
                 "younglab.partitions._predecessors",
-                "younglab.characters._multiplicity_table"} <= sizes.keys()
+                "younglab.characters._character_layer"} <= sizes.keys()
         assert {name: size for name, size in sizes.items() if size} == {}
 
 

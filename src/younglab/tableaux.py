@@ -10,7 +10,7 @@ distinct.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain, product
 from operator import add, index, le, lt
 from typing import NamedTuple
@@ -66,7 +66,9 @@ def enumerate_ssyt(shape: Partition, weight: Weight) -> list[Tableau]:
 
 
 def _listed(shape: Partition, weight: Weight, memo: dict) -> list[Tableau]:
-    """The tableaux of `_ssyt` in row-reading-word lex order (tuple order)."""
+    """The tableaux of `_ssyt` in row-reading-word lex order (tuple order).
+    This top-level list is built and sorted per call and not put in `memo`;
+    only the lists of its proper weight prefixes are."""
     return sorted(_ssyt(shape, weight, memo))
 
 
@@ -74,23 +76,37 @@ def _ssyt(mu: Partition, w: Weight, memo: dict) -> list[Tableau]:
     """Tableaux of shape mu and weight w, unsorted: those of shape nu and
     weight w[:-1], for mu/nu a horizontal strip of w[-1] cells, with len(w)
     appended row by row (nu[i] >= mu[i+1]: at most one new row, the last).
-    The strips are read from the `_strips` table, which lasts for the process;
-    the tableaux go into `memo`, which lasts for one listing or one
-    certificate (a process-wide tableau memo would hold every list ever
-    built) and holds lists no caller may mutate."""
-    if len(mu) > len(w):
-        return []
+    The strips are read from the `_strips` table, which lasts for the process.
+    The list for (mu, w) itself is not stored; each list for a proper prefix
+    (nu, w[:-1]) is read from `memo`, or built and then put there whole, so
+    that an interrupted or concurrent listing never leaves or reads a part
+    of one (two threads may both build a list; either copy is whole).
+    `memo` is a listing's own (`enumerate_ssyt`) or the store of one
+    degree (`_prefix_store`); its lists depend on neither lam nor rho, and
+    no caller may mutate them."""
     if not w:
         return [()]
-    found = memo.get((mu, w))
-    if found is None:
-        found = memo[mu, w] = []
-        k = len(w)
-        for nu in _strips(mu, w[-1]):
-            tails = [(k,) * (m - v) for m, v in zip(mu, nu)]
-            new = ((k,) * mu[-1],) if len(nu) < len(mu) else ()
-            found += [(*map(add, t, tails), *new) for t in _ssyt(nu, w[:-1], memo)]
+    k, prefix = len(w), w[:-1]
+    found = []
+    for nu in _strips(mu, w[-1]):
+        if len(nu) >= k:  # more rows than the prefix has symbols
+            continue
+        below = memo.get((nu, prefix))
+        if below is None:
+            below = memo[nu, prefix] = _ssyt(nu, prefix, memo)
+        tails = [(k,) * (m - v) for m, v in zip(mu, nu)]
+        new = ((k,) * mu[-1],) if len(nu) < len(mu) else ()
+        found += [(*map(add, t, tails), *new) for t in below]
     return found
+
+
+@lru_cache(maxsize=1)
+def _prefix_store(n: int) -> dict:
+    """The `_ssyt` memo shared by every certificate of degree n: the
+    tableau lists of proper weight prefixes, keyed by (shape, prefix).
+    The top levels, most of the tableaux, are not stored, and one degree is
+    kept: the next degree's first certificate drops it."""
+    return {}
 
 
 def kostka(mu: Partition, lam: Weight) -> int:
@@ -201,8 +217,10 @@ class BijectionCertificate(NamedTuple):
         included.  No item may repeat, and the number of pairs must equal
         both sides of the recurrence (Kostka numbers from the strip
         recursion).  Distinct members of a side, as many as the side has,
-        are the whole side.  A field of another type (a tableau with list
-        rows, say) makes the check answer False, not raise TypeError.
+        are the whole side.  The fields of a pair are read by position only,
+        so a plain 5-tuple answers like the equal `BijectionPair`.  A field
+        of another type (a tableau with list rows, say) or a pair of another
+        length makes the check answer False, not raise.
         """
         lam, rho = check_pair(self.lam, self.rho)
         covers = set(_successors(rho))
@@ -211,6 +229,7 @@ class BijectionCertificate(NamedTuple):
         minus = [None] + [word[:i] + word[i + 1:] for i in accumulate((0,) + lam[:-1])]
         weights = [None] + _weights(lam)
         n = len(self.pairs)
+        lefts, rights = set(), set()
         try:
             for t, x, s, w, _ in self.pairs:
                 if not (1 <= x <= len(lam) and w == weights[x]):
@@ -219,13 +238,11 @@ class BijectionCertificate(NamedTuple):
                     return False
                 if not (tuple(map(len, s)) == rho and _fills(s, minus[x])):
                     return False
-            if len({p.mu_tableau for p in self.pairs}) != n:
-                return False
-            if len({(p.gamma_weight, p.rho_tableau) for p in self.pairs}) != n:
-                return False
-        except TypeError:  # an unhashable or malformed field
+                lefts.add(t)
+                rights.add((w, s))
+        except (TypeError, ValueError):  # a malformed field or pair
             return False
-        return _eq2_sides(lam, rho) == (n, n)
+        return len(lefts) == len(rights) == n and _eq2_sides(lam, rho) == (n, n)
 
 
 def _fills(t: Tableau, word: list[int]) -> bool:
@@ -282,11 +299,14 @@ def theorem4_bijection(lam: Partition, rho: Partition) -> BijectionCertificate:
 
     Both partitions and the size cap are checked before any listing; the
     corner row is found once per cover of rho, the weight lam minus one x
-    once per symbol x.  Both sides share one `_ssyt` memo and are listed as
-    `enumerate_ssyt` lists.
+    once per symbol x.  Both sides are listed as `enumerate_ssyt` lists,
+    each top level (mu, lam) and (rho, lam minus one x) built and sorted
+    here; the lists of their proper weight prefixes come from the store of
+    the degree (`_prefix_store`), which every certificate of that degree
+    shares.
     """
     lam, rho = check_pair(lam, rho)
-    memo: dict = {}  # shared by both sides: their weight prefixes overlap
+    memo = _prefix_store(sum(lam))
     left: list[tuple[Tableau, int]] = []
     for mu in _successors(rho):
         r = _corner_row(mu, rho)

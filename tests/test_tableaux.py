@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from pathlib import Path
 
@@ -216,7 +218,8 @@ class TestStrips:
                 "younglab.partitions._standard_count",
                 "younglab.partitions._successors",
                 "younglab.partitions._predecessors",
-                "younglab.characters._character_layer"} <= sizes.keys()
+                "younglab.characters._character_layer",
+                "younglab.tableaux._prefix_store"} <= sizes.keys()
         assert {name: size for name, size in sizes.items() if size} == {}
 
 
@@ -428,6 +431,19 @@ class TestBijection:
         assert cert.check()
         assert not cert._replace(pairs=(changed, *cert.pairs[1:])).check()
 
+    def test_check_reads_the_fields_of_a_pair_by_position(self):
+        cert = theorem4_bijection((2, 1), (2,))
+        plain = cert._replace(pairs=tuple(map(tuple, cert.pairs)))
+        assert plain == cert and type(plain.pairs[0]) is tuple
+        assert plain.check() and cert.check()
+
+    @pytest.mark.parametrize("change", [lambda p: p[:4], lambda p: (*p, True)],
+                             ids=["short", "long"])
+    def test_check_answers_false_on_a_pair_of_another_length(self, change):
+        cert = theorem4_bijection((2, 1), (2,))
+        first = change(tuple(cert.pairs[0]))
+        assert not cert._replace(pairs=(first, *cert.pairs[1:])).check()
+
     def test_mutants_are_well_formed(self):
         cert, mutants = certificate_mutants()
         assert cert.check() and certificate_check_oracle(cert)
@@ -454,7 +470,7 @@ class TestBijection:
                 cert = theorem4_bijection(lam, rho)
                 assert cert.check() == certificate_check_oracle(cert) is True
 
-    def test_check_rejects_a_certificate_missing_items(self, monkeypatch):
+    def test_check_rejects_a_certificate_missing_items(self, monkeypatch, fresh_store):
         # both sides lose as many tableaux, so the pairing still completes,
         # but it no longer covers either side
         listed = tableaux._listed
@@ -466,7 +482,7 @@ class TestBijection:
         assert not cert.check()
 
     @pytest.mark.parametrize("side", ["left", "right"])
-    def test_unequal_sides_raise(self, monkeypatch, side):
+    def test_unequal_sides_raise(self, monkeypatch, fresh_store, side):
         lam, rho = (2, 2, 1), (3, 1)
         listed = tableaux._listed
 
@@ -496,32 +512,27 @@ class TestBijection:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_certificate_bytes_pinned(self, n):
-        # SHA-256 over every pair of every certificate of degree n, in order
-        digest = hashlib.sha256()
-        for lam in enumerate_partitions(n):
-            for rho in enumerate_partitions(n - 1):
-                for p in theorem4_bijection(lam, rho).pairs:
-                    digest.update(repr((p.mu_tableau, p.removed_symbol, p.rho_tableau,
-                                        p.gamma_weight, p.canonical)).encode())
-        assert digest.hexdigest() == CERTIFICATE_DIGESTS[n]
+        # every pair of every certificate of degree n, in order
+        certs = (theorem4_bijection(lam, rho) for lam, rho in degree_inputs(n))
+        assert certificate_digest(certs) == CERTIFICATE_DIGESTS[n]
 
     @pytest.mark.parametrize("lam, rho", [
         ((2, 3), (2, 2)),  # lam not a partition
         ((3, 2), (2, 1, 1, 0)),  # rho with a zero part
         ((3, 2), (1, 2, 1)),
     ])
-    def test_rejects_non_partitions_at_entry(self, monkeypatch, lam, rho):
+    def test_rejects_non_partitions_at_entry(self, monkeypatch, fresh_store, lam, rho):
         monkeypatch.setattr(tableaux, "_ssyt", None)  # nothing may be listed
         name = "lam" if lam == (2, 3) else "rho"  # the first non-partition
         with pytest.raises(ValueError, match=rf"^{name} must have positive"):
             theorem4_bijection(lam, rho)
 
-    def test_rejects_non_integer_parts(self, monkeypatch):
+    def test_rejects_non_integer_parts(self, monkeypatch, fresh_store):
         monkeypatch.setattr(tableaux, "_ssyt", None)  # nothing may be listed
         with pytest.raises(ValueError, match="^lam must have positive"):
             theorem4_bijection((2.6, 1), (2,))  # else certified as (2, 1)
 
-    def test_size_cap_checked_before_listing(self, monkeypatch):
+    def test_size_cap_checked_before_listing(self, monkeypatch, fresh_store):
         monkeypatch.setenv("YOUNGLAB_MAX_N", "5")
         monkeypatch.setattr(tableaux, "_ssyt", None)
         with pytest.raises(LimitError):
@@ -530,6 +541,121 @@ class TestBijection:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             theorem4_bijection((3, 2), (3, 2))
+
+
+def certificate_digest(certs):
+    """SHA-256 over every pair of `certs`, in order."""
+    digest = hashlib.sha256()
+    for cert in certs:
+        for p in cert.pairs:
+            digest.update(repr((p.mu_tableau, p.removed_symbol, p.rho_tableau,
+                                p.gamma_weight, p.canonical)).encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def fresh_store():
+    """An empty certificate store before and after the test, so that a test
+    that patches the listing internals leaves no list behind."""
+    tableaux._prefix_store.cache_clear()
+    yield
+    tableaux._prefix_store.cache_clear()
+
+
+def degree_inputs(n):
+    return [(lam, rho) for lam in enumerate_partitions(n) for rho in enumerate_partitions(n - 1)]
+
+
+class TestPrefixStore:
+    """Every certificate of a degree reads its proper-prefix lists from one
+    store; a certificate built warm must equal one built cold."""
+
+    def test_shuffled_degrees_match_cold_builds(self, fresh_store):
+        inputs = [pair for n in range(1, 8) for pair in degree_inputs(n)]
+        order = inputs[:]
+        random.Random(32).shuffle(order)
+        warm = {pair: theorem4_bijection(*pair) for pair in order}
+        for pair in inputs:
+            tableaux._prefix_store.cache_clear()
+            assert warm[pair] == theorem4_bijection(*pair), pair
+        for n in range(2, 8):
+            assert certificate_digest(warm[pair] for pair in degree_inputs(n)) \
+                == CERTIFICATE_DIGESTS[n]
+
+    def test_the_store_holds_one_degree_of_proper_prefixes(self, fresh_store):
+        for pair in degree_inputs(5):
+            theorem4_bijection(*pair)
+        five = tableaux._prefix_store(5)
+        for pair in degree_inputs(6):
+            theorem4_bijection(*pair)
+        assert tableaux._prefix_store.cache_info().currsize == 1
+        six = tableaux._prefix_store(6)
+        assert six and six is not five
+        shapes = enumerate_partitions(6)
+        weights = {*shapes, *(w for lam in shapes for w in tableaux._weights(lam))}
+        prefixes = {w[:i] for w in weights for i in range(len(w))}
+        for (mu, w), found in six.items():
+            assert w in prefixes and sum(w) < 6
+            assert sorted(found) == enumerate_ssyt(mu, w)
+
+    def test_enumerate_ssyt_leaves_the_store_untouched(self, fresh_store):
+        listings = [(lam, w) for n in (5, 6, 7) for lam in enumerate_partitions(n)
+                    for w in (lam, (1,) * n)]
+        for lam, w in listings:
+            enumerate_ssyt(lam, w)
+        assert tableaux._prefix_store.cache_info().currsize == 0
+        theorem4_bijection((3, 2, 1), (2, 2, 1))
+        store, info = tableaux._prefix_store(6), tableaux._prefix_store.cache_info()
+        before = {key: (found, found[:]) for key, found in store.items()}
+        for lam, w in listings:
+            enumerate_ssyt(lam, w)
+        assert tableaux._prefix_store.cache_info() == info
+        assert store.keys() == before.keys()
+        assert all(store[key] is found and found == copy
+                   for key, (found, copy) in before.items())
+
+    def test_an_interrupted_listing_leaves_no_short_list(self, monkeypatch, fresh_store):
+        lam, rho = (3, 2, 1), (2, 2, 1)
+        cold = theorem4_bijection(lam, rho)
+        strips, calls, stop = tableaux._strips, 0, 0
+
+        def interrupted(mu, size):
+            nonlocal calls
+            calls += 1
+            if calls == stop:
+                raise KeyboardInterrupt
+            return strips(mu, size)
+
+        monkeypatch.setattr(tableaux, "_strips", interrupted)
+        tableaux._prefix_store.cache_clear()
+        theorem4_bijection(lam, rho)
+        total = calls
+        assert total > 10
+        for stop in range(1, total + 1):
+            tableaux._prefix_store.cache_clear()
+            calls = 0
+            with pytest.raises(KeyboardInterrupt):
+                theorem4_bijection(lam, rho)
+            for (mu, w), found in tableaux._prefix_store(6).items():
+                assert sorted(found) == enumerate_ssyt(mu, w), (stop, mu, w)
+            assert theorem4_bijection(lam, rho) == cold, stop
+
+    def test_threads_build_a_degree_like_one(self, fresh_store):
+        inputs = degree_inputs(6)
+        want = {pair: theorem4_bijection(*pair) for pair in inputs}
+        orders = [inputs, inputs[::-1], random.Random(6).sample(inputs, len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the listings
+        try:
+            for _ in range(20):
+                tableaux._prefix_store.cache_clear()
+                with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                    runs = [pool.submit(lambda order: [theorem4_bijection(*p) for p in order],
+                                        order) for order in orders]
+                    for order, run in zip(orders, runs):
+                        assert run.result(timeout=60) == [want[pair] for pair in order]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 CERTIFICATE_DIGESTS = {

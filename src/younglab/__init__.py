@@ -2,9 +2,9 @@
 characters, multiplicity recurrences, and Specht modules in polylinear
 forms.  Everything is exact: class functions, forms and matrices hold
 Python integers, and the linear algebra runs over the rationals by
-fraction-free integer elimination, making fractions only in the pivot rows
-of a reduced row echelon form; no floating point appears anywhere in the
-math core.
+fraction-free integer elimination down to primitive integer RREF rows; a
+Fraction enters the form layer only as a caller's Rational coefficient,
+and no floating point appears anywhere in the math core.
 """
 
 from .partitions import (

@@ -1,22 +1,21 @@
-"""Exact linear algebra over arbitrary-precision rationals.
-
-This is the shared engine for the multiplicity system and the form spaces.
-Everything is exact: rows keep the int or fractions.Fraction values they
-are given, and no floating point appears anywhere.
+"""Exact linear algebra over the rationals, in Python integers; no floating
+point appears anywhere.  This is the shared engine for the multiplicity
+system and the form spaces.
 
 There is one row format, sparse {column: value} rows, which is what every
 producer emits: the 0/1 deviation systems, the derivative matrices and the
 stacked generator spans are mostly zeros.  There is one elimination body.
-Its forward pass, ``_echelon``, clears each row of denominators and
-reduces it against the pivot rows found so far with one integer
-row-combination step, ``_clear``, which touches only nonzero entries.
-``rank`` is the forward pass alone and makes no Fraction.  ``rref`` adds a
-back-substitution with the same step and then divides each pivot row by
-its pivot, the only place a Fraction is made here; ``Subspace`` keeps
-those sparse pivot rows as its basis.  The output of ``rref`` is
-cross-checked against a plain Fraction Gauss-Jordan reduction in the test
-suite.  The dense ``RationalMatrix`` is left only for ``kernel`` and
-``restricted_trace``, which no library code calls.
+Its forward pass, ``_echelon``, reduces each row against the pivot rows
+found so far with one integer row-combination step, ``_clear``, which
+touches only nonzero entries.  A row of ints goes in as it is; a row
+holding a ``Fraction`` (a caller's ``Rational`` coefficients) is first
+cleared of its denominators.  ``rank`` is the forward pass alone.  ``rref``
+adds a back-substitution with the same step and returns primitive integer
+rows with positive pivots, as canonical as pivot-1 rows; ``Subspace``
+keeps them as its basis.  ``rref`` is cross-checked against a plain
+Fraction Gauss-Jordan reduction in the test suite.  The dense
+``RationalMatrix`` is left only for ``kernel`` and ``restricted_trace``,
+which no library code calls; the trace, read off the pivots, is a Fraction.
 """
 
 from __future__ import annotations
@@ -53,9 +52,7 @@ class RationalMatrix:
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            [[int(i == j) for j in range(n)] for i in range(n)]
-        )
+        return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def _clear(v: dict[int, int], c: int, b: dict[int, int]) -> None:
@@ -77,27 +74,38 @@ def _clear(v: dict[int, int], c: int, b: dict[int, int]) -> None:
             del v[j]
 
 
-def _primitive(v: dict[int, int]) -> None:
-    """Divide v by its content, the gcd of its entries."""
+def _primitive(v: dict[int, int], c: int) -> None:
+    """Divide v by its content, the gcd of its entries, signed as v[c]."""
     g = gcd(*v.values())
+    if v[c] < 0:
+        g = -g
     if g != 1:
         for j in v:
             v[j] //= g
 
 
+def _integral(row: dict[int, Rational]) -> dict[int, int]:
+    """A new copy of row without its zero values, cleared of denominators
+    unless it holds only ints."""
+    if all(type(x) is int for x in row.values()):
+        return {j: x for j, x in row.items() if x}
+    d = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+
+
 def _echelon(rows: Iterable[dict[int, Rational]]) -> dict[int, dict[int, int]]:
-    """Forward pass: sparse {column: value} rows, cleared of denominators
-    and of zero values, inserted one at a time and reduced against the
-    pivot rows kept so far.  Returns the primitive pivot rows keyed by
-    their leading (pivot) column; their number is the rank."""
+    """Forward pass: sparse {column: value} rows, made `_integral`,
+    inserted one at a time and reduced against the pivot rows kept so
+    far.  Returns the primitive pivot rows, each with a positive pivot
+    entry, keyed by their leading (pivot) column; their number is the
+    rank."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        d = lcm(*(x.denominator for x in row.values()))
-        v = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+        v = _integral(row)
         while v:
             c = min(v)
             if c not in pivots:
-                _primitive(v)
+                _primitive(v, c)
                 pivots[c] = v
                 break
             # the pivot row is zero left of c, so v's leading column rises
@@ -105,30 +113,32 @@ def _echelon(rows: Iterable[dict[int, Rational]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def rref(rows: Iterable[dict[int, Rational]]) -> dict[int, dict[int, Fraction]]:
+def rref(rows: Iterable[dict[int, Rational]]) -> dict[int, dict[int, int]]:
     """Reduced row echelon form of sparse {column: value} rows: the nonzero
-    reduced rows as sparse Fraction rows with pivot entry 1, keyed by their
-    pivot column in ascending order; their number is the rank.
+    reduced rows as sparse primitive integer rows (entries of gcd 1) with a
+    positive pivot entry, keyed by their pivot column in ascending order;
+    their number is the rank.  Each row is the pivot-1 row of the rational
+    RREF times the least common denominator of its entries, so it is as
+    canonical as that row.
 
     The forward pass ``_echelon`` runs in integers; the back-substitution
     then clears every pivot row at the pivot columns to its right, in
     descending pivot order and with the same integer step, so each row is
-    cleared only by rows that are already reduced.  The final division of
-    each pivot row by its pivot is the only Fraction made.  The result does
-    not depend on the order of elimination because the RREF is unique.
+    cleared only by rows that are already reduced, and is then made
+    primitive again.  The result does not depend on the order of
+    elimination because the RREF is unique.
     """
     pivots = _echelon(rows)
     for c in sorted(pivots, reverse=True):
         v = pivots[c]
         for k in [k for k in v if k != c and k in pivots]:
             _clear(v, k, pivots[k])
-        _primitive(v)
-    return {c: {j: Fraction(x, v[c]) for j, x in v.items()} for c, v in sorted(pivots.items())}
+        _primitive(v, c)
+    return dict(sorted(pivots.items()))
 
 
 def rank(rows: Iterable[dict[int, Rational]]) -> int:
-    """Rank of the sparse {column: value} rows, from the forward pass alone
-    (no Fraction)."""
+    """Rank of the sparse {column: value} rows, from the forward pass alone."""
     return len(_echelon(rows))
 
 
@@ -140,8 +150,8 @@ def _in_range(row: dict, ambient_dim: int) -> dict:
 
 
 class Subspace:
-    """A subspace of Q^d held as its reduced-row-echelon basis: sparse
-    {column: Fraction} rows with pivot entry 1, in ascending pivot order.
+    """A subspace of Q^d held as its reduced-row-echelon basis: the sparse
+    primitive integer rows of `rref`, in ascending pivot order.
 
     The RREF basis is canonical, so two Subspace objects are equal exactly
     when they describe the same subspace.  The spanning rows are sparse
@@ -169,11 +179,8 @@ class Subspace:
         return len(self.rows)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
-        )
+        return isinstance(other, Subspace) and (
+            (self.ambient_dim, self.rows) == (other.ambient_dim, other.rows))
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self.rows)))
@@ -181,52 +188,45 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def coordinates(self, v: dict[int, Rational]) -> Optional[Vector]:
-        """Coefficients of the sparse vector v in the RREF basis, or None if
-        v is outside."""
-        rest = dict(_in_range(v, self.ambient_dim))
-        coords = []
+    def __contains__(self, v: dict[int, Rational]) -> bool:
+        """Whether the sparse vector v lies in the subspace: clearing it at
+        each pivot with the basis row there leaves nothing, as every basis
+        row is zero at the other pivots."""
+        v = _integral(_in_range(v, self.ambient_dim))
         for p, row in zip(self.pivots, self.rows):
-            c = rest.get(p, 0)
-            coords.append(c)
-            if c:
-                for j, x in row.items():
-                    rest[j] = rest.get(j, 0) - c * x
-        if any(rest.values()):
-            return None
-        return tuple(coords)
+            if p in v:
+                _clear(v, p, row)
+        return not v
 
 
 def kernel(a: RationalMatrix) -> Subspace:
-    """Exact null space of a: one basis vector per free column f, with 1 at
-    f and minus the reduced rows' entries at f on their pivots."""
+    """Exact null space of a: one integer basis vector per free column f,
+    with D, the lcm of the pivot entries, at f and -row[f] * D / row[p] on
+    the pivot p of each reduced row."""
     reduced = rref([{j: x for j, x in enumerate(row) if x} for row in a.entries])
-    basis = []
-    for f in range(a.cols):
-        if f not in reduced:
-            v = {f: 1}
-            for p, row in reduced.items():
-                if f in row:
-                    v[p] = -row[f]
-            basis.append(v)
-    return Subspace(a.cols, basis)
+    d = lcm(*(row[p] for p, row in reduced.items()))
+    return Subspace(a.cols, [
+        {f: d, **{p: -row[f] * (d // row[p]) for p, row in reduced.items() if f in row}}
+        for f in range(a.cols) if f not in reduced])
 
 
 def restricted_trace(a: RationalMatrix, b: Subspace) -> Rational:
     """Trace of a restricted to an invariant subspace.
 
     With basis vectors b_i as columns of B, this is the trace of the unique
-    C satisfying A B^T = B^T C.  Raises NotInvariantError when some A b_i
-    leaves the span, which signals a wrong candidate subspace.
+    C satisfying A B^T = B^T C, read off the pivots: the coefficient of b_i
+    in A b_i is (A b_i)[p_i] / b_i[p_i], a Fraction.  Raises
+    NotInvariantError when some A b_i leaves the span, which signals a
+    wrong candidate subspace.
     """
     if a.rows != a.cols or a.cols != b.ambient_dim:
         raise DimensionMismatchError("operator does not act on the ambient space")
     total = 0
-    for i, row in enumerate(b.rows):
+    for i, (p, row) in enumerate(zip(b.pivots, b.rows)):
         image = {k: sum(entries[j] * x for j, x in row.items())
                  for k, entries in enumerate(a.entries)}
-        coords = b.coordinates(image)
-        if coords is None:
+        if image not in b:
             raise NotInvariantError(f"image of basis vector {i} leaves the subspace")
-        total += coords[i]
+        # the coefficient of b_i in the image, as in forms.restricted_character
+        total += Fraction(image[p], row[p])
     return total

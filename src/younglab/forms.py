@@ -10,14 +10,18 @@ D = sum of d/dx_i: over the rationals a form is invariant under adding a
 common constant to all variables exactly when D kills it.
 
 Coefficients are kept as given: every form built here is integral, so
-they are Python ints.  Every rank and equality is still a statement over Q,
-and the only fractions are the pivot rows of an RREF basis.
+they are Python ints, and Specht polynomials are expanded term by term.
+Every rank and equality is a statement over Q, decided in integers on the
+primitive integer RREF rows of `exactla`, and traces are read off those
+rows with one exact division.  A Fraction enters only as a caller's
+Rational coefficient of a Form.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb, factorial
+from itertools import combinations, permutations, product
+from math import comb, factorial, lcm, prod
+from operator import add
 from numbers import Rational
 from typing import NamedTuple
 
@@ -56,7 +60,7 @@ class Form:
         clean: dict[Monomial, Rational] = {}
         for m, c in (terms or {}).items():
             if c:
-                if not isinstance(c, Rational):
+                if type(c) is not int and not isinstance(c, Rational):
                     raise TypeError(f"coefficient {c!r} is not an exact rational")
                 if len(m) != n:
                     raise SizeMismatchError(f"monomial {m} is not in {n} variables")
@@ -272,44 +276,48 @@ def restricted_character(space: FormSpace, n: int) -> ClassFunction:
 
     sigma sends a vector v of the ambient span to the vector whose entry
     at index(sigma . m_j) is v[j], so the image of a sparse row moves each
-    entry j to one forward index image per permutation.  Invariance is one
-    rank: the sparse rows of the RREF basis b_1..b_d stacked with their
-    images under (1 2) and (1 2 ... n), which generate S_n, have rank d
-    exactly when the span is invariant under both, hence under all of
-    S_n.  The traces are then read off the pivots p_1..p_d: a vector in
-    the span has coordinates v[p_1..p_d], so the trace of sigma^-1 is
-    sum_i b_i[index(sigma . m_{p_i})], O(d) per class.
+    entry j to one forward index image per permutation.  The span is
+    invariant under all of S_n exactly when the images of the RREF basis
+    rows b_1..b_d under (1 2) and (1 2 ... n), which generate S_n, lie in
+    it.  The traces are then read off the pivots p_1..p_d: a vector v in
+    the span has coordinates v[p_i] / b_i[p_i], so with D the lcm of the
+    pivot entries, D times the trace of sigma^-1 is
+    sum_i b_i[index(sigma . m_{p_i})] * (D / b_i[p_i]), O(d) per class,
+    and one exact division by D gives the trace.
     """
     ambient = space.ambient
     sub = space.subspace
     index = {m: i for i, m in enumerate(ambient)}
     basis = sub.rows
-    rows = list(basis)
     for g in _generators(n):
         image = [index[_substitute(m, g)] for m in ambient]
-        rows += [{image[j]: x for j, x in row.items()} for row in basis]
-    if rank(rows) != sub.dim:
-        raise NotInvariantError(
-            f"the span of dimension {sub.dim} is not invariant under S_{n}")
+        if not all({image[j]: x for j, x in row.items()} in sub for row in basis):
+            raise NotInvariantError(
+                f"the span of dimension {sub.dim} is not invariant under S_{n}")
+    d = lcm(*(row[p] for row, p in zip(basis, sub.pivots)))
     values = []
     for rho in class_types(n):
         # the trace of sigma^-1 is sigma's: they are conjugate and the span is invariant
         sigma = _from_cycle_type(rho)
-        trace = sum(
-            (row.get(index[_substitute(ambient[p], sigma)], 0)
-             for row, p in zip(basis, sub.pivots)),
-            0,
-        )
-        if trace.denominator != 1:
-            raise SelfCheckError(f"trace {trace} of class {rho} is not an integer")
-        values.append(int(trace))
+        trace, rest = divmod(sum(
+            row.get(index[_substitute(ambient[p], sigma)], 0) * (d // row[p])
+            for row, p in zip(basis, sub.pivots)), d)
+        if rest:
+            raise SelfCheckError(f"trace {trace * d + rest}/{d} of class {rho} is not an integer")
+        values.append(trace)
     return ClassFunction(n, tuple(values))
 
 
 def specht_poly(t: Tableau, n: int) -> Form:
     """Product over columns of the Vandermonde determinant in the column's
     variables, expanded exactly.  The rows must be nonempty and weakly
-    shorter going down, so the first row counts the columns."""
+    shorter going down, so the first row counts the columns.
+
+    A column c_0..c_{h-1}, read downward, expands by Leibniz as the sum
+    over permutations p of range(h) of sgn * prod_i x_{c_i}^p[i], where
+    the sign counts the pairs i < j with p[i] < p[j].  The columns use
+    disjoint variables, so each choice of one term per column is its own
+    monomial and no two terms merge."""
     if not all(t) or any(len(b) > len(a) for a, b in zip(t, t[1:])):
         raise InvalidFillingError("rows must be nonempty and weakly shorter going down")
     seen: set[int] = set()
@@ -318,16 +326,23 @@ def specht_poly(t: Tableau, n: int) -> Form:
             if not (1 <= x <= n) or x in seen:
                 raise InvalidFillingError(f"entries must be distinct in 1..{n}")
             seen.add(x)
-    result = Form.constant(n, 1)
-    ncols = len(t[0]) if t else 0
-    for j in range(ncols):
-        column = [row[j] for row in t if j < len(row)]
-        for a in range(len(column)):
-            for b in range(a + 1, len(column)):
-                result = result * (
-                    Form.variable(n, column[a]) - Form.variable(n, column[b])
-                )
-    return result
+    factors = []
+    # only the columns below the second row's end hold two cells or more
+    for j in range(len(t[1]) if len(t) > 1 else 0):
+        column = [row[j] - 1 for row in t if j < len(row)]
+        pairs = list(combinations(range(len(column)), 2))
+        factors.append([
+            (tuple(zip(column, p)), (-1) ** sum(p[a] < p[b] for a, b in pairs))
+            for p in permutations(range(len(column)))
+        ])
+    terms = {}
+    for choice in product(*factors):
+        e = [0] * n
+        for exponents, _ in choice:
+            for v, x in exponents:
+                e[v] = x
+        terms[tuple(e)] = prod(sign for _, sign in choice)
+    return Form(n, terms)
 
 
 def specht_module(lam: Partition, n: int) -> FormSpace:
@@ -397,8 +412,6 @@ def theorem5_check(lam: Partition, n: int) -> dict:
 def elementary_symmetric(n: int, variables: list[int], p: int) -> Form:
     """Sum of all squarefree degree-p products of the given variables
     (1-based indices)."""
-    if p == 0:
-        return Form.constant(n, 1)
     out: dict[Monomial, int] = {}
     for combo in combinations(sorted(variables), p):
         e = [0] * n
@@ -426,10 +439,11 @@ def difference_product_generators(n: int, l: int, k: int) -> list[Form]:
     NotInvariantError unless it is S_n-invariant; so a report of
     `two_row_decomposition` means that span is the whole component.
     """
-    return [
-        specht_poly(t, n) * elementary_symmetric(n, list(t[0][l:]), k - l)
-        for t in enumerate_standard(two_row_partition(n, l))
-    ]
+    # the two factors use disjoint variables, so no two terms merge
+    pairs = [(specht_poly(t, n).terms, elementary_symmetric(n, t[0][l:], k - l).terms)
+             for t in enumerate_standard(two_row_partition(n, l))]
+    return [Form(n, {tuple(map(add, m, e)): c for m, c in head.items() for e in tail})
+            for head, tail in pairs]
 
 
 def two_row_partition(n: int, l: int) -> Partition:
@@ -450,18 +464,22 @@ def _decomposition(groups: dict, ambient: list[Monomial], n: int, total: int):
     by name, whether it carries the irreducible character of its shape
     (`restricted_character` raises NotInvariantError unless it is
     invariant); and whether the dimensions add up to `total` and to the
-    rank of the stacked bases, a direct sum filling a space of dimension
-    `total`."""
+    rank of all the generators stacked, a direct sum filling a space of
+    dimension `total`.  That rank is the dimension of the sum of the spans,
+    so the test is the same as on their stacked bases.  The generators go
+    in reverse listing order, which eliminates about ten times faster than
+    listing order on the two-row split at n = 10, k = 5."""
     chis = irreducible_characters(n)
     spaces = {name: span_of_forms(forms, ambient) for name, (forms, _) in groups.items()}
     characters = {
         name: restricted_character(spaces[name], n) == chis[shape]
         for name, (_, shape) in groups.items()
     }
-    direct_sum = (
-        sum(space.dim for space in spaces.values()) == total
-        and _independent([space.subspace for space in spaces.values()])
-    )
+    index = {m: i for i, m in enumerate(ambient)}
+    dims = sum(space.dim for space in spaces.values())
+    stacked = [form_to_vector(f, index)
+               for forms, _ in reversed(groups.values()) for f in reversed(forms)]
+    direct_sum = dims == total and rank(stacked) == dims
     return spaces, characters, direct_sum
 
 
@@ -471,14 +489,15 @@ def two_row_decomposition(n: int, k: int) -> dict:
 
     Component l is spanned by `difference_product_generators`; once that
     span is invariant it holds the S_n-orbit of a pairing product, so it is
-    the whole component.  Checks: component dimensions equal the two-row standard-tableau
-    counts; the dimensions add up to C(n, k) and to the rank of the
-    stacked bases, so the components are independent and fill the whole
-    space (when they do not, each pair is tested for independence the same
-    way); each carries the matching irreducible character (multiplicity
-    one); and for even n with k = n/2 the total derivative kills every
-    top generator and the top component has the dimension of its kernel,
-    so it is exactly the shift-invariant part.
+    the whole component.  Checks: component dimensions equal the two-row
+    standard-tableau counts; the dimensions add up to C(n, k) and to the
+    rank of the stacked generators, so the components are independent and
+    fill the whole space (when they do not, each pair of RREF bases is
+    tested for independence the same way); each carries the matching
+    irreducible character (multiplicity one); and for even n with k = n/2
+    the total derivative kills every top generator and the top component
+    has the dimension of its kernel, so it is exactly the shift-invariant
+    part.
     """
     if n > TWO_ROW_MAX_N:
         raise LimitError(f"n={n} exceeds the supported {TWO_ROW_MAX_N}")
@@ -523,11 +542,7 @@ def two_row_decomposition(n: int, k: int) -> dict:
 def _degree_swap(m: Monomial) -> Monomial:
     """Exchange the exponent-2 and exponent-1 positions of a monomial of
     the x_i^2 x_j shape."""
-    i = m.index(2)
-    j = m.index(1)
-    e = [0] * len(m)
-    e[i], e[j] = 1, 2
-    return tuple(e)
+    return tuple((0, 2, 1)[e] for e in m)
 
 
 def example4_check() -> dict:
@@ -550,9 +565,7 @@ def example4_check() -> dict:
     x = [Form.variable(n, i) for i in range(1, 5)]
     total = x[0] + x[1] + x[2] + x[3]
 
-    d_form = Form(n, {
-        m: 1 for m in ambient
-    })
+    d_form = Form(n, dict.fromkeys(ambient, 1))
     c1 = (x[0] - x[1]) * (x[2] - x[3]) * total
     c2 = (x[0] - x[2]) * (x[1] - x[3]) * total
     c3 = (x[0] - x[3]) * (x[1] - x[2]) * total
@@ -561,14 +574,8 @@ def example4_check() -> dict:
     sp3 = (x[0] - x[2]) * (x[0] - x[3]) * (x[2] - x[3])
 
     def a_form(kk: int) -> Form:
-        out = Form.zero(n)
-        for i in range(1, 5):
-            for j in range(1, 5):
-                if i == j:
-                    continue
-                eps = 1 if (i == kk or j == kk) else -1
-                out = out + eps * (x[i - 1] * x[i - 1] * x[j - 1])
-        return out
+        return sum(((1 if kk in (i, j) else -1) * (x[i - 1] * x[i - 1] * x[j - 1])
+                    for i, j in permutations(range(1, 5), 2)), Form.zero(n))
 
     def b_form(kk: int) -> Form:
         others = [i for i in range(1, 5) if i != kk]
@@ -593,15 +600,8 @@ def example4_check() -> dict:
         return Form(n, {_degree_swap(m): c for m, c in f.terms.items()})
 
     even = {"trivial", "pair", "even_natural"}
-    parity_ok = True
-    for name, (fs, _) in groups.items():
-        want_even = name in even
-        for f in fs:
-            image = swapped(f)
-            if want_even and image != f:
-                parity_ok = False
-            if not want_even and image != -f:
-                parity_ok = False
+    parity_ok = all(swapped(f) == (f if name in even else -f)
+                    for name, (fs, _) in groups.items() for f in fs)
 
     # The swap is an involution of the monomials, so its matrix has a 1 in
     # column image[i] of row i; the even and odd halves are the kernels of

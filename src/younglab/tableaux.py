@@ -185,7 +185,7 @@ class BijectionCertificate(NamedTuple):
     whose weight is lam with one symbol occurrence removed (weights kept as
     compositions).  A pair is `canonical` when the per-item rule produced
     it; the others pair the leftover items of both sides in listing order,
-    and nothing relates their two tableaux.
+    and nothing relates their two tableaux.  Pairs are read by position.
     """
 
     lam: Partition
@@ -194,11 +194,11 @@ class BijectionCertificate(NamedTuple):
 
     @property
     def canonical(self) -> bool:
-        return all(p.canonical for p in self.pairs)
+        return all(p[4] for p in self.pairs)
 
     @property
     def canonical_count(self) -> int:
-        return sum(1 for p in self.pairs if p.canonical)
+        return sum(1 for p in self.pairs if p[4])
 
     def check(self) -> bool:
         """Verify that the pairing is a bijection between the two sides,

@@ -10,7 +10,9 @@ by plain Fraction Gauss-Jordan elimination, independent of the library's
 fraction-free `rref`.  The two-row components are spanned here by their
 product over every pairing, not by standard tableaux, and the squarefree
 monomials are listed one per subset of the variables, not as the monomial
-model of a two-row shape.  Semistandard
+model of a two-row shape.  Specht polynomials and the standard two-row
+generators are multiplied out here one binomial at a time by the merging
+product of forms, not term by term as the library expands them.  Semistandard
 tableaux are filled here one cell at a time and tested cell by cell,
 independent of the horizontal-strip recursion the library lists them with;
 horizontal strips are found among all shapes inside the given one, and a
@@ -37,13 +39,14 @@ the oracles take only its types and enumerations.
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, compress, permutations as iperms, product
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Optional
 
 from younglab.characters import ClassFunction, class_types
 from younglab.forms import Form
 from younglab.partitions import Partition
+from younglab.tableaux import enumerate_standard
 
 Permutation = tuple[int, ...]
 Tabloid = tuple[frozenset, ...]
@@ -415,6 +418,11 @@ def _coefficient_columns(forms: list[Form]) -> list[list]:
     return [[f.terms.get(m, 0) for f in forms] for m in monomials]
 
 
+def span_rank_oracle(forms: list[Form]) -> int:
+    """Dimension of the span of the forms, by `rref_oracle`."""
+    return rref_oracle(_coefficient_columns(forms), len(forms))[1]
+
+
 def restricted_character_oracle(forms: list[Form], n: int) -> ClassFunction:
     """Character of the substitution action on the span of the forms, class
     by class.  The basis is the forms at the pivot columns of the matrix
@@ -434,11 +442,22 @@ def restricted_character_oracle(forms: list[Form], n: int) -> ClassFunction:
         sum(red[i][d * (c + 1) + i] for i in range(d)) for c in range(len(types))))
 
 
+def primitive_row_oracle(row: dict) -> dict[int, int]:
+    """A nonzero sparse row of rationals scaled to its primitive integer
+    multiple whose first entry is positive: times the lcm of the
+    denominators, then divided by the signed gcd of the numerators."""
+    scale = lcm(*(Fraction(x).denominator for x in row.values()))
+    ints = {j: int(x * scale) for j, x in row.items()}
+    content = gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
+    return {j: x // content for j, x in ints.items()}
+
+
 def sparse_rref_oracle(rows, ncols: int) -> dict[int, dict]:
-    """The nonzero rows of `rref_oracle` as sparse {column: Fraction} rows
-    keyed by their pivot column, in pivot order: the form `rref` returns."""
+    """The nonzero pivot-1 rows of `rref_oracle`, each scaled to its
+    primitive integer row with a positive pivot by `primitive_row_oracle`,
+    keyed by their pivot column in pivot order: the form `rref` returns."""
     red, rk, pivots = rref_oracle(rows, ncols)
-    return dict(zip(pivots, sparse_rows(red[:rk])))
+    return dict(zip(pivots, map(primitive_row_oracle, sparse_rows(red[:rk]))))
 
 
 def sparse_rows(rows, rng=None) -> list[dict]:
@@ -529,6 +548,33 @@ def pairing_generators_oracle(n: int, l: int, k: int) -> list[Form]:
             for a, b in pairing:
                 f = f * (Form.variable(n, a) - Form.variable(n, b))
             out.append(f)
+    return out
+
+
+def specht_product_oracle(t, n: int) -> Form:
+    """The Specht polynomial of a filling: the product over its columns of
+    every difference x_a - x_b, a above b, multiplied out one binomial at a
+    time with the merging product of `Form`."""
+    result = Form(n, {(0,) * n: 1})
+    for j in range(len(t[0]) if t else 0):
+        column = [row[j] for row in t if j < len(row)]
+        for a, b in combinations(column, 2):
+            result = result * (Form.variable(n, a) - Form.variable(n, b))
+    return result
+
+
+def difference_product_oracle(n: int, l: int, k: int) -> list[Form]:
+    """For each standard tableau t of (n-l, l), in listing order,
+    `specht_product_oracle` of t times the sum of every squarefree
+    degree-(k-l) monomial in the variables of t's first row right of
+    column l, multiplied out by the merging product."""
+    out = []
+    for t in enumerate_standard((n - l, l) if l else (n,)):
+        tail = Form(n, {
+            tuple(int(i in c) for i in range(1, n + 1)): 1
+            for c in combinations(t[0][l:], k - l)
+        })
+        out.append(specht_product_oracle(t, n) * tail)
     return out
 
 

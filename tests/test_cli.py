@@ -413,10 +413,16 @@ class TestErrorsAndDeterminism:
          "658bf5084d5bdacaf18ba4a9993c18620a582f79e70b7484b3e08445ee577268"),
         (("forms", "--check", "specht", "--lambda", "2,2,1"),
          "db4217aeb5b50008f54a63e13c4e9e4447c8018263e88f86d72d3cdfc5aa4c0b"),
+        (("forms", "--check", "specht", "--lambda", "1,1,1,1,1"),
+         "d0c042508080554d1ae42d78381bf81b116558bd2db21d6d2c1aa42036b3f3ae"),
         (("forms", "--check", "two-row", "--n", "8", "--k", "4"),
          "875fc2c209e843882e742fca3dece4750cf6da084175aa8cedcb6f7ecc4799f4"),
         (("verify", "two-row", "--max-n", "8"),
          "a4d47c0b94088e8a6a12f34cc4355a9c42f77cce4a61162fa211c4455b2ab7ed"),
+        (("verify", "theorem5", "--max-n", "6"),
+         "d228fe64c685996e051a673552f244a4c08f27f8ceeb91b2b222a33852fd8919"),
+        (("verify", "statement2", "--max-n", "6"),
+         "06caa85126dac1e503e6489bb7c332e69a66732e8410c6cc9e9369b1832fc7db"),
         (("character-table", "--n", "8"),
          "7c2e1a139efa6fe64e82b48434df0e605a5686bdaaeb1deeca2e906dd9009621"),
         (("verify", "theorem1", "--max-n", "10"),
@@ -429,8 +435,9 @@ class TestErrorsAndDeterminism:
          "4b14201d855cfcede26b6666cd912c7583d2fed17e479ab74af29088f462972d"),
         (("bijection", "--lambda", "3,2,1,1", "--rho", "3,2,1"),
          "e9263fbfa43952341472bf93ae0e1aff1e8801cf5687d2b9a070d4f1f5270368"),
-    ], ids=["kostka", "linsys", "polymorphism", "example4", "specht", "two-row",
-            "verify-two-row", "character-table", "verify-theorem1",
+    ], ids=["kostka", "linsys", "polymorphism", "example4", "specht", "specht-column",
+            "two-row", "verify-two-row", "verify-theorem5", "verify-statement2",
+            "character-table", "verify-theorem1",
             "verify-youngs-rule", "verify-eq1", "ssyt", "bijection"])
     def test_golden_json_bytes(self, capsys, argv, digest):
         # frozen byte-level snapshots: SHA-256 of the JSON payload on stdout

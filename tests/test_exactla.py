@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -71,10 +72,13 @@ class TestRref:
     def test_dependent_rows(self):
         assert len(rref(sparse_rows([[1, 2], [2, 4]]))) == 1
 
-    def test_pivot_entries_are_one_and_values_fractions(self):
+    def test_rows_are_primitive_ints_with_positive_pivots(self):
+        # the pivot-1 rows are {0: 1, 3: -3/4} and {1: 1, 3: 3/2}
         red = rref([{1: 2, 3: 3}, {0: 4, 1: 2}])
-        assert ordered(red) == [(0, {0: 1, 3: Fraction(-3, 4)}), (1, {1: 1, 3: Fraction(3, 2)})]
-        assert all(type(x) is Fraction for row in red.values() for x in row.values())
+        assert ordered(red) == [(0, {0: 4, 3: -3}), (1, {1: 2, 3: 3})]
+        assert ordered(rref([{0: -6, 2: 4}, {1: Fraction(-1, 3)}])) == [
+            (0, {0: 3, 2: -2}), (1, {1: 1})]
+        assert all(type(x) is int for row in red.values() for x in row.values())
 
     def test_idempotent_on_random(self):
         rng = random.Random(7)
@@ -103,6 +107,7 @@ class TestRref:
                 a = make(rng, rng.randint(0, 8), rng.randint(1, 8))
                 red = rref(sparse_rows(a.entries))
                 assert ordered(red) == ordered(sparse_rref_oracle(a.entries, a.cols)), make
+                assert all(type(x) is int for row in red.values() for x in row.values()), make
                 assert rank(sparse_rows(a.entries)) == len(red), make
 
     @pytest.mark.parametrize("density", [0.03, 0.14, 0.3])
@@ -144,6 +149,7 @@ class TestKernelSolve:
             ker = kernel(a)
             for v in ker.rows:
                 assert all(x == 0 for x in times(a, v))
+                assert all(type(x) is int for x in v.values())
 
     def test_member_matches_kernel_equation(self):
         rng = random.Random(9)
@@ -152,13 +158,14 @@ class TestKernelSolve:
             ker = kernel(a)
             v = dict(enumerate(rng.randint(-3, 3) for _ in range(a.cols)))
             in_kernel = all(x == 0 for x in times(a, v))
-            assert (ker.coordinates(v) is not None) == in_kernel
+            assert (v in ker) == in_kernel
+            assert ({j: Fraction(x, 3) for j, x in v.items()} in ker) == in_kernel
 
     def test_dimension_mismatch(self):
         line = Subspace(3, [{0: 1, 1: 2, 2: 3}])
         for column in (-1, 3, 4):
             with pytest.raises(DimensionMismatchError):
-                line.coordinates({column: 1})
+                {column: 1} in line
 
 
 class TestSubspace:
@@ -171,7 +178,30 @@ class TestSubspace:
 
     def test_keeps_the_sparse_rref_rows(self):
         s = Subspace(4, [{3: 2, 1: 4}, {0: 0}, {}, {1: 1, 3: Fraction(1, 2)}])
-        assert s.rows == ({1: 1, 3: Fraction(1, 2)},) and s.pivots == (1,)
+        assert s.rows == ({1: 2, 3: 1},) and s.pivots == (1,)
+
+    def test_equal_spans_are_equal_and_hash_equal(self):
+        # reordered, negated, scaled and Fraction spanning rows of one span
+        rng = random.Random(5)
+        for _ in range(40):
+            d = rng.randint(1, 6)
+            a = random_low_rank_matrix(rng, rng.randint(1, 5), d)
+            rows = sparse_rows(a.entries)
+            s = Subspace(d, rows)
+            variants = [
+                rows[::-1],
+                [{j: -x for j, x in row.items()} for row in rows],
+                [{j: 6 * x for j, x in row.items()} for row in rows],
+                [{j: Fraction(x, 7) for j, x in row.items()} for row in rows],
+                sparse_rows(a.entries, rng),
+            ]
+            for other in map(partial(Subspace, d), variants):
+                assert other == s and hash(other) == hash(s)
+
+    def test_membership(self):
+        plane = Subspace(3, [{0: 2, 1: 1}, {2: 3}])
+        assert {0: 4, 1: 2, 2: -1} in plane and {} in plane and {1: 0} in plane
+        assert {0: 1} not in plane and {1: 1, 2: 1} not in plane
 
     def test_dense_rows_give_the_same_subspace(self):
         assert Subspace(3, [[1, 1, 0], [0, 0, 1]]) == Subspace(3, [{0: 1, 1: 1}, {2: 1}])

@@ -84,3 +84,4 @@ def test_rank_and_rref_of_sparse_matrices_match_the_oracle(case, rng):
     shuffled = sparse_rows(entries, rng)
     assert rank(shuffled) == len(expected)
     assert list(rref(shuffled).items()) == expected
+    assert all(type(x) is int for row in rref(shuffled).values() for x in row.values())

@@ -15,7 +15,7 @@ from younglab.errors import (
 )
 import younglab.exactla as exactla
 import younglab.forms as forms
-from younglab.exactla import RationalMatrix, Subspace, kernel
+from younglab.exactla import RationalMatrix, Subspace, kernel, rank, rref
 from younglab.forms import (
     Form,
     _derivative_matrix,
@@ -48,9 +48,12 @@ from oracles import (
     compose,
     degree,
     identity,
+    difference_product_oracle,
     pairing_generators_oracle,
     restricted_character_oracle,
+    span_rank_oracle,
     sparse_rows,
+    specht_product_oracle,
     squarefree_oracle,
 )
 
@@ -264,6 +267,14 @@ class TestSpechtPoly:
             sp = specht_poly(tuple(t), 5)
             assert degree(sp) == expected
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_term_by_term_expansion_matches_the_merging_product(self, n):
+        for lam in enumerate_partitions(n):
+            for t in enumerate_standard(lam):
+                assert specht_poly(t, n) == specht_product_oracle(t, n), t
+        scrambled = ((5, 1, 4), (3, 2)), ((2, 4), (1,), (3,))
+        assert all(specht_poly(t, 5) == specht_product_oracle(t, 5) for t in scrambled)
+
     def test_rejects_repeats(self):
         with pytest.raises(InvalidFillingError):
             specht_poly(((1, 1), (2,)), 3)
@@ -347,7 +358,7 @@ class TestTheorem5:
                 for t in enumerate_standard(lam):
                     moved = act(specht_poly(t, 4), sigma)
                     vec = form_to_vector(moved, index)
-                    assert space.subspace.coordinates(vec) is not None
+                    assert vec in space.subspace
 
 
 def full_ambient(monomials, n):
@@ -473,17 +484,14 @@ class TestTraceOracle:
 class TestInvarianceAgainstOracle:
     """`restricted_character` raises NotInvariantError exactly when some
     permutation of all n! moves a spanning form out of the span.  The
-    oracle acts by `act` and asks `Subspace.coordinates`; it uses
-    neither the generators of S_n nor `rank`."""
+    oracle acts by `act` and compares ranks by Fraction Gauss-Jordan
+    elimination; it uses neither the generators of S_n nor the library's
+    elimination."""
 
     @staticmethod
     def invariant_by_oracle(spanning, space, n):
-        index = {m: i for i, m in enumerate(space.ambient)}
-        return all(
-            space.subspace.coordinates(form_to_vector(act(f, sigma), index)) is not None
-            for sigma in all_permutations(n)
-            for f in spanning
-        )
+        moved = [act(f, sigma) for sigma in all_permutations(n) for f in spanning]
+        return span_rank_oracle(spanning + moved) == span_rank_oracle(spanning)
 
     @staticmethod
     def random_span(rng, n, ambient, blocks):
@@ -549,6 +557,13 @@ class TestTwoRow:
                     library = span_of_forms(difference_product_generators(n, l, k), ambient)
                     oracle = span_of_forms(pairing_generators_oracle(n, l, k), ambient)
                     assert library.subspace == oracle.subspace, (n, k, l)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_generators_match_the_merging_product(self, n):
+        for k in range(n // 2 + 1):
+            for l in range(k + 1):
+                assert difference_product_generators(n, l, k) == \
+                    difference_product_oracle(n, l, k), (n, l, k)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_one_generator_per_standard_tableau(self, n):
@@ -660,6 +675,39 @@ class TestIntegerCoefficients:
         assert self.all_int(
             elementary_symmetric(5, [1, 2, 4, 5], p) for p in range(5)
         )
+
+
+class TestNoFraction:
+    """The form layer and its elimination compute in ints: no Fraction is
+    made while they run, with the character tables they compare with."""
+
+    @pytest.fixture
+    def no_fraction(self, monkeypatch):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was made")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+
+    def test_the_guard_refuses_a_fraction(self, no_fraction):
+        with pytest.raises(AssertionError, match="a Fraction was made"):
+            Fraction(1, 2)
+
+    def test_rank_rref_and_kernel_of_int_rows(self, no_fraction):
+        rows = [{1: 2, 3: 3}, {0: 4, 1: 2}, {0: 4, 1: 4, 3: 3}]
+        assert rank(rows) == 2
+        assert rref(rows) == {0: {0: 4, 3: -3}, 1: {1: 2, 3: 3}}
+        assert kernel(RationalMatrix([[1, 2, 3], [2, 4, 7]])).rows == ({0: 2, 1: -1},)
+        assert Subspace(4, rows) == Subspace(4, rows[::-1])
+
+    def test_two_row_decomposition(self, no_fraction):
+        assert two_row_passes(two_row_decomposition(8, 4))
+
+    def test_theorem5(self, no_fraction):
+        assert all(theorem5_passes(theorem5_check(lam, 5)) for lam in enumerate_partitions(5))
+
+    def test_example4_and_statement2(self, no_fraction):
+        assert example4_check()["direct_sum"]
+        assert all(statement2_check(lam, 5) for lam in enumerate_partitions(5))
 
 
 def dense_derivative_matrix(ambient, n) -> RationalMatrix:

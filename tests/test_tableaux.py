@@ -437,6 +437,12 @@ class TestBijection:
         assert plain == cert and type(plain.pairs[0]) is tuple
         assert plain.check() and cert.check()
 
+    def test_canonical_reads_the_flag_of_a_pair_by_position(self):
+        cert = theorem4_bijection((2, 1), (2,))
+        plain = cert._replace(pairs=tuple(map(tuple, cert.pairs)))
+        assert (plain.canonical, plain.canonical_count) == (cert.canonical, cert.canonical_count)
+        assert 0 < cert.canonical_count <= len(cert.pairs)
+
     @pytest.mark.parametrize("change", [lambda p: p[:4], lambda p: (*p, True)],
                              ids=["short", "long"])
     def test_check_answers_false_on_a_pair_of_another_length(self, change):

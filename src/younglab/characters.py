@@ -9,9 +9,9 @@ in the monomial basis and multiplies it by one power sum per step; the
 degree's table is cached and `perm_character` looks a shape up in it.
 Irreducible characters are recovered by orthogonalizing the permutation
 characters along the dominance order, which keeps everything inside exact
-arithmetic and leaves Kostka numbers (counted independently by the
-horizontal-strip recursion in :mod:`younglab.tableaux`) available as a
-cross-check rather than an ingredient.
+arithmetic and leaves Kostka numbers (counted independently by Pieri
+chains in :mod:`younglab.tableaux`) available as a cross-check rather
+than an ingredient.
 
 The orthogonalization packs a vector into one int (Kronecker
 substitution), entry j in a signed slot of W bytes at bit 8Wj, so one
@@ -33,7 +33,7 @@ from operator import mul, sub
 from .errors import DegreeMismatchError, OrthogonalizationError, SizeMismatchError
 from .partitions import (
     Partition,
-    _branching_sides,
+    _BranchingSides,
     _enumerate_partitions,
     _standard_count,
     check_degree,
@@ -387,17 +387,19 @@ def lemma1_check(lam: Partition) -> bool:
 
 def eq1_check(lam: Partition, rho: Partition) -> tuple[int, int]:
     """Both sides of the multiplicity recurrence for (lam, rho).  Each call
-    checks the pair first; `_eq1_sides`, which the eq1 sweep calls on the
-    pairs it generates, does not."""
-    return _eq1_sides(*check_pair(lam, rho))
+    checks the pair first; the eq1 sweep reads the same sides of every pair
+    of a degree from `_eq1_sides` and checks none."""
+    lam, rho = check_pair(lam, rho)
+    return _eq1_sides(sum(lam)).pair(lam, rho)
 
 
-def _eq1_sides(lam: Partition, rho: Partition) -> tuple[int, int]:
+@lru_cache(maxsize=1)
+def _eq1_sides(n: int) -> _BranchingSides:
+    """The eq1 sides of degree n, kept for the last degree read."""
     # degree n - 1 is read before n, so that a sweep's next degree drops
     # n - 1 from the two-degree caches, not n
-    n = sum(lam)
-    small = _multiplicity_table(n - 1)
-    return _branching_sides(_multiplicity_table(n), small, lam, rho)
+    small = _multiplicity_table(n - 1).rows
+    return _BranchingSides(_multiplicity_table(n).rows, small, n)
 
 
 def conjugate_twist_check(n: int) -> bool:

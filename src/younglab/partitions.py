@@ -15,9 +15,10 @@ import os
 from bisect import bisect_left
 from functools import cache
 from itertools import accumulate
+from math import factorial, isqrt
 from operator import ge, index
 
-from .errors import EmptyPartitionError, LimitError, SizeMismatchError
+from .errors import EmptyPartitionError, LimitError, SelfCheckError, SizeMismatchError
 
 Partition = tuple[int, ...]
 
@@ -196,15 +197,62 @@ def _successors(rho: Partition) -> tuple[Partition, ...]:
     return tuple(successors(rho))
 
 
-def _branching_sides(big, small, lam: Partition, rho: Partition) -> tuple[int, int]:
-    """Both sides of the branching recurrence for |lam| = |rho| + 1:
-    (sum over mu covering rho of big(mu, lam),
-     sum over gamma covered by lam of c(lam, gamma) * small(rho, gamma)),
-    read from the cover tables.  Checks nothing: its callers pass checked
-    or generated pairs, and their own tables as big and small."""
-    left = sum(big(mu, lam) for mu in _successors(rho))
-    right = sum(c * small(rho, gamma) for gamma, c in _predecessors(lam))
-    return left, right
+class _BranchingSides:
+    """Both sides of the branching recurrence for every pair (lam, rho),
+    lam of n and rho of n - 1, from tables `big` of degree n and `small` of
+    degree n - 1, each row lam holding the values at (mu, lam) for mu up to
+    lam in the frozen order (later values 0, as in `MultiplicityTable`):
+
+      left  = sum over mu covering rho of big(mu, lam)
+      right = sum over gamma covered by lam of c(lam, gamma) * small(rho, gamma)
+
+    `packed(lam)` gives both for every rho at once, rho's value in the slot
+    of its index, `width` bytes each: left sums big(mu, lam) * D_mu, D_mu
+    with 1 in the slot of each shape mu covers, and right sums c(lam, gamma)
+    times the row of gamma packed (once per gamma).  Every row is checked
+    to lie in 0..isqrt(n!) first (Kostka numbers are at most f^mu, and
+    multiplicities at most the square root of a double-coset count), so a
+    slot, a sum of at most n of them, cannot spill and equal packed sides
+    are equal in every slot.  `pair` reads one pair back and keeps the
+    packed sides of lam.  Both memos hold values that depend only on the
+    tables, so two threads filling one entry fill it alike.  The shapes are
+    not checked."""
+
+    __slots__ = ("big", "small", "bound", "width", "covers", "columns", "read")
+
+    def __init__(self, big: dict, small: dict, n: int):
+        self.big, self.small, self.columns, self.read = big, small, {}, {}
+        self.bound = isqrt(factorial(n))
+        self.width = (n * self.bound).bit_length() // 8 + 1
+        index = {rho: j for j, rho in enumerate(_enumerate_partitions(n - 1))}
+        self.covers = [sum(1 << 8 * self.width * index[gamma] for gamma, _ in _predecessors(mu))
+                       for mu in _enumerate_partitions(n)]
+
+    def _row(self, table: dict, lam: Partition) -> tuple[int, ...]:
+        row = table[lam]
+        if min(row) < 0 or max(row) > self.bound:
+            raise SelfCheckError(f"table entry out of bound at {lam}")
+        return row
+
+    def packed(self, lam: Partition) -> tuple[int, int]:
+        row, columns, width = self._row(self.big, lam), self.columns, self.width
+        left = sum([t * d for t, d in zip(row, self.covers) if t])
+        for gamma, _ in _predecessors(lam):
+            if gamma not in columns:
+                data = b"".join([v.to_bytes(width, "little") for v in self._row(self.small, gamma)])
+                columns[gamma] = int.from_bytes(data, "little")
+        return left, sum([c * columns[gamma] for gamma, c in _predecessors(lam)])
+
+    def slot(self, x: int, j: int) -> int:
+        return x >> 8 * self.width * j & (1 << 8 * self.width) - 1
+
+    def pair(self, lam: Partition, rho: Partition) -> tuple[int, int]:
+        """Both sides for (lam, rho); lam's packed sides are kept."""
+        sides = self.read.get(lam)
+        if sides is None:
+            sides = self.read[lam] = self.packed(lam)
+        j = _enumerate_partitions(sum(rho)).index(rho)
+        return self.slot(sides[0], j), self.slot(sides[1], j)
 
 
 def bar(lam: Partition) -> Partition:

@@ -4,29 +4,34 @@ Each sweep checks one of the paper's statements on every item of every
 degree up to ``max_n``: shapes, pairs of shapes, (n, k) pairs, or whole
 degrees.  ``SWEEPS`` maps a sweep's name to its first degree, the artifact
 key under which it reports how many items it checked, the items of degree
-n, a per-item check that returns a counterexample record (a JSON-ready
-dict) or None, and the sweep's own degree cap, if its constructions have
-one (``statement2`` 6, ``theorem5`` 6, ``two-row`` 10).  ``run_sweep`` holds
+n, a per-item check that returns the item's counterexample records
+(JSON-ready dicts, none when it passes), the sweep's own degree cap, if its
+constructions have one (``statement2`` 6, ``theorem5`` 6, ``two-row`` 10),
+and, for a sweep whose item is a whole degree, the number of objects it
+checks there.  ``run_sweep`` holds
 the loop over degrees; the CLI's ``verify`` command and the acceptance
 suite both call it.  The pass rules of the Example-4, Specht and two-row
 reports, ``example4_passes``, ``theorem5_passes`` and ``two_row_passes``,
 are also the verdicts of the CLI's ``forms`` command.
 
-The pair sweeps (``youngs-rule``, ``eq1``, ``eq2``) call the unchecked
-bodies behind ``kostka``, ``multiplicity_table``, ``eq1_check`` and
-``eq2_check``, and ``theorem1`` the one body behind ``theorem1_check`` and
-``theorem1_components``: ``run_sweep`` refuses a ``max_n`` over the cap
-before any work, and every item is built from ``enumerate_partitions``,
-so a second check per item would find nothing.  The checks look the library functions
+The pair sweeps (``youngs-rule``, ``eq1``, ``eq2``) take a degree at a
+time and read its tables unchecked: ``youngs-rule`` compares the
+multiplicity table with the Kostka table in one comparison, and ``eq1``
+and ``eq2`` compare the packed sides of each shape (the bodies behind
+``eq1_check`` and ``eq2_check``) in one comparison per shape; only a
+mismatch is read pair by pair, in the order of the pairs.  ``theorem1``
+calls the one body behind ``theorem1_check`` and ``theorem1_components``.
+``run_sweep`` refuses a ``max_n`` over the cap before any work, and every
+item is built from ``enumerate_partitions``, so a second check per item
+would find nothing.  The checks look the library functions
 up by their module-global names at call time, so rebinding those names (as
 a tracer or a test does) is seen by every sweep.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .characters import (
     _eq1_sides,
@@ -46,7 +51,7 @@ from .forms import (
 )
 from .linsys import polymorphism_feasibility, statement1_check
 from .partitions import enumerate_partitions, max_n as degree_cap, standard_count, successors
-from .tableaux import _eq2_sides, _kostka
+from .tableaux import _eq2_sides, _kostka_table
 
 __all__ = ["SWEEPS", "Sweep", "VerificationReport", "example4_passes", "run_sweep",
            "theorem5_passes", "two_row_passes"]
@@ -77,61 +82,75 @@ class VerificationReport(NamedTuple):
 class Sweep(NamedTuple):
     """One sweep: ``check(item)`` for every item of ``items(n)``, for n from
     ``first`` to the requested maximum, which may not exceed ``last``; the
-    item count is reported under ``artifact_key``."""
+    number of items, or ``count(n)`` at each degree if given, is reported
+    under ``artifact_key``."""
 
     first: int
     artifact_key: str
-    items: Callable[[int], Iterable]
-    check: Callable[[object], Optional[dict]]
+    items: Callable[[int], Sequence]
+    check: Callable[[object], list]
     last: Optional[int] = None
+    count: Optional[Callable[[int], int]] = None
 
 
-def _pairs(n: int, m: int):
-    return product(enumerate_partitions(n), enumerate_partitions(m))
+def _pairs(n: int, m: int) -> int:
+    return len(enumerate_partitions(n)) * len(enumerate_partitions(m))
 
 
 def _theorem1(lam):
     value, common = _theorem1_pairings(lam)
     if value == 1 and common == [(lam, 1, 1)]:
-        return None
-    return {
+        return []
+    return [{
         "lambda": list(lam),
         "pairing": str(value),
         "common": [
             {"mu": list(mu), "in_rows": a, "in_columns": b}
             for mu, a, b in common
         ],
-    }
+    }]
 
 
-def _youngs_rule(pair):
-    mu, lam = pair
-    multiplicity = _multiplicity_table(sum(mu))(mu, lam)
-    count = _kostka(mu, lam)
-    if multiplicity == count:
-        return None
-    return {"mu": list(mu), "lambda": list(lam),
-            "multiplicity": multiplicity, "kostka": count}
+def _youngs_rule(n):
+    table, counts = _multiplicity_table(n), _kostka_table(n)
+    if table.rows == counts:
+        return []
+    shapes = enumerate_partitions(n)
+    records = []
+    for i, mu in enumerate(shapes):
+        for lam in shapes:
+            m, k = (row[i] if i < len(row) else 0 for row in (table.rows[lam], counts[lam]))
+            if m != k:
+                records.append({"mu": list(mu), "lambda": list(lam),
+                                "multiplicity": m, "kostka": k})
+    return records
 
 
-def _recurrence(pair, sides):
-    left, right = sides
-    if left == right:
-        return None
-    lam, rho = pair
-    return {"lambda": list(lam), "rho": list(rho), "left": left, "right": right}
+def _recurrence(sides, n):
+    """The pairs of degree n whose two sides differ, in the order of the
+    pairs; the sides of each shape are compared packed, once."""
+    records = []
+    for lam in enumerate_partitions(n):
+        left, right = sides.packed(lam)
+        if left == right:
+            continue
+        for j, rho in enumerate(enumerate_partitions(n - 1)):
+            a, b = sides.slot(left, j), sides.slot(right, j)
+            if a != b:
+                records.append({"lambda": list(lam), "rho": list(rho), "left": a, "right": b})
+    return records
 
 
-def _eq1(pair):
-    return _recurrence(pair, _eq1_sides(*pair))
+def _eq1(n):
+    return _recurrence(_eq1_sides(n), n)
 
 
-def _eq2(pair):
-    return _recurrence(pair, _eq2_sides(*pair))
+def _eq2(n):
+    return _recurrence(_eq2_sides(n), n)
 
 
 def _lemma1(lam):
-    return None if lemma1_check(lam) else {"lambda": list(lam)}
+    return [] if lemma1_check(lam) else [{"lambda": list(lam)}]
 
 
 def _dimension(rho):
@@ -139,12 +158,12 @@ def _dimension(rho):
     left = n * standard_count(rho)
     right = sum(standard_count(mu) for mu in successors(rho))
     if left == right:
-        return None
-    return {"rho": list(rho), "n": n, "left": left, "right": right}
+        return []
+    return [{"rho": list(rho), "n": n, "left": left, "right": right}]
 
 
 def _conjugate_twist(n):
-    return None if conjugate_twist_check(n) else {"n": n}
+    return [] if conjugate_twist_check(n) else [{"n": n}]
 
 
 def _statement1(lam):
@@ -154,11 +173,11 @@ def _statement1(lam):
     else:
         # a first row longer than half the degree forces the bijection
         ok = 2 * lam[0] <= sum(lam)
-    return None if ok else {"lambda": list(lam)}
+    return [] if ok else [{"lambda": list(lam)}]
 
 
 def _statement2(lam):
-    return None if statement2_check(lam, sum(lam)) else {"lambda": list(lam)}
+    return [] if statement2_check(lam, sum(lam)) else [{"lambda": list(lam)}]
 
 
 def example4_passes(report: dict) -> bool:
@@ -181,7 +200,7 @@ def theorem5_passes(report: dict) -> bool:
 
 
 def _theorem5(lam):
-    return None if theorem5_passes(theorem5_check(lam, sum(lam))) else {"lambda": list(lam)}
+    return [] if theorem5_passes(theorem5_check(lam, sum(lam))) else [{"lambda": list(lam)}]
 
 
 def two_row_passes(report: dict) -> bool:
@@ -194,7 +213,7 @@ def two_row_passes(report: dict) -> bool:
 
 def _two_row(pair):
     n, k = pair
-    return None if two_row_passes(two_row_decomposition(n, k)) else {"n": n, "k": k}
+    return [] if two_row_passes(two_row_decomposition(n, k)) else [{"n": n, "k": k}]
 
 
 def _transport(n):
@@ -204,14 +223,15 @@ def _transport(n):
     result = polymorphism_feasibility(n)
     cut = result["cut"]
     ok = result["feasible"] or (cut is not None and cut["value"] == result["max_flow"])
-    return None if ok else {"n": n}
+    return [] if ok else [{"n": n}]
 
 
 SWEEPS: dict[str, Sweep] = {
     "theorem1": Sweep(1, "shapes_checked", lambda n: enumerate_partitions(n), _theorem1),
-    "youngs-rule": Sweep(1, "pairs_checked", lambda n: _pairs(n, n), _youngs_rule),
-    "eq1": Sweep(2, "pairs_checked", lambda n: _pairs(n, n - 1), _eq1),
-    "eq2": Sweep(2, "pairs_checked", lambda n: _pairs(n, n - 1), _eq2),
+    "youngs-rule": Sweep(1, "pairs_checked", lambda n: (n,), _youngs_rule,
+                         count=lambda n: _pairs(n, n)),
+    "eq1": Sweep(2, "pairs_checked", lambda n: (n,), _eq1, count=lambda n: _pairs(n, n - 1)),
+    "eq2": Sweep(2, "pairs_checked", lambda n: (n,), _eq2, count=lambda n: _pairs(n, n - 1)),
     "lemma1": Sweep(2, "shapes_checked", lambda n: enumerate_partitions(n), _lemma1),
     "dimension": Sweep(2, "shapes_checked", lambda n: enumerate_partitions(n - 1), _dimension),
     "conjugate-twist": Sweep(1, "degrees_checked", lambda n: (n,), _conjugate_twist),
@@ -246,10 +266,9 @@ def run_sweep(name: str, max_n: Optional[int] = None) -> VerificationReport:
     counterexamples = []
     checked = 0
     for n in range(sweep.first, max_n + 1):
-        for item in sweep.items(n):
-            checked += 1
-            record = sweep.check(item)
-            if record is not None:
-                counterexamples.append(record)
+        items = sweep.items(n)
+        for item in items:
+            counterexamples += sweep.check(item)
+        checked += len(items) if sweep.count is None else sweep.count(n)
     return VerificationReport(name, {"max_n": max_n}, counterexamples,
                               {sweep.artifact_key: checked})

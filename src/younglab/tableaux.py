@@ -5,7 +5,8 @@ A tableau is a tuple of row tuples.  A weight is a tuple of nonnegative
 counts: weight[i] is the number of entries equal to i+1.  Weights are
 compositions, not only partitions: removing one symbol occurrence from a
 partition weight can leave a genuine composition, and those must be kept
-distinct.
+distinct.  Kostka numbers are counted by Pieri chains (`_pieri`), tableaux
+listed by removing strips (`_ssyt`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import NamedTuple
 from .errors import SelfCheckError, SizeMismatchError
 from .partitions import (
     Partition,
-    _branching_sides,
+    _BranchingSides,
+    _enumerate_partitions,
     _successors,
     check_degree,
     check_pair,
@@ -60,8 +62,8 @@ def _checked_shape(shape: Partition, weight: Weight) -> Partition:
 def enumerate_ssyt(shape: Partition, weight: Weight) -> list[Tableau]:
     """All semistandard tableaux of the given shape and weight, in
     lexicographic order of the row-reading word, built by the strip
-    recursion `kostka` counts with.  The strips come from the process-wide
-    `_strips` table; the tableaux are memoized for this call only."""
+    recursion `_ssyt`.  The strips come from the process-wide `_strips`
+    table; the tableaux are memoized for this call only."""
     return _listed(_checked_shape(shape, weight), tuple(weight), {})
 
 
@@ -73,22 +75,26 @@ def _listed(shape: Partition, weight: Weight, memo: dict) -> list[Tableau]:
 
 
 def _ssyt(mu: Partition, w: Weight, memo: dict) -> list[Tableau]:
-    """Tableaux of shape mu and weight w, unsorted: those of shape nu and
-    weight w[:-1], for mu/nu a horizontal strip of w[-1] cells, with len(w)
-    appended row by row (nu[i] >= mu[i+1]: at most one new row, the last).
+    """Tableaux of shape mu and weight w, unsorted: with k the last symbol
+    that occurs (zero counts add no level), those of shape nu and weight
+    w[:k-1], for mu/nu a horizontal strip of w[k-1] cells, with k appended
+    row by row (nu[i] >= mu[i+1]: at most one new row, the last).
     The strips are read from the `_strips` table, which lasts for the process.
     The list for (mu, w) itself is not stored; each list for a proper prefix
-    (nu, w[:-1]) is read from `memo`, or built and then put there whole, so
+    (nu, w[:k-1]) is read from `memo`, or built and then put there whole, so
     that an interrupted or concurrent listing never leaves or reads a part
     of one (two threads may both build a list; either copy is whole).
     `memo` is a listing's own (`enumerate_ssyt`) or the store of one
     degree (`_prefix_store`); its lists depend on neither lam nor rho, and
     no caller may mutate them."""
-    if not w:
+    k = len(w)
+    while k and not w[k - 1]:
+        k -= 1
+    if not k:
         return [()]
-    k, prefix = len(w), w[:-1]
+    prefix = w[:k - 1]
     found = []
-    for nu in _strips(mu, w[-1]):
+    for nu in _strips(mu, w[k - 1]):
         if len(nu) >= k:  # more rows than the prefix has symbols
             continue
         below = memo.get((nu, prefix))
@@ -115,35 +121,73 @@ def kostka(mu: Partition, lam: Weight) -> int:
     on it up to reordering, but no normalization is applied here so that
     the invariance stays testable.
 
-    Counted without building a tableau: the cells holding the largest
-    symbol form a horizontal strip of lam[-1] cells, so K(mu, lam) is the
-    sum of K(nu, lam[:-1]) over the shapes nu left when such a strip is
-    removed from mu (Macdonald, Symmetric Functions, I.5).  Each call checks
-    the pair first; the cached recursion does not.
+    Counted without building a tableau, by one Pieri chain along lam (the
+    symbols i fill a horizontal strip of lam[i-1] cells).  Each call checks
+    the pair first and keeps no count.
     """
-    return _kostka(_checked_shape(mu, lam), tuple(lam))
+    mu = _checked_shape(mu, lam)
+    level = {(): 1}
+    for r in lam:
+        if r:
+            level = _pieri(level, r)
+    return level.get(mu, 0)
+
+
+def _pieri(level: dict[Partition, int], r: int) -> dict[Partition, int]:
+    """The shapes times h_r (Pieri's rule; Macdonald, Symmetric Functions,
+    I.5.16): each nu with count c gives c to every shape in `_added(nu, r)`."""
+    new: dict[Partition, int] = {}
+    for nu, c in level.items():
+        for mu in _added(nu, r):
+            new[mu] = new.get(mu, 0) + c
+    return new
 
 
 @cache
-def _kostka(mu: Partition, lam: Weight) -> int:
-    if not lam:
-        return 1
-    if len(mu) > len(lam):
-        return 0
-    return sum(_kostka(nu, lam[:-1]) for nu in _strips(mu, lam[-1]))
+def _added(nu: Partition, r: int) -> tuple[Partition, ...]:
+    """The shapes mu with mu/nu a horizontal strip of r > 0 cells,
+    nu[i] <= mu[i] <= nu[i-1].  One table for the process, like `_strips`;
+    at most sum over k < n of p(k)(n - k) keys."""
+    top = sum(nu) + r
+    bounds = (range(low, min(high, low + r) + 1) for low, high in zip(nu + (0,), (top,) + nu))
+    return tuple(mu if mu[-1] else mu[:-1] for mu in product(*bounds) if sum(mu) == top)
 
 
-kostka.cache_info = _kostka.cache_info
-kostka.cache_clear = _kostka.cache_clear
+@lru_cache(maxsize=2)
+def _kostka_table(n: int) -> dict[Partition, tuple[int, ...]]:
+    """K(mu, lam) for every pair of partitions of n: row lam holds it for
+    each mu up to lam in the frozen order, and a later mu, which does not
+    dominate lam, counts 0 (the layout of `MultiplicityTable.rows`).  The
+    weights are walked depth-first, largest part first, one Pieri level per
+    part: weights share the levels of their common prefix, and the leaves
+    come in the frozen order.  Two degrees are kept."""
+    shapes = _enumerate_partitions(n)
+    rows: dict[Partition, tuple[int, ...]] = {}
+
+    def walk(lam: Partition, left: int, level: dict[Partition, int]) -> None:
+        if not left:
+            row = tuple([level.get(mu, 0) for mu in shapes[:len(rows) + 1]])
+            if len(row) - row.count(0) != len(level):
+                raise SelfCheckError(f"a shape listed after {lam} has tableaux of weight {lam}")
+            rows[lam] = row
+            return
+        for r in range(min(left, lam[-1] if lam else left), 0, -1):
+            walk(lam + (r,), left - r, _pieri(level, r))
+
+    walk((), n, {(): 1})
+    return rows
+
+
+kostka.cache_info = _kostka_table.cache_info
+kostka.cache_clear = _kostka_table.cache_clear
 
 
 @cache
 def _strips(mu: Partition, size: int) -> tuple[Partition, ...]:
     """The shapes nu with mu/nu a horizontal strip of `size` cells:
     mu[i+1] <= nu[i] <= mu[i] and |mu| - |nu| = size, trailing zeros
-    removed.  One table for the process, shared by `kostka` and every
-    `_ssyt` memo; at most sum over k <= n of p(k)(k+1) keys (1,245 for
-    n <= 10)."""
+    removed.  One table for the process, read by `_ssyt`; at most sum over
+    k <= n of p(k)(k+1) keys (1,245 for n <= 10)."""
     rest = sum(mu) - size
     bounds = (range(low, high + 1) for low, high in zip(mu[1:] + (0,), mu))
     return tuple(tuple(x for x in nu if x) for nu in product(*bounds) if sum(nu) == rest)
@@ -155,13 +199,17 @@ def eq2_check(lam: Partition, rho: Partition) -> tuple[int, int]:
     left  = sum over covers mu of rho of K(mu, lam)
     right = sum over gamma covered by lam of c(lam, gamma) * K(rho, gamma)
 
-    Each call checks the pair; `_eq2_sides`, which the eq2 sweep calls, does not.
+    Each call checks the pair; the eq2 sweep reads `_eq2_sides` unchecked.
     """
-    return _eq2_sides(*check_pair(lam, rho))
+    lam, rho = check_pair(lam, rho)
+    return _eq2_sides(sum(lam)).pair(lam, rho)
 
 
-def _eq2_sides(lam: Partition, rho: Partition) -> tuple[int, int]:
-    return _branching_sides(_kostka, _kostka, lam, rho)
+@lru_cache(maxsize=1)
+def _eq2_sides(n: int) -> _BranchingSides:
+    """The eq2 sides of degree n, kept for the last degree read."""
+    small = _kostka_table(n - 1)  # first: the next degree then drops n - 1, not n
+    return _BranchingSides(_kostka_table(n), small, n)
 
 
 def enumerate_standard(lam: Partition) -> list[Tableau]:
@@ -215,8 +263,8 @@ class BijectionCertificate(NamedTuple):
         built once per certificate.  With the shape a partition that is
         semistandardness with that weight, positive entries at most len(lam)
         included.  No item may repeat, and the number of pairs must equal
-        both sides of the recurrence (Kostka numbers from the strip
-        recursion).  Distinct members of a side, as many as the side has,
+        both sides of the recurrence (Kostka numbers from the degree
+        tables).  Distinct members of a side, as many as the side has,
         are the whole side.  The fields of a pair are read by position only,
         so a plain 5-tuple answers like the equal `BijectionPair`.  A field
         of another type (a tableau with list rows, say) or a pair of another
@@ -242,7 +290,8 @@ class BijectionCertificate(NamedTuple):
                 rights.add((w, s))
         except (TypeError, ValueError):  # a malformed field or pair
             return False
-        return len(lefts) == len(rights) == n and _eq2_sides(lam, rho) == (n, n)
+        return (len(lefts) == len(rights) == n
+                and _eq2_sides(sum(lam)).pair(lam, rho) == (n, n))
 
 
 def _fills(t: Tableau, word: list[int]) -> bool:

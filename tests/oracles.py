@@ -15,8 +15,11 @@ generators are multiplied out here one binomial at a time by the merging
 product of forms, not term by term as the library expands them.  Semistandard
 tableaux are filled here one cell at a time and tested cell by cell,
 independent of the horizontal-strip recursion the library lists them with;
-horizontal strips are found among all shapes inside the given one, and a
-Theorem-4 certificate is checked cell by cell against those fillings.
+horizontal strips are found among all shapes inside the given one, Kostka
+numbers are counted by removing such strips (the library adds them, by
+Pieri's rule), the two sides of the branching recurrences are summed pair
+by pair, and a Theorem-4 certificate is checked cell by cell against
+those fillings.
 Minimum s-t cuts are found by trying every cut, independent of max-flow,
 and the max flow is recomputed arc by arc on the list-of-lists network the
 library kept before its flat arc arrays (each arc a [head, residual,
@@ -644,6 +647,29 @@ def strips_oracle(mu: Partition, size: int) -> list[Partition]:
         for nu in product(*(range(part + 1) for part in mu))
         if all(b <= x for b, x in zip(below, nu)) and sum(mu) - sum(nu) == size
     ]
+
+
+@cache
+def kostka_strip_oracle(mu: Partition, w: tuple[int, ...]) -> int:
+    """K(mu, w) by the removal recursion the library counted with before
+    its Pieri chains: the cells holding the largest symbol form a horizontal
+    strip of w[-1] cells, so K(mu, w) sums K(nu, w[:-1]) over the shapes
+    `strips_oracle` leaves when such a strip is removed from mu."""
+    if not w:
+        return 1 if not mu else 0
+    if len(mu) > len(w):
+        return 0
+    return sum(kostka_strip_oracle(nu, w[:-1]) for nu in strips_oracle(mu, w[-1]))
+
+
+def branching_sides_oracle(big, small, lam: Partition, rho: Partition) -> tuple[int, int]:
+    """Both sides of the branching recurrence for one pair, summed pair by
+    pair from the values big(mu, lam) and small(rho, gamma): over the
+    shapes `_covers_oracle` finds above rho, and over those
+    `predecessors_oracle` finds below lam with their multiplicities."""
+    left = sum(big(mu, lam) for mu in _covers_oracle(rho))
+    right = sum(c * small(rho, gamma) for gamma, c in predecessors_oracle(lam))
+    return left, right
 
 
 def partitions_oracle(n: int, largest: Optional[int] = None):

@@ -345,7 +345,7 @@ class TestTwoDegreeCaches:
     @pytest.mark.parametrize("name, tables", [
         ("eq1", 9), ("lemma1", 0), ("theorem1", 9), ("conjugate-twist", 9),
     ])
-    def test_each_degree_is_built_once(self, name, tables):
+    def test_each_degree_is_built_once(self, fresh_sides, name, tables):
         multiplicity_table.cache_clear()
         characters._perm_characters.cache_clear()
         assert run_sweep(name, 9).status == "pass"

@@ -11,7 +11,7 @@ import pytest
 
 from younglab import characters, cli, exactla, forms, sweeps
 from younglab.cli import build_parser, main
-from younglab.partitions import parse_partition
+from younglab.partitions import enumerate_partitions, format_partition, parse_partition
 from younglab.sweeps import SWEEPS
 from younglab.tableaux import BijectionCertificate
 
@@ -462,6 +462,20 @@ class TestErrorsAndDeterminism:
         assert sha256_hex(out) == digest
 
 
+class TestLongWeight:
+    @pytest.mark.parametrize("weight, entry", [
+        ((1,) + (0,) * 3000, 1),
+        ((0,) * 3000 + (1,), 3001),
+    ], ids=["trailing-zeros", "leading-zeros"])
+    def test_ssyt_with_thousands_of_zero_counts(self, capsys, weight, entry):
+        # a zero count adds no recursion level (it raised RecursionError)
+        code, out, err = run_cli(capsys, "ssyt", "--shape", "1", "--weight",
+                                 ",".join(map(str, weight)), "--format", "json")
+        assert (code, error_records(err)) == (0, [])
+        payload = json.loads(out)
+        assert (payload["count"], payload["tableaux"]) == (1, [[[entry]]])
+
+
 class TestNoDenseMatrix:
     """No command builds a dense ``RationalMatrix``: every system and span
     the library runs on is held as sparse rows."""
@@ -531,3 +545,81 @@ class TestOptimizedInterpreter:
             if isinstance(node, ast.Assert)
         ]
         assert found == []
+
+
+def stdout_digest(capsys, argvs):
+    """SHA-256 over the exit code and stdout of each command, in order."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code = main(list(argv))
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    return digest.hexdigest()
+
+
+def pair_argvs(command, n):
+    """`command` in json for every pair of its arguments of degree n."""
+    first, second, below = {"kostka": ("--mu", "--lambda", 0),
+                            "ssyt": ("--shape", "--weight", 0),
+                            "bijection": ("--lambda", "--rho", 1)}[command]
+    return [[command, first, format_partition(a), second, format_partition(b),
+             "--format", "json"]
+            for a in enumerate_partitions(n) for b in enumerate_partitions(n - below)]
+
+
+class TestPairStdoutPins:
+    """Stdout of the pair sweeps at every max-n from 2 to 12 and of the pair
+    commands on every pair of degree up to 7, pinned byte for byte."""
+
+    @pytest.mark.parametrize("name", ["eq1", "eq2", "youngs-rule"])
+    @pytest.mark.parametrize("fmt", ["json", "ascii", "tsv"])
+    def test_verify_max_n_2_to_12(self, capsys, name, fmt):
+        argvs = [["verify", name, "--max-n", str(m), "--format", fmt] for m in range(2, 13)]
+        assert stdout_digest(capsys, argvs) == VERIFY_PINS[name, fmt]
+
+    @pytest.mark.parametrize("command", ["kostka", "ssyt", "bijection"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_pair_up_to_degree_7(self, capsys, command, n):
+        assert stdout_digest(capsys, pair_argvs(command, n)) == PAIR_PINS[command][n - 1]
+
+
+VERIFY_PINS = {
+    ("eq1", "json"): "76e1b1c37ae9b785b26d0f571bf3a1947583d7937db8cf2690f599cb790b179b",
+    ("eq1", "ascii"): "45598372174ecc3fc7b16cb139e8d10c0484b658058e73131296ba0012b3d2a1",
+    ("eq1", "tsv"): "420435610f6986f7e4bcabbe093f04cd51f22040a971c3112c752ed342acad71",
+    ("eq2", "json"): "ee8c8db42ee632dfab809b82414f6220836f340445251e7753933070ac167326",
+    ("eq2", "ascii"): "30e48be3b66eb5a173e187e3a407c05f0b8a01cd6eaafb44bc8c41ab9a35196f",
+    ("eq2", "tsv"): "b416d09d69c37c5f4eeacb7ffef869d6fae6f970a0a6c6bdeb1c6841b90f2057",
+    ("youngs-rule", "json"): "b3d0c35a61f8e98798bfc9aaa0d41e9ee1fa5c9c4be070819a43e5d5e9d7e6e9",
+    ("youngs-rule", "ascii"): "9f2f80c0e477d71ddeefec03f93286a88fe4be036b89da8b85b33b2ec9abe7f2",
+    ("youngs-rule", "tsv"): "b89c5338a42478f95f326127d190b0a91ef575c86c35191546f94f7dd0b8134c",
+}
+
+PAIR_PINS = {
+    "kostka": [
+        "e7a38dac5e12f43ae5462c76815c6d21408906985ffc7bf4091b1f81d57ca201",
+        "3b0d4628de4313a72e68bf7dd0139aa6f291dff3d5cd4e29a8f701ceb7feb389",
+        "598332eef03f7a3e25a3d274bf042fd8470d747fe799497fa38dd0b00f0d8b44",
+        "bc135cb5a9c12055b72457aa7b3d13a270f745ebe93e037b709ea570b911db3f",
+        "fdca9ff349e04d3fc7d56ed9894b9f8d6c4a0ab3295b21e38c7c6bda5e55f6af",
+        "50cf41592492d91f36d9a9aa1f1af82b53ad6eaa0611a868cc7e85a9c0d02c89",
+        "6ba3aee2c8607440d3824976d6dbaaa0bb62208ba138d2b8ff30844ce85eb3e0",
+    ],
+    "ssyt": [
+        "26417472ad48d1a63679a3ecd125ca0c40bbb4e6d47e3849e688a42a43e96b10",
+        "30649045a00ff22ad273e1465640e497046ae4c4f6dfd3040be1a61505c0dfb4",
+        "041215c9f664ca917142c8763cfc1ea3cd53bd4b17625a215a88b4fe0360c57c",
+        "6e7b816cca5e9fa7535f6f57dc8399c41e7c38af7ffd0a276791ca93104d2e16",
+        "701045e4d494fb0459a526437bcacc28dcb813ed5435e125f555e61a6b97b376",
+        "f1b3b174720e2c51e02e27ecb052d2e3d2489f856303351ff85ecaf9cd2871c8",
+        "a638e67325af334a6e771719572949fd298a9d78d3bc3c78fb73d2fb786eee4c",
+    ],
+    "bijection": [
+        "f22c89773ca1b06fbb8ae70c68391ccd063ae63794dc6d02b548110259e33b07",
+        "5e27b8986cc3bfd3198534c00cc8ba9a8135a93f4d3e26da855d4f7ad5a32fc1",
+        "7322a37b3cd40de86b7ed6051692cf45b44edd05d32bd449bde521eccfc23b50",
+        "aa66e09c6701abb56dee43c73f3d7d5fc9bcc3cf8e7cb0f2d152e761a8f354e6",
+        "14e89f20192f1daf4f8ac96756b8f1d7a58b1f993b903c2c8520b793cea8e31b",
+        "fe0e7870b58a3ea669234fa51b845327a08664fdfaa79f4d05396f179ec58cfe",
+        "9a9b9ec2f16dd03750c3b47133d9d171d9f49fec4385b98caf2b1033095a08fa",
+    ],
+}

@@ -1,6 +1,12 @@
 import pytest
 
-from oracles import dominates_oracle, partitions_oracle, predecessors_oracle
+from oracles import (
+    branching_sides_oracle,
+    dominates_oracle,
+    kostka_strip_oracle,
+    partitions_oracle,
+    predecessors_oracle,
+)
 from younglab import characters, forms, partitions, tableaux
 from younglab.characters import (
     eq1_check,
@@ -9,7 +15,7 @@ from younglab.characters import (
     multiplicity_table,
     perm_character,
 )
-from younglab.errors import EmptyPartitionError, LimitError, SizeMismatchError
+from younglab.errors import EmptyPartitionError, LimitError, SelfCheckError, SizeMismatchError
 from younglab.forms import statement2_check, theorem5_check, two_row_decomposition
 from younglab.linsys import polymorphism_feasibility, statement1_check
 from younglab.partitions import (
@@ -26,6 +32,7 @@ from younglab.partitions import (
     standard_count,
     successors,
 )
+from younglab.sweeps import run_sweep
 from younglab.tableaux import eq2_check, kostka, theorem4_bijection
 
 
@@ -345,20 +352,28 @@ class TestWarmTables:
             door(lam, rho)
 
 
+@pytest.mark.usefixtures("fresh_sides")
 class TestBranchingSides:
-    """eq1 and eq2 share the body `_branching_sides`, not its tables."""
+    """eq1 and eq2 share the body `_BranchingSides`, not its tables."""
 
     PAIRS = [((3, 2, 1), (3, 2)), ((4, 1), (2, 2)), ((2, 2), (2, 1))]
 
+    @staticmethod
+    def zeros(rows):
+        return {lam: (0,) * len(row) for lam, row in rows.items()}
+
     def test_eq1_reads_no_kostka_number(self, monkeypatch):
         want = [eq1_check(lam, rho) for lam, rho in self.PAIRS]
-        monkeypatch.setattr(tableaux, "_kostka", lambda mu, lam: 0)
+        real = tableaux._kostka_table
+        monkeypatch.setattr(tableaux, "_kostka_table", lambda n: self.zeros(real(n)))
         assert [eq2_check(lam, rho) for lam, rho in self.PAIRS] == [(0, 0)] * 3
         assert [eq1_check(lam, rho) for lam, rho in self.PAIRS] == want
 
     def test_eq2_reads_no_multiplicity(self, monkeypatch):
         want = [eq2_check(lam, rho) for lam, rho in self.PAIRS]
-        monkeypatch.setattr(characters, "_multiplicity_table", lambda n: lambda mu, lam: 0)
+        real = characters._multiplicity_table
+        monkeypatch.setattr(characters, "_multiplicity_table",
+                            lambda n: real(n)._replace(rows=self.zeros(real(n).rows)))
         assert [eq1_check(lam, rho) for lam, rho in self.PAIRS] == [(0, 0)] * 3
         assert [eq2_check(lam, rho) for lam, rho in self.PAIRS] == want
 
@@ -367,8 +382,57 @@ class TestBranchingSides:
         # right, over (2,1,1) with c = 1 and (3,1) with c = 2: 1*2 + 2*1
         assert eq2_check((3, 1, 1), (3, 1)) == (4, 4)
         # with every table value 1, the sides count covers and removals
-        assert partitions._branching_sides(
-            lambda mu, lam: 1, lambda rho, gamma: 1, (3, 1, 1), (3, 1)) == (3, 3)
+        def ones(n):
+            return {lam: (1,) * i for i, lam in enumerate(enumerate_partitions(n), 1)}
+
+        assert partitions._BranchingSides(ones(5), ones(4), 5).pair(
+            (3, 1, 1), (3, 1)) == (3, 3)
+
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("route", ["kostka", "multiplicity"])
+    def test_packed_sides_decode_to_the_pairwise_sums(self, route, n):
+        if route == "kostka":
+            sides, big = tableaux._eq2_sides(n), kostka_strip_oracle
+            small = big
+        else:
+            sides, big = characters._eq1_sides(n), multiplicity_table(n)
+            small = multiplicity_table(n - 1)
+        for lam in enumerate_partitions(n):
+            left, right = sides.packed(lam)
+            for j, rho in enumerate(enumerate_partitions(n - 1)):
+                want = branching_sides_oracle(big, small, lam, rho)
+                assert (sides.slot(left, j), sides.slot(right, j)) == want
+                if j % 7 == 0:
+                    assert sides.pair(lam, rho) == want
+
+    def test_entry_over_the_slot_bound_is_refused_before_comparing(self, monkeypatch):
+        # at n = 5 a slot is one byte (5 * isqrt(5!) = 50 < 128).  D_(4,1)
+        # has slots {0, 1} and D_(3,2) slots {1, 2}, so the row of (3, 1, 1),
+        # (1, 2, 1, 1), with 256 added to the entry of (4, 1) and 1 taken from
+        # that of (3, 2) gives the same packed left side: unchecked, every
+        # pair of (3, 1, 1) would pass
+        big = dict(tableaux._kostka_table(5))
+        sides = partitions._BranchingSides(big, tableaux._kostka_table(4), 5)
+        assert (sides.bound, sides.width) == (10, 1)
+        assert [sides.covers[i] for i in (1, 2)] == [1 + (1 << 8), (1 << 8) + (1 << 16)]
+        assert big[(3, 1, 1)] == (1, 2, 1, 1)
+        big[(3, 1, 1)] = (1, 258, 0, 1)
+        with pytest.raises(SelfCheckError, match=r"^table entry out of bound at \(3, 1, 1\)$"):
+            sides.packed((3, 1, 1))
+        # through the sweep, whose last degree reads the row only as big
+        real = tableaux._kostka_table
+        monkeypatch.setattr(tableaux, "_kostka_table", lambda n: big if n == 5 else real(n))
+        with pytest.raises(SelfCheckError, match=r"^table entry out of bound at \(3, 1, 1\)$"):
+            run_sweep("eq2", 5)
+
+    @pytest.mark.parametrize("route", ["big", "small"])
+    def test_negative_entry_is_refused(self, route):
+        big, small = dict(tableaux._kostka_table(5)), dict(tableaux._kostka_table(4))
+        table, lam = (big, (3, 1, 1)) if route == "big" else (small, (2, 1, 1))
+        table[lam] = (-1,) + table[lam][1:]
+        with pytest.raises(SelfCheckError, match=r"^table entry out of bound at \(.*\)$"):
+            partitions._BranchingSides(big, small, 5).packed((3, 1, 1))
 
 
 class TestCapBeforeWork:

@@ -11,7 +11,7 @@ from younglab import characters, linsys, sweeps, tableaux
 from younglab.cli import main
 from younglab.errors import LimitError, SelfCheckError
 from younglab.forms import example4_check
-from younglab.partitions import max_n as degree_cap
+from younglab.partitions import enumerate_partitions, max_n as degree_cap
 from younglab.sweeps import SWEEPS, example4_passes, run_sweep
 
 OWN_CAPS = {"statement2": 6, "theorem5": 6, "two-row": 10}
@@ -126,22 +126,117 @@ def test_two_row_counterexample(monkeypatch, change):
     _fails_on(run_sweep("two-row", 4), {"n": 4, "k": 2}, 2 + 2 + 3)
 
 
-@pytest.mark.parametrize("name, body, args, bump, record", [
-    ("youngs-rule", "_kostka", ((2, 1), (1, 1, 1)), lambda k: k + 1,
+def fault_table(monkeypatch, table, faults):
+    """Rebind the degree table ``table`` ("kostka" or "multiplicity") in
+    every module that reads it, with entry (mu, lam) moved by
+    ``faults[mu, lam]``."""
+    def moved(rows, n):
+        rows, shapes = dict(rows), enumerate_partitions(n)
+        for (mu, lam), step in faults.items():
+            if sum(lam) == n:
+                row = list(rows[lam])
+                row[shapes.index(mu)] += step
+                rows[lam] = tuple(row)
+        return rows
+
+    if table == "kostka":
+        real, name, modules = tableaux._kostka_table, "_kostka_table", (tableaux, sweeps)
+
+        def faulty(n):
+            return moved(real(n), n)
+    else:
+        real, name, modules = (characters._multiplicity_table, "_multiplicity_table",
+                               (characters, sweeps))
+
+        def faulty(n):
+            return real(n)._replace(rows=moved(real(n).rows, n))
+    for module in modules:
+        monkeypatch.setattr(module, name, faulty)
+
+
+@pytest.mark.parametrize("name, table, entry, record", [
+    ("youngs-rule", "kostka", ((2, 1), (1, 1, 1)),
      {"mu": [2, 1], "lambda": [1, 1, 1], "multiplicity": 2, "kostka": 3}),
-    ("eq1", "_eq1_sides", ((2, 1), (2,)), lambda sides: (sides[0], sides[1] + 1),
-     {"lambda": [2, 1], "rho": [2], "left": 2, "right": 3}),
-    ("eq2", "_eq2_sides", ((2, 1), (2,)), lambda sides: (sides[0], sides[1] + 1),
-     {"lambda": [2, 1], "rho": [2], "left": 2, "right": 3}),
-])
-def test_pair_sweep_counterexample_through_its_body(monkeypatch, capsys, name, body,
-                                                    args, bump, record):
-    real = getattr(sweeps, body)
-    monkeypatch.setattr(
-        sweeps, body, lambda *a: bump(real(*a)) if a == args else real(*a))
+    ("eq1", "multiplicity", ((2, 2), (2, 1, 1)),
+     {"lambda": [2, 1, 1], "rho": [2, 1], "left": 5, "right": 4}),
+    ("eq2", "kostka", ((2, 2), (2, 1, 1)),
+     {"lambda": [2, 1, 1], "rho": [2, 1], "left": 5, "right": 4}),
+], ids=["youngs-rule", "eq1", "eq2"])
+def test_pair_sweep_counterexample_through_its_table(monkeypatch, capsys, fresh_sides, name,
+                                                     table, entry, record):
+    # (2, 2) covers only (2, 1) of degree 3, and degree 4 is the last read
+    fault_table(monkeypatch, table, {entry: 1})
     assert main(["verify", name, "--max-n", "4"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         f"{name}: FAIL (max_n=4)", f"counterexample: {json.dumps(record)}"]
+
+
+TABLE_FAULTS = {
+    # two entries of one lam, which move three of its pairs in eq1 and eq2
+    "one-lambda": {((3, 2), (2, 2, 1)): 1, ((3, 1, 1), (2, 2, 1)): 2},
+    # two lam, listed in the other order by youngs-rule (mu first)
+    "two-lambdas": {((3, 1, 1), (2, 2, 1)): 1, ((4, 1), (2, 1, 1, 1)): -1},
+}
+
+PAIRS_TO_5 = {"eq1": 2 + 6 + 15 + 35, "eq2": 2 + 6 + 15 + 35,
+              "youngs-rule": 1 + 4 + 9 + 25 + 49}
+
+
+@pytest.mark.parametrize("table, faults, name, records", [
+    ("kostka", "one-lambda", "eq2", [
+        {"lambda": [2, 2, 1], "rho": [3, 1], "left": 8, "right": 5},
+        {"lambda": [2, 2, 1], "rho": [2, 2], "left": 4, "right": 3},
+        {"lambda": [2, 2, 1], "rho": [2, 1, 1], "left": 4, "right": 2},
+    ]),
+    ("kostka", "one-lambda", "youngs-rule", [
+        {"mu": [3, 2], "lambda": [2, 2, 1], "multiplicity": 2, "kostka": 3},
+        {"mu": [3, 1, 1], "lambda": [2, 2, 1], "multiplicity": 1, "kostka": 3},
+    ]),
+    ("kostka", "two-lambdas", "eq2", [
+        {"lambda": [2, 2, 1], "rho": [3, 1], "left": 6, "right": 5},
+        {"lambda": [2, 2, 1], "rho": [2, 1, 1], "left": 3, "right": 2},
+        {"lambda": [2, 1, 1, 1], "rho": [4], "left": 3, "right": 4},
+        {"lambda": [2, 1, 1, 1], "rho": [3, 1], "left": 8, "right": 9},
+    ]),
+    ("kostka", "two-lambdas", "youngs-rule", [
+        {"mu": [4, 1], "lambda": [2, 1, 1, 1], "multiplicity": 3, "kostka": 2},
+        {"mu": [3, 1, 1], "lambda": [2, 2, 1], "multiplicity": 1, "kostka": 2},
+    ]),
+    ("multiplicity", "one-lambda", "eq1", [
+        {"lambda": [2, 2, 1], "rho": [3, 1], "left": 8, "right": 5},
+        {"lambda": [2, 2, 1], "rho": [2, 2], "left": 4, "right": 3},
+        {"lambda": [2, 2, 1], "rho": [2, 1, 1], "left": 4, "right": 2},
+    ]),
+    ("multiplicity", "one-lambda", "youngs-rule", [
+        {"mu": [3, 2], "lambda": [2, 2, 1], "multiplicity": 3, "kostka": 2},
+        {"mu": [3, 1, 1], "lambda": [2, 2, 1], "multiplicity": 3, "kostka": 1},
+    ]),
+    ("multiplicity", "two-lambdas", "eq1", [
+        {"lambda": [2, 2, 1], "rho": [3, 1], "left": 6, "right": 5},
+        {"lambda": [2, 2, 1], "rho": [2, 1, 1], "left": 3, "right": 2},
+        {"lambda": [2, 1, 1, 1], "rho": [4], "left": 3, "right": 4},
+        {"lambda": [2, 1, 1, 1], "rho": [3, 1], "left": 8, "right": 9},
+    ]),
+    ("multiplicity", "two-lambdas", "youngs-rule", [
+        {"mu": [4, 1], "lambda": [2, 1, 1, 1], "multiplicity": 2, "kostka": 3},
+        {"mu": [3, 1, 1], "lambda": [2, 2, 1], "multiplicity": 2, "kostka": 1},
+    ]),
+])
+def test_table_faults_give_the_pairwise_records_in_pair_order(monkeypatch, capsys, fresh_sides,
+                                                              table, faults, name, records):
+    # the records of reading each pair of the faulty degree-5 table in turn,
+    # in the order of the pairs
+    fault_table(monkeypatch, table, TABLE_FAULTS[faults])
+    for fmt in ("json", "ascii"):
+        assert main(["verify", name, "--max-n", "5", "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["counterexamples"] == records
+            assert payload["artifact"] == {"pairs_checked": PAIRS_TO_5[name]}
+        else:
+            assert out.splitlines() == [f"{name}: FAIL (max_n=5)"] + [
+                f"counterexample: {json.dumps(r)}" for r in records]
 
 
 @pytest.mark.parametrize("name, module", [("eq1", characters), ("eq2", tableaux)])

@@ -12,6 +12,7 @@ import pytest
 
 from oracles import (
     certificate_check_oracle,
+    kostka_strip_oracle,
     parse_tableau,
     semistandard_oracle,
     ssyt_backtracking_oracle,
@@ -37,6 +38,7 @@ from younglab.tableaux import (
     strip_weight,
     theorem4_bijection,
 )
+from younglab.sweeps import run_sweep
 
 
 class TestEnumerateSsyt:
@@ -178,6 +180,77 @@ class TestKostka:
         assert kostka((5,), (1,) * 5) == 1
 
 
+class TestKostkaTable:
+    """The degree tables and the single chains of `kostka`, both by Pieri's
+    rule, against the strip-removal recursion of the oracles."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self, fresh_sides):
+        tableaux._kostka_table.cache_clear()
+        yield
+        tableaux._kostka_table.cache_clear()
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_every_pair_matches_the_strip_oracle(self, n):
+        shapes = enumerate_partitions(n)
+        rows = tableaux._kostka_table(n)
+        assert list(rows) == list(shapes)
+        for i, (lam, row) in enumerate(rows.items()):
+            assert type(row) is tuple and len(row) == i + 1
+            assert row + (0,) * (len(shapes) - i - 1) == tuple(
+                kostka_strip_oracle(mu, lam) for mu in shapes)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_kostka_matches_the_strip_oracle_on_weak_compositions(self, n):
+        for mu in enumerate_partitions(n):
+            for w in weak_compositions(n, n + 1):
+                assert kostka(mu, w) == kostka_strip_oracle(mu, w)
+
+    @pytest.mark.parametrize("name", ["eq2", "youngs-rule"])
+    def test_each_degree_is_built_once(self, name):
+        assert run_sweep(name, 9).status == "pass"
+        info = kostka.cache_info()
+        assert (info.misses, info.currsize) == (9, 2)
+
+    def test_kostka_keeps_nothing(self):
+        assert kostka((4, 2, 1), (2, 2, 2, 1)) == 6
+        assert kostka.cache_info().currsize == 0
+
+    def test_a_count_past_lam_raises(self, monkeypatch):
+        # every level also counts the one-column shape, which comes after
+        # (3,) in the frozen order
+        real = tableaux._pieri
+
+        def padded(level, r):
+            new = real(level, r)
+            return {**new, (1,) * sum(next(iter(new))): 1}
+
+        monkeypatch.setattr(tableaux, "_pieri", padded)
+        with pytest.raises(SelfCheckError,
+                           match=r"^a shape listed after \(3,\) has tableaux of weight \(3,\)$"):
+            tableaux._kostka_table(3)
+
+
+class TestLongWeights:
+    """Zero counts add no recursion level: a weight padded with thousands
+    of zeros, before or after its symbols, is counted and listed."""
+
+    @pytest.mark.parametrize("weight, tableau", [
+        ((1,) + (0,) * 3000, ((1,),)),
+        ((0,) * 3000 + (1,), ((3001,),)),
+        ((0,) * 1500 + (1,) + (0,) * 1500, ((1501,),)),
+    ], ids=["trailing", "leading", "both"])
+    def test_one_cell(self, weight, tableau):
+        assert kostka((1,), weight) == 1
+        assert enumerate_ssyt((1,), weight) == [tableau]
+
+    def test_zeros_between_symbols(self):
+        weight = (0,) * 2000 + (1,) + (0,) * 2000 + (1, 1) + (0,) * 2000
+        assert kostka((2, 1), weight) == 2
+        assert enumerate_ssyt((2, 1), weight) == [((2001, 4002), (4003,)),
+                                                  ((2001, 4003), (4002,))]
+
+
 class TestStrips:
     def test_matches_brute_force(self):
         for n in range(9):
@@ -213,7 +286,9 @@ class TestStrips:
         )
         assert done.returncode == 0, done.stderr
         sizes = json.loads(done.stdout)
-        assert {"younglab.tableaux._strips", "younglab.tableaux._kostka",
+        assert {"younglab.tableaux._strips", "younglab.tableaux._added",
+                "younglab.tableaux._kostka_table",
+                "younglab.tableaux._eq2_sides", "younglab.characters._eq1_sides",
                 "younglab.partitions._enumerate_partitions",
                 "younglab.partitions._standard_count",
                 "younglab.partitions._successors",

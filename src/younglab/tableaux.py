@@ -12,7 +12,7 @@ listed by removing strips (`_ssyt`).
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, product
 from operator import add, index, le, lt
 from typing import NamedTuple
 
@@ -68,9 +68,8 @@ def enumerate_ssyt(shape: Partition, weight: Weight) -> list[Tableau]:
 
 
 def _listed(shape: Partition, weight: Weight, memo: dict) -> list[Tableau]:
-    """The tableaux of `_ssyt` in row-reading-word lex order (tuple order).
-    This top-level list is built and sorted per call and not put in `memo`;
-    only the lists of its proper weight prefixes are."""
+    """The tableaux of `_ssyt` in row-reading-word lex order (tuple order),
+    built and sorted per call; `_listed` puts nothing of its own in `memo`."""
     return sorted(_ssyt(shape, weight, memo))
 
 
@@ -80,13 +79,14 @@ def _ssyt(mu: Partition, w: Weight, memo: dict) -> list[Tableau]:
     w[:k-1], for mu/nu a horizontal strip of w[k-1] cells, with k appended
     row by row (nu[i] >= mu[i+1]: at most one new row, the last).
     The strips are read from the `_strips` table, which lasts for the process.
-    The list for (mu, w) itself is not stored; each list for a proper prefix
-    (nu, w[:k-1]) is read from `memo`, or built and then put there whole, so
-    that an interrupted or concurrent listing never leaves or reads a part
-    of one (two threads may both build a list; either copy is whole).
-    `memo` is a listing's own (`enumerate_ssyt`) or the store of one
-    degree (`_prefix_store`); its lists depend on neither lam nor rho, and
-    no caller may mutate them."""
+    The list for (mu, w) itself is not stored here; each list for a proper
+    prefix (nu, w[:k-1]) is read from `memo`, or built and then put there
+    whole, so that an interrupted or concurrent listing never leaves or
+    reads a part of one (two threads may both build a list; either copy is
+    whole).  `memo` is a listing's own (`enumerate_ssyt`) or the store of
+    one degree (`_prefix_store`); each of its lists depends on its key
+    alone, not on the certificate that built it, and no caller may mutate
+    them."""
     k = len(w)
     while k and not w[k - 1]:
         k -= 1
@@ -108,10 +108,12 @@ def _ssyt(mu: Partition, w: Weight, memo: dict) -> list[Tableau]:
 
 @lru_cache(maxsize=1)
 def _prefix_store(n: int) -> dict:
-    """The `_ssyt` memo shared by every certificate of degree n: the
-    tableau lists of proper weight prefixes, keyed by (shape, prefix).
-    The top levels, most of the tableaux, are not stored, and one degree is
-    kept: the next degree's first certificate drops it."""
+    """The `_ssyt` memo shared by every certificate of degree n, keyed by
+    (shape, weight): the unsorted lists of proper weight prefixes, and the
+    sorted left top levels (mu, lam) of `theorem4_bijection`, the only keys
+    of weight n (a proper prefix weighs less).  The right top levels are not
+    stored, and one degree is kept: the next degree's first certificate
+    drops it."""
     return {}
 
 
@@ -259,50 +261,52 @@ class BijectionCertificate(NamedTuple):
         one x, a left item whose shape covers rho and a right item of shape
         rho.  Each tableau is walked once by `_fills`: rows weakly and
         columns strictly increase, and its entries, sorted, are the word of
-        lam (left) or of lam minus one x (right); words and weights are
-        built once per certificate.  With the shape a partition that is
-        semistandardness with that weight, positive entries at most len(lam)
-        included.  No item may repeat, and the number of pairs must equal
+        lam (left) or of lam minus one x (right); words, weights and one set
+        of right items per symbol x are made once per certificate.  With the
+        shape a partition that is semistandardness with that weight, positive
+        entries at most len(lam) included.  No item may repeat, and the number of pairs must equal
         both sides of the recurrence (Kostka numbers from the degree
         tables).  Distinct members of a side, as many as the side has,
         are the whole side.  The fields of a pair are read by position only,
         so a plain 5-tuple answers like the equal `BijectionPair`.  A field
         of another type (a tableau with list rows, say) or a pair of another
-        length makes the check answer False, not raise.
+        length makes the check answer False, not raise.  Nothing is listed,
+        and nothing is read from the store of listings (`_prefix_store`).
         """
         lam, rho = check_pair(self.lam, self.rho)
         covers = set(_successors(rho))
         word = [x for x, c in enumerate(lam, 1) for _ in range(c)]
-        # for x = 1..len(lam), minus[x]: the word with its first x dropped
-        minus = [None] + [word[:i] + word[i + 1:] for i in accumulate((0,) + lam[:-1])]
-        weights = [None] + _weights(lam)
-        n = len(self.pairs)
-        lefts, rights = set(), set()
+        # x -> (lam minus one x, the word with its first x dropped, right items of x)
+        sides = {x: (w, word[:i] + word[i + 1:], set()) for x, i, w
+                 in zip(range(1, len(lam) + 1), accumulate((0,) + lam[:-1]), _weights(lam))}
+        lefts = set()
         try:
             for t, x, s, w, _ in self.pairs:
-                if not (1 <= x <= len(lam) and w == weights[x]):
-                    return False
-                if not (tuple(map(len, t)) in covers and _fills(t, word)):
-                    return False
-                if not (tuple(map(len, s)) == rho and _fills(s, minus[x])):
+                gamma, short, seen = sides[index(x)]
+                if not (w == gamma and tuple(map(len, t)) in covers and _fills(t, word)
+                        and tuple(map(len, s)) == rho and _fills(s, short)):
                     return False
                 lefts.add(t)
-                rights.add((w, s))
-        except (TypeError, ValueError):  # a malformed field or pair
+                seen.add(s)
+        except (KeyError, TypeError, ValueError):  # a malformed field or pair
             return False
-        return (len(lefts) == len(rights) == n
+        n = len(self.pairs)
+        return (len(lefts) == sum(len(side[2]) for side in sides.values()) == n
                 and _eq2_sides(sum(lam)).pair(lam, rho) == (n, n))
 
 
 def _fills(t: Tableau, word: list[int]) -> bool:
     """Rows weakly and columns strictly increase (the shape is checked by
-    the caller), and the entries sorted are `word`."""
-    above: tuple[int, ...] = ()
+    the caller), and the entries sorted are `word`.  The first row has no
+    column to compare, and a row of one cell no neighbour."""
+    above = None
     for row in t:
-        if not (all(map(lt, above, row)) and all(map(le, row, row[1:]))):
+        if len(row) > 1 and not all(map(le, row, row[1:])):
+            return False
+        if above is not None and not all(map(lt, above, row)):
             return False
         above = row
-    return sorted(chain.from_iterable(t)) == word
+    return sorted(sum(t, ())) == word
 
 
 def _weights(lam: Partition) -> list[Weight]:
@@ -312,12 +316,8 @@ def _weights(lam: Partition) -> list[Weight]:
 
 
 def _corner_row(mu: Partition, rho: Partition) -> int:
-    """1-based row where mu exceeds rho by one cell."""
-    padded = rho + (0,) * (len(mu) - len(rho))
-    for i, (a, b) in enumerate(zip(mu, padded)):
-        if a != b:
-            return i + 1
-    raise ValueError(f"{mu} does not cover {rho}")
+    """1-based row where mu, a cover of rho, exceeds rho by one cell."""
+    return next(i for i, (a, b) in enumerate(zip(mu, rho + (0,)), 1) if a != b)
 
 
 def _canonical_image(t: Tableau, row: int) -> Tableau | None:
@@ -348,36 +348,35 @@ def theorem4_bijection(lam: Partition, rho: Partition) -> BijectionCertificate:
 
     Both partitions and the size cap are checked before any listing; the
     corner row is found once per cover of rho, the weight lam minus one x
-    once per symbol x.  Both sides are listed as `enumerate_ssyt` lists,
-    each top level (mu, lam) and (rho, lam minus one x) built and sorted
-    here; the lists of their proper weight prefixes come from the store of
-    the degree (`_prefix_store`), which every certificate of that degree
-    shares.
+    once per symbol x.  Both sides are listed as `enumerate_ssyt` lists.
+    The lists of proper weight prefixes come from the store of the degree
+    (`_prefix_store`), which every certificate of that degree shares.  Each
+    left top level (mu, lam) is listed once per degree and kept there whole
+    for every rho that mu covers; each right top level (rho, lam minus one
+    x) is built and sorted here.
     """
     lam, rho = check_pair(lam, rho)
     memo = _prefix_store(sum(lam))
-    left: list[tuple[Tableau, int]] = []
-    for mu in _successors(rho):
-        r = _corner_row(mu, rho)
-        left += [(t, r) for t in _listed(mu, lam, memo)]
     weights = _weights(lam)
-    # (gamma weight, tableau) -> removed symbol, in listing order
-    right: dict[tuple[Weight, Tableau], int] = {}
-    for x, w in enumerate(weights, 1):
-        right.update(((w, s), x) for s in _listed(rho, w, memo))
-
-    pairs: list[BijectionPair | None] = [None] * len(left)
-    for k, (t, r) in enumerate(left):
-        s = _canonical_image(t, r)
-        if s is None:
-            continue
-        w = weights[r - 1]
-        if right.pop((w, s), None):
-            pairs[k] = BijectionPair(t, r, s, w, True)
-
-    leftover = [k for k, p in enumerate(pairs) if p is None]
-    if len(leftover) != len(right):
+    # per removed symbol x, its right items in listing order
+    right = [dict.fromkeys(_listed(rho, w, memo), True) for w in weights]
+    pairs: list[BijectionPair | None] = []
+    leftover: list[tuple[int, Tableau]] = []
+    for mu in _successors(rho):
+        found = memo.get((mu, lam))
+        if found is None:  # stored whole, like the prefix lists of `_ssyt`
+            found = memo[mu, lam] = _listed(mu, lam, memo)
+        r = _corner_row(mu, rho)
+        for t in found:
+            s = _canonical_image(t, r)
+            if s is not None and right[r - 1].pop(s, False):
+                pairs.append(BijectionPair(t, r, s, weights[r - 1], True))
+            else:
+                leftover.append((len(pairs), t))
+                pairs.append(None)
+    rest = [(x, w, s) for x, (w, items) in enumerate(zip(weights, right), 1) for s in items]
+    if len(leftover) != len(rest):
         raise SelfCheckError("two-way count sides are not equinumerous")
-    for k, ((w, s), x) in zip(leftover, right.items()):
-        pairs[k] = BijectionPair(left[k][0], x, s, w, False)
+    for (k, t), (x, w, s) in zip(leftover, rest):
+        pairs[k] = BijectionPair(t, x, s, w, False)
     return BijectionCertificate(lam, rho, tuple(pairs))

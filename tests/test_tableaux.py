@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from pathlib import Path
@@ -400,7 +401,14 @@ LEFT_MUTANTS = {
     "empty-trailing-row": "1,1,2,2/3/",
     "shape-not-covering-rho": "1,1/2,2/3",
 }
-MUTANTS = (*LEFT_MUTANTS, "right-of-wrong-weight", "right-of-wrong-shape",
+# Right tableaux of shape (3,1) and weight (1,2,1) that replace the first
+# pair's, its gamma weight kept
+RIGHT_MUTANTS = {
+    "column-not-strict": "2,2,3/1",
+    "row-decreases": "1,3,2/2",
+}
+MUTANTS = (*LEFT_MUTANTS, *(f"right-{name}" for name in RIGHT_MUTANTS),
+           "right-of-wrong-weight", "right-of-wrong-shape",
            "wrong-gamma-weight", "duplicated-left-item", "duplicated-right-item")
 
 
@@ -415,6 +423,8 @@ def certificate_mutants():
     changed = {
         **{name: (first._replace(mu_tableau=parse_tableau(text)), second)
            for name, text in LEFT_MUTANTS.items()},
+        **{f"right-{name}": (first._replace(rho_tableau=parse_tableau(text)), second)
+           for name, text in RIGHT_MUTANTS.items()},
         "right-of-wrong-weight": (first._replace(rho_tableau=other.rho_tableau), second),
         "right-of-wrong-shape": (first._replace(rho_tableau=one_row), second),
         "wrong-gamma-weight": (first._replace(gamma_weight=other.gamma_weight), second),
@@ -498,7 +508,8 @@ class TestBijection:
         ("mu_tableau", lambda t: (1,) * len(t)),
         ("rho_tableau", lambda t: [list(row) for row in t]),
         ("gamma_weight", list),
-    ], ids=["mu-list-rows", "mu-not-rows", "rho-list", "gamma-list"])
+        ("removed_symbol", float),
+    ], ids=["mu-list-rows", "mu-not-rows", "rho-list", "gamma-list", "x-float"])
     def test_check_answers_false_on_a_field_of_another_type(self, field, change):
         cert = theorem4_bijection((2, 1), (2,))
         first = cert.pairs[0]
@@ -533,6 +544,9 @@ class TestBijection:
         for name in ("column-not-strict", "row-decreases"):
             t = mutants[name].pairs[0].mu_tableau
             assert tableau_shape(t) == (4, 1) and tableau_weight(t) == (2, 2, 1)
+            s = mutants[f"right-{name}"].pairs[0].rho_tableau
+            assert tableau_shape(s) == (3, 1) and not semistandard_oracle(s)
+            assert tableau_weight(s) == cert.pairs[0].gamma_weight == (1, 2, 1)
         t = mutants["shape-not-covering-rho"].pairs[0].mu_tableau
         assert semistandard_oracle(t) and tableau_weight(t) == (2, 2, 1)
         s = mutants["right-of-wrong-shape"].pairs[0].rho_tableau
@@ -543,6 +557,20 @@ class TestBijection:
         mutant = certificate_mutants()[1][name]
         assert not mutant.check()
         assert not certificate_check_oracle(mutant)
+
+    def test_check_lists_nothing_and_reads_no_store(self, fresh_store, monkeypatch):
+        # the store holds whole left sides: check() must still read
+        # every tableau it is given, and none it could look up
+        warm = [theorem4_bijection(*pair) for pair in degree_inputs(6)]
+        mutants = certificate_mutants()[1]
+
+        def refuse(*args):
+            raise AssertionError("check() listed or read the store")
+
+        for name in ("_ssyt", "_listed", "_prefix_store"):
+            monkeypatch.setattr(tableaux, name, refuse)
+        assert all(cert.check() for cert in warm)
+        assert not any(mutant.check() for mutant in mutants.values())
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_check_agrees_with_cell_by_cell_oracle(self, n):
@@ -648,8 +676,9 @@ def degree_inputs(n):
 
 
 class TestPrefixStore:
-    """Every certificate of a degree reads its proper-prefix lists from one
-    store; a certificate built warm must equal one built cold."""
+    """Every certificate of a degree reads its proper-prefix lists and its
+    left top levels from one store; a certificate built warm must equal one
+    built cold."""
 
     def test_shuffled_degrees_match_cold_builds(self, fresh_store):
         inputs = [pair for n in range(1, 8) for pair in degree_inputs(n)]
@@ -663,7 +692,7 @@ class TestPrefixStore:
             assert certificate_digest(warm[pair] for pair in degree_inputs(n)) \
                 == CERTIFICATE_DIGESTS[n]
 
-    def test_the_store_holds_one_degree_of_proper_prefixes(self, fresh_store):
+    def test_the_store_holds_one_degree_of_prefixes_and_left_sides(self, fresh_store):
         for pair in degree_inputs(5):
             theorem4_bijection(*pair)
         five = tableaux._prefix_store(5)
@@ -675,9 +704,32 @@ class TestPrefixStore:
         shapes = enumerate_partitions(6)
         weights = {*shapes, *(w for lam in shapes for w in tableaux._weights(lam))}
         prefixes = {w[:i] for w in weights for i in range(len(w))}
+        # every mu of 6 covers some rho of 5: each (mu, lam) is a left top level
+        tops = {(mu, lam) for mu in shapes for lam in shapes}
+        assert {key for key in six if sum(key[1]) == 6} == tops
         for (mu, w), found in six.items():
-            assert w in prefixes and sum(w) < 6
-            assert sorted(found) == enumerate_ssyt(mu, w)
+            if (mu, w) in tops:
+                assert found == enumerate_ssyt(mu, w)  # stored sorted
+            else:
+                assert w in prefixes and sum(w) < 6
+                assert sorted(found) == enumerate_ssyt(mu, w)
+
+    def test_each_left_top_level_is_listed_once_per_degree(self, monkeypatch, fresh_store):
+        listed, calls = tableaux._listed, Counter()
+
+        def spy(shape, weight, memo):
+            if sum(weight) == 6:  # a left top level; the right ones weigh 5
+                calls[shape, weight] += 1
+            return listed(shape, weight, memo)
+
+        monkeypatch.setattr(tableaux, "_listed", spy)
+        order = degree_inputs(6)
+        random.Random(8).shuffle(order)
+        warm = {pair: theorem4_bijection(*pair) for pair in order}
+        shapes = enumerate_partitions(6)
+        assert calls == {(mu, lam): 1 for mu in shapes for lam in shapes}
+        assert certificate_digest(warm[pair] for pair in degree_inputs(6)) \
+            == CERTIFICATE_DIGESTS[6]
 
     def test_enumerate_ssyt_leaves_the_store_untouched(self, fresh_store):
         listings = [(lam, w) for n in (5, 6, 7) for lam in enumerate_partitions(n)

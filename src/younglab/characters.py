@@ -3,15 +3,14 @@
 Values are Python integers indexed by cycle type, one value per partition
 of the degree in the frozen enumeration order.  The permutation character
 of a row-stabilizer subgroup at a class rho is the coefficient of m_lam in
-the power sum p_rho.  All of one degree come from one depth-first pass
-over the cycle types, which carries each p_sigma of a common tail sigma
-in the monomial basis and multiplies it by one power sum per step; the
-degree's table is cached and `perm_character` looks a shape up in it.
-Irreducible characters are recovered by orthogonalizing the permutation
-characters along the dominance order, which keeps everything inside exact
-arithmetic and leaves Kostka numbers (counted independently by Pieri
-chains in :mod:`younglab.tableaux`) available as a cross-check rather
-than an ingredient.
+the power sum p_rho.  All of one degree come from the degree walk
+`partitions._walk`, one power sum p_r per part in the monomial basis (the
+cached step `_monomial_terms`); the degree's table is cached and
+`perm_character` looks a shape up in it.  Irreducible characters are
+recovered by orthogonalizing the permutation characters along the
+dominance order, which keeps everything inside exact arithmetic and leaves
+Kostka numbers (the same walk with the Pieri step, in
+:mod:`younglab.tableaux`) a cross-check rather than an ingredient.
 
 The orthogonalization packs a vector into one int (Kronecker
 substitution), entry j in a signed slot of W bytes at bit 8Wj, so one
@@ -36,6 +35,7 @@ from .partitions import (
     _BranchingSides,
     _enumerate_partitions,
     _standard_count,
+    _walk,
     check_degree,
     check_pair,
     check_partition,
@@ -157,44 +157,33 @@ def _same_degree(f: ClassFunction, g: ClassFunction) -> None:
         raise DegreeMismatchError(f"degrees differ: {f.n} != {g.n}")
 
 
+@cache
+def _monomial_terms(nu: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
+    """The monomial step: m_nu p_r is the sum of k m_mu over the part values
+    v of nu and v = 0, mu being nu with one part v raised to v + r (v = 0
+    appends a new part) and k the number of parts of mu equal to v + r.
+    One table for the process, like `tableaux._added`; 2,713 keys for
+    n <= 20."""
+    terms = []
+    for i, v in enumerate((*nu, 0)):
+        if i and v == nu[i - 1]:
+            continue  # not the first part of this value
+        w = v + r
+        mu = tuple(sorted((*nu[:i], w, *nu[i + 1:]), reverse=True))
+        terms.append((mu, mu.count(w)))
+    return tuple(terms)
+
+
 @lru_cache(maxsize=2)
 def _perm_characters(n: int) -> dict[Partition, ClassFunction]:
     """Every permutation character of degree n, keyed by shape in the
-    frozen order: psi^lam(rho) is the coefficient of m_lam in p_rho.
-
-    Walks the suffixes sigma of the cycle types depth-first from the empty
-    one, prepending a part r >= sigma[0] at each step, and carries p_sigma
-    in the monomial basis as {nu: coefficient}.  Multiplying m_nu by p_r
-    adds r to one part value v of nu (v = 0 appends a new part); the new
-    term's coefficient is that of m_nu times the number of parts of the
-    new partition equal to v + r.  At a full suffix the dict's items are
-    the column rho of the table.  Only one dict per level is alive.
-    """
+    frozen order: psi^lam(rho) is the coefficient of m_lam in p_rho, read
+    off the level of rho in `_walk` with the monomial step."""
     shapes = class_types(n)
-    index = _type_index(n)
     table = {lam: [0] * len(shapes) for lam in shapes}
-
-    def expand(sigma: Partition, size: int, poly: dict[Partition, int]) -> None:
-        left = n - size
-        if not left:
-            column = index[sigma]
-            for nu, c in poly.items():
-                table[nu][column] = c
-            return
-        low = sigma[0] if sigma else 1
-        # the rest after r must be empty or hold one more part >= r
-        for r in (*range(low, left // 2 + 1), left):
-            grown: dict[Partition, int] = {}
-            for nu, c in poly.items():
-                for i, v in enumerate((*nu, 0)):
-                    if i and v == nu[i - 1]:
-                        continue  # not the first part of this value
-                    w = v + r
-                    new = tuple(sorted((*nu[:i], w, *nu[i + 1:]), reverse=True))
-                    grown[new] = grown.get(new, 0) + c * new.count(w)
-            expand((r, *sigma), size + r, grown)
-
-    expand((), 0, {(): 1})
+    for j, level in enumerate(_walk(n, _monomial_terms)):
+        for nu, c in level.items():
+            table[nu][j] = c
     return {lam: ClassFunction._of(n, tuple(table.pop(lam))) for lam in shapes}
 
 

@@ -123,6 +123,31 @@ enumerate_partitions.cache_info = _enumerate_partitions.cache_info
 enumerate_partitions.cache_clear = _enumerate_partitions.cache_clear
 
 
+def _walk(n: int, terms):
+    """One {shape: coefficient} level per partition lam of n, in the frozen
+    order: the product from {(): 1} of one factor per part of lam, largest
+    first, each applied by `_times(level, r, terms)`.  Depth-first, so the
+    partitions share the levels of their common prefix, one alive per depth."""
+
+    def down(level: dict[Partition, int], left: int, top: int):
+        if not left:
+            yield level
+        for r in range(min(left, top), 0, -1):
+            yield from down(_times(level, r, terms), left - r, r)
+
+    return down({(): 1}, n, n)
+
+
+def _times(level: dict[Partition, int], r: int, terms) -> dict[Partition, int]:
+    """The level times one factor of degree r: each (nu, c) gives c * k to
+    every (mu, k) in `terms(nu, r)`."""
+    new: dict[Partition, int] = {}
+    for nu, c in level.items():
+        for mu, k in terms(nu, r):
+            new[mu] = new.get(mu, 0) + c * k
+    return new
+
+
 def partition_count(n: int) -> int:
     """p(n), the number of partitions of n."""
     return len(enumerate_partitions(n))

@@ -5,8 +5,8 @@ A tableau is a tuple of row tuples.  A weight is a tuple of nonnegative
 counts: weight[i] is the number of entries equal to i+1.  Weights are
 compositions, not only partitions: removing one symbol occurrence from a
 partition weight can leave a genuine composition, and those must be kept
-distinct.  Kostka numbers are counted by Pieri chains (`_pieri`), tableaux
-listed by removing strips (`_ssyt`).
+distinct.  Kostka numbers are counted by Pieri steps (`_added`) on the
+degree walk `partitions._walk`, tableaux listed by removing strips (`_ssyt`).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .partitions import (
     _BranchingSides,
     _enumerate_partitions,
     _successors,
+    _times,
+    _walk,
     check_degree,
     check_pair,
     check_partition,
@@ -131,52 +133,36 @@ def kostka(mu: Partition, lam: Weight) -> int:
     level = {(): 1}
     for r in lam:
         if r:
-            level = _pieri(level, r)
+            level = _times(level, r, _added)
     return level.get(mu, 0)
 
 
-def _pieri(level: dict[Partition, int], r: int) -> dict[Partition, int]:
-    """The shapes times h_r (Pieri's rule; Macdonald, Symmetric Functions,
-    I.5.16): each nu with count c gives c to every shape in `_added(nu, r)`."""
-    new: dict[Partition, int] = {}
-    for nu, c in level.items():
-        for mu in _added(nu, r):
-            new[mu] = new.get(mu, 0) + c
-    return new
-
-
 @cache
-def _added(nu: Partition, r: int) -> tuple[Partition, ...]:
-    """The shapes mu with mu/nu a horizontal strip of r > 0 cells,
-    nu[i] <= mu[i] <= nu[i-1].  One table for the process, like `_strips`;
-    at most sum over k < n of p(k)(n - k) keys."""
+def _added(nu: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
+    """The Pieri step (Macdonald, Symmetric Functions, I.5.16): s_nu h_r is
+    the sum of s_mu over the mu with mu/nu a horizontal strip of r > 0
+    cells, nu[i] <= mu[i] <= nu[i-1]; each such mu paired with 1.  One
+    table for the process, like `_strips`; at most sum over k < n of
+    p(k)(n - k) keys."""
     top = sum(nu) + r
     bounds = (range(low, min(high, low + r) + 1) for low, high in zip(nu + (0,), (top,) + nu))
-    return tuple(mu if mu[-1] else mu[:-1] for mu in product(*bounds) if sum(mu) == top)
+    return tuple((mu if mu[-1] else mu[:-1], 1) for mu in product(*bounds) if sum(mu) == top)
 
 
 @lru_cache(maxsize=2)
 def _kostka_table(n: int) -> dict[Partition, tuple[int, ...]]:
     """K(mu, lam) for every pair of partitions of n: row lam holds it for
     each mu up to lam in the frozen order, and a later mu, which does not
-    dominate lam, counts 0 (the layout of `MultiplicityTable.rows`).  The
-    weights are walked depth-first, largest part first, one Pieri level per
-    part: weights share the levels of their common prefix, and the leaves
-    come in the frozen order.  Two degrees are kept."""
+    dominate lam, counts 0 (the layout of `MultiplicityTable.rows`).  Row
+    lam is the level h_lam of `_walk` with the Pieri step `_added`.  Two
+    degrees are kept."""
     shapes = _enumerate_partitions(n)
     rows: dict[Partition, tuple[int, ...]] = {}
-
-    def walk(lam: Partition, left: int, level: dict[Partition, int]) -> None:
-        if not left:
-            row = tuple([level.get(mu, 0) for mu in shapes[:len(rows) + 1]])
-            if len(row) - row.count(0) != len(level):
-                raise SelfCheckError(f"a shape listed after {lam} has tableaux of weight {lam}")
-            rows[lam] = row
-            return
-        for r in range(min(left, lam[-1] if lam else left), 0, -1):
-            walk(lam + (r,), left - r, _pieri(level, r))
-
-    walk((), n, {(): 1})
+    for i, (lam, level) in enumerate(zip(shapes, _walk(n, _added))):
+        row = tuple([level.get(mu, 0) for mu in shapes[:i + 1]])
+        if len(row) - row.count(0) != len(level):
+            raise SelfCheckError(f"a shape listed after {lam} has tableaux of weight {lam}")
+        rows[lam] = row
     return rows
 
 

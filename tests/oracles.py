@@ -330,7 +330,8 @@ def orthogonalization_oracle(n: int, psis: dict) -> tuple[dict, dict]:
     every irreducible found so far by one integer dot product and one
     exact division by n!, and loses the multiplicities times those
     irreducibles class by class.  Returns (rows, characters) like the
-    library's table; a broken step fails an assert."""
+    library's table; a broken step raises AssertionError, also under
+    `python -O`."""
     sizes, nfact = _class_sizes_by_formula(n), factorial(n)
     rows: dict = {}
     chis: dict = {}
@@ -341,10 +342,12 @@ def orthogonalization_oracle(n: int, psis: dict) -> tuple[dict, dict]:
         ms = []
         for chi in chis.values():
             m, r = divmod(sum(map(mul, weighted, compress(chi.values, values))), nfact)
-            assert r == 0 and m >= 0, (lam, m, r)
+            if r or m < 0:
+                raise AssertionError((lam, m, r))
             ms.append(m)
         reduced = tuple(v - sum(map(mul, ms, col)) for v, col in zip(values, columns))
-        assert sum(s * v * v for s, v in zip(sizes, reduced)) == nfact, lam
+        if sum(s * v * v for s, v in zip(sizes, reduced)) != nfact:
+            raise AssertionError(lam)
         chis[lam] = ClassFunction(n, reduced)
         rows[lam] = (*ms, 1)
         for col, v in zip(columns, reduced):
@@ -366,7 +369,8 @@ def theorem1_components_oracle(lam: Partition, psis: dict, rows: dict,
     out = []
     for (mu, chi), a in zip(chis.items(), rows[lam]):
         b, r = divmod(sum(map(mul, weighted, chi.values)), factorial(n))
-        assert r == 0, (lam, mu)
+        if r:
+            raise AssertionError((lam, mu))
         if a and b:
             out.append((mu, a, b))
     return out

@@ -218,15 +218,14 @@ class TestKostkaTable:
         assert kostka.cache_info().currsize == 0
 
     def test_a_count_past_lam_raises(self, monkeypatch):
-        # every level also counts the one-column shape, which comes after
-        # (3,) in the frozen order
-        real = tableaux._pieri
+        # every Pieri step also counts the one-column shape, which comes
+        # after (3,) in the frozen order
+        real = tableaux._added
 
-        def padded(level, r):
-            new = real(level, r)
-            return {**new, (1,) * sum(next(iter(new))): 1}
+        def padded(nu, r):
+            return (*real(nu, r), ((1,) * (sum(nu) + r), 1))
 
-        monkeypatch.setattr(tableaux, "_pieri", padded)
+        monkeypatch.setattr(tableaux, "_added", padded)
         with pytest.raises(SelfCheckError,
                            match=r"^a shape listed after \(3,\) has tableaux of weight \(3,\)$"):
             tableaux._kostka_table(3)
@@ -295,6 +294,7 @@ class TestStrips:
                 "younglab.partitions._successors",
                 "younglab.partitions._predecessors",
                 "younglab.characters._character_layer",
+                "younglab.characters._monomial_terms",
                 "younglab.tableaux._prefix_store"} <= sizes.keys()
         assert {name: size for name, size in sizes.items() if size} == {}
 

@@ -84,12 +84,17 @@ def _primitive(v: dict[int, int], c: int) -> None:
             v[j] //= g
 
 
+_INT = frozenset((int,))
+
+
 def _integral(row: dict[int, Rational]) -> dict[int, int]:
     """A new copy of row without its zero values, cleared of denominators
-    unless it holds only ints."""
-    if all(type(x) is int for x in row.values()):
-        return {j: x for j, x in row.items() if x}
-    d = lcm(*(x.denominator for x in row.values()))
+    unless it holds only ints (a bool or a Fraction comes out an int); a
+    row of nonzero ints is copied in one step."""
+    values = row.values()
+    if {*map(type, values)} <= _INT:
+        return dict(row) if all(values) else {j: x for j, x in row.items() if x}
+    d = lcm(*(x.denominator for x in values))
     return {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
 
 

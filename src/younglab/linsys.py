@@ -115,18 +115,30 @@ class FlowInstance(NamedTuple):
 
 
 def build_flow_instance(n: int) -> FlowInstance:
+    """The covering pairs (gamma, mu) between levels n - 1 and n, by gamma
+    in enumeration order and then by mu, with the uniform supply and demand."""
+    return _flow_network(n)[0]
+
+
+def _flow_network(n: int) -> tuple[FlowInstance, list[tuple[int, int]]]:
+    """The instance of n and its edges as pairs of node ids (see
+    `_node_ids`), built in one pass.  The degree is checked first."""
+    n = check_degree(n)
     if n < 2:
         raise ValueError("need n >= 2")
-    check_degree(n)
     left = enumerate_partitions(n - 1)
     right = enumerate_partitions(n)
-    edges = tuple(
-        (gamma, mu) for gamma in left for mu in successors(gamma)
-    )
-    return FlowInstance(
-        n, left, right, edges,
+    right_id = {mu: j for j, mu in enumerate(right, 1 + len(left))}
+    edges, pairs = [], []
+    for u, gamma in enumerate(left, 1):
+        for mu in successors(gamma):
+            edges.append((gamma, mu))
+            pairs.append((u, right_id[mu]))
+    instance = FlowInstance(
+        n, left, right, tuple(edges),
         Fraction(1, len(left)), Fraction(1, len(right)),
     )
+    return instance, pairs
 
 
 class _Dinic:
@@ -253,13 +265,11 @@ def polymorphism_feasibility(n: int) -> dict:
     witness maps each pair with flow f > 0 to f / (p(n-1) * p(n)), one
     Fraction per distinct f.
     """
-    instance = build_flow_instance(n)
+    instance, pairs = _flow_network(n)
     p1, p2 = len(instance.left), len(instance.right)
     scale = p1 * p2
     source = 0
     sink = 1 + p1 + p2
-    left_id, right_id = _node_ids(instance)
-    pairs = [(left_id[g], right_id[m]) for g, m in instance.edges]
 
     net = _Dinic(sink + 1)
     net.add_edges(zip(repeat(source), range(1, 1 + p1)), p2)
@@ -288,16 +298,16 @@ def polymorphism_feasibility(n: int) -> dict:
         side = net.reachable_in_residual(source)
         cut_value = 0
         cut_edges: list[tuple] = []
-        for g in instance.left:
-            if left_id[g] not in side:
+        for u, g in enumerate(instance.left, 1):
+            if u not in side:
                 cut_value += p2
                 cut_edges.append(("source", g))
-        for (g, m) in instance.edges:
-            if left_id[g] in side and right_id[m] not in side:
+        for edge, (u, v) in zip(instance.edges, pairs):
+            if u in side and v not in side:
                 cut_value += scale
-                cut_edges.append((g, m))
-        for m in instance.right:
-            if right_id[m] in side:
+                cut_edges.append(edge)
+        for v, m in enumerate(instance.right, 1 + p1):
+            if v in side:
                 cut_value += p1
                 cut_edges.append((m, "sink"))
         report["cut"] = {"value": cut_value, "edges": cut_edges}

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from functools import cache
-from itertools import accumulate
+from functools import cache, lru_cache
+from itertools import accumulate, compress
 from math import factorial, isqrt
 from operator import ge, index
 
@@ -198,13 +198,16 @@ def predecessors(lam: Partition) -> list[tuple[Partition, int]]:
 def successors(rho: Partition) -> list[Partition]:
     """All partitions covering rho in the Young graph, in enumeration order
     (a cell added to a higher row gives a lex-larger partition): a cell on
-    row 0 or on any row shorter than the row above, a fresh row included."""
+    the first row of each run of equal parts, then on a fresh row."""
     rho = tuple(rho)
-    return [
-        rho[:i] + (part + 1,) + rho[i + 1:]
-        for i, part in enumerate(rho + (0,))
-        if i == 0 or part < rho[i - 1]
-    ]
+    out = []
+    above = 0  # parts are positive, so row 0 begins a run
+    for i, part in enumerate(rho):
+        if part != above:
+            out.append(rho[:i] + (part + 1,) + rho[i + 1:])
+            above = part
+    out.append(rho + (1,))
+    return out
 
 
 @cache
@@ -288,18 +291,66 @@ def bar(lam: Partition) -> Partition:
     return predecessors(lam)[0][0]
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def dominance_upset(lam: Partition) -> list[Partition]:
     """All mu of the same size with mu majorizing lam, in enumeration order.
 
-    The prefix sums of lam are taken once.  A mu with more parts than lam
-    falls short of sum(lam) at row len(lam); any other mu has reached the
-    total by its last row, so comparing its own prefix sums suffices.
+    Read off lam's mask in the `_upsets` table of its degree, its bits
+    lowest first as a 0/1 selector over the partitions of that degree.
+    Only the degree is checked, by `enumerate_partitions`: a lam that is
+    not a partition is no key in the table and raises KeyError.
     """
-    sums = list(accumulate(lam))
-    return [
-        mu for mu in enumerate_partitions(sum(lam))
-        if len(mu) <= len(lam) and all(map(ge, accumulate(mu), sums))
-    ]
+    lam = tuple(lam)
+    n = sum(lam)
+    shapes = enumerate_partitions(n)
+    bits = bin(_upsets(n)[lam])[:1:-1]  # "0"/"1" for the bits 0, 1, ... of the mask
+    return list(compress(shapes, bits.encode().translate(_BITS)))
+
+
+@lru_cache(maxsize=2)
+def _upsets(n: int) -> dict[Partition, int]:
+    """{lam: mask} over the partitions of n, bit k of the mask set when the
+    k-th partition in the frozen order dominates lam.  The order is a
+    linear extension of reverse dominance, so every cover of lam comes
+    before lam, and lam's mask is its own bit OR'ed with its covers' masks.
+    Two degrees are kept: `statement1_check` reads n and n - 1."""
+    masks: dict[Partition, int] = {}
+    for k, lam in enumerate(_enumerate_partitions(n)):
+        mask = 1 << k
+        for mu in _dominance_covers(lam):
+            mask |= masks[mu]
+        masks[lam] = mask
+    return masks
+
+
+def _dominance_covers(lam: Partition) -> list[Partition]:
+    """The partitions covering lam in the dominance order (T. Brylawski,
+    *The lattice of integer partitions*, Discrete Math. 6, 1973): one cell
+    moved from row j up to row i < j, where j = i + 1 or lam[i] = lam[j],
+    and the result is still a partition.  So row j is the last of its run
+    of equal parts, and row i is the first of the same run when that is
+    not j, else row j - 1 when the run above is that one row."""
+    out = []
+    last = len(lam) - 1
+    start = above = 0  # the first rows of the run of row j and of the run above
+    for j in range(1, len(lam)):
+        if lam[j] < lam[j - 1]:
+            above, start = start, j
+        if j < last and lam[j] == lam[j + 1]:
+            continue  # row j does not end its run
+        if start < j:
+            i = start
+        elif above == j - 1:
+            i = j - 1
+        else:
+            continue
+        mu = list(lam)
+        mu[i] += 1
+        mu[j] -= 1
+        out.append(tuple(mu) if mu[j] else tuple(mu[:j]))
+    return out
 
 
 def standard_count(lam: Partition) -> int:

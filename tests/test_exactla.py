@@ -9,6 +9,7 @@ from younglab.errors import DimensionMismatchError, NotInvariantError
 from younglab.exactla import (
     RationalMatrix,
     Subspace,
+    _integral,
     kernel,
     rank,
     restricted_trace,
@@ -52,6 +53,36 @@ class TestRepresentation:
     def test_int_entries_are_kept(self):
         a = RationalMatrix([[1, 2], [3, 4]])
         assert all(type(x) is int for row in a.entries for x in row)
+
+
+class TestIntegral:
+    """`_integral`, the row copy every elimination starts from."""
+
+    @pytest.mark.parametrize("row", [{}, {0: 1, 3: -2}, {0: 0, 2: 5, 4: 0}, {1: 0}])
+    def test_an_int_row_is_copied_without_its_zeros(self, row):
+        got = _integral(row)
+        assert got == {j: x for j, x in row.items() if x}
+        assert all(type(x) is int for x in got.values())
+
+    def test_a_fresh_dict_comes_back(self):
+        for row in ({0: 1, 2: 3}, {0: 1, 2: 0}, {0: Fraction(1, 2), 1: 1}):
+            before = dict(row)
+            got = _integral(row)
+            assert got is not row
+            got[99] = 7
+            got.pop(0)
+            assert row == before
+
+    @pytest.mark.parametrize("row, expected", [
+        ({0: True, 1: False, 2: 3}, {0: 1, 2: 3}),
+        ({0: Fraction(4), 1: Fraction(0)}, {0: 4}),
+        ({0: Fraction(1, 2), 1: Fraction(-2, 3), 2: 0}, {0: 3, 1: -4}),
+        ({0: 2, 1: Fraction(1, 3)}, {0: 6, 1: 1}),
+    ])
+    def test_a_bool_or_fraction_row_is_cleared_to_ints(self, row, expected):
+        got = _integral(row)
+        assert got == expected
+        assert all(type(x) is int for x in got.values())
 
 
 def ordered(reduced):

@@ -148,6 +148,17 @@ class TestPolymorphism:
             ((1,), (1, 1)): Fraction(1, 2),
         }
 
+    @pytest.mark.parametrize("n", ["x", None])
+    def test_a_non_integer_degree_is_the_library_value_error(self, n):
+        # the degree is checked before it is compared with 2
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            polymorphism_feasibility(n)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_a_degree_below_two_has_no_transport(self, n):
+        with pytest.raises(ValueError, match=r"^need n >= 2$"):
+            polymorphism_feasibility(n)
+
     def test_witness_keys_come_in_instance_edge_order(self):
         # the CLI prints the witness in the order it is keyed
         for n in range(2, 21):
@@ -260,7 +271,9 @@ class TestPolymorphism:
             (((2,), (3,)), ((1, 1), (2, 1)), ((1, 1), (1, 1, 1))),
             Fraction(1, 2), Fraction(1, 3),
         )
-        monkeypatch.setattr(linsys, "build_flow_instance", lambda n: instance)
+        left_id, right_id = _node_ids(instance)
+        pairs = [(left_id[g], right_id[m]) for g, m in instance.edges]
+        monkeypatch.setattr(linsys, "_flow_network", lambda n: (instance, pairs))
         report = polymorphism_feasibility(3)
         assert not report["feasible"] and report["witness"] is None
         assert (report["max_flow"], report["required"]) == (5, 6)

@@ -259,11 +259,25 @@ class TestDominanceCounts:
             assert len(dominance_upset((n,))) == 1
             assert len(dominance_upset((1,) * n)) == partition_count(n)
 
-    @pytest.mark.parametrize("n", range(0, 13))
+    @pytest.mark.parametrize("n", range(0, 17))
     def test_upset_is_the_dominates_filter_in_order(self, n):
         for lam in enumerate_partitions(n):
             expected = [mu for mu in enumerate_partitions(n) if dominates(mu, lam)]
             assert dominance_upset(lam) == expected
+
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_dominance_covers_are_the_brute_force_covers(self, n):
+        # mu strictly dominates lam with no nu strictly between them
+        shapes = enumerate_partitions(n)
+        for lam in shapes:
+            above = [mu for mu in shapes if mu != lam and dominates(mu, lam)]
+            expected = [mu for mu in above
+                        if not any(nu != mu and dominates(mu, nu) for nu in above)]
+            assert sorted(partitions._dominance_covers(lam)) == sorted(expected)
+
+    def test_a_non_partition_has_no_upset(self):
+        with pytest.raises(KeyError):
+            dominance_upset((1, 2))
 
     def test_hbar(self):
         assert bar((2, 2)) == (2, 1)

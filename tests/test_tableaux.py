@@ -293,6 +293,7 @@ class TestStrips:
                 "younglab.partitions._standard_count",
                 "younglab.partitions._successors",
                 "younglab.partitions._predecessors",
+                "younglab.partitions._upsets",
                 "younglab.characters._character_layer",
                 "younglab.characters._monomial_terms",
                 "younglab.tableaux._prefix_store"} <= sizes.keys()

@@ -12,13 +12,14 @@ dominance order, which keeps everything inside exact arithmetic and leaves
 Kostka numbers (the same walk with the Pieri step, in
 :mod:`younglab.tableaux`) a cross-check rather than an ingredient.
 
-The orthogonalization packs a vector into one int (Kronecker
-substitution), entry j in a signed slot of W bytes at bit 8Wj, so one
-big-integer sum does a whole vector step: with Q_rho holding chi(rho) of
-the j-th irreducible found in slot j, sum_rho |C_rho| psi(rho) Q_rho holds
-n! times every multiplicity in psi.  Checked bounds fix W (`_slot_widths`),
-so no slot can wrap; a slot decodes as a byte slice once half a slot is
-added to each.  The tables of the last two degrees read are kept.
+The orthogonalization packs a vector into one int with the slot codec of
+:mod:`younglab.partitions` (Kronecker substitution), entry j in a signed
+slot of W bytes at bit 8Wj, so one big-integer sum does a whole vector
+step: with Q_rho holding chi(rho) of the j-th irreducible found in slot j,
+sum_rho |C_rho| psi(rho) Q_rho holds n! times every multiplicity in psi.
+Checked bounds fix W (`_slot_widths`, by the one width rule
+`partitions._slot_width`), so no slot can wrap.  The tables of the last
+two degrees read are kept.
 """
 
 from __future__ import annotations
@@ -34,7 +35,11 @@ from .partitions import (
     Partition,
     _BranchingSides,
     _enumerate_partitions,
+    _index,
+    _pack,
+    _slot_width,
     _standard_count,
+    _unpack,
     _walk,
     check_degree,
     check_pair,
@@ -68,11 +73,6 @@ __all__ = [
 def class_types(n: int) -> tuple[Partition, ...]:
     """Cycle types of degree n, in the frozen partition order."""
     return enumerate_partitions(n)
-
-
-@cache
-def _type_index(n: int) -> dict[Partition, int]:
-    return {rho: i for i, rho in enumerate(class_types(n))}
 
 
 def class_size(rho: Partition) -> int:
@@ -137,12 +137,12 @@ class ClassFunction:
         return f"ClassFunction(n={self.n!r}, values={self.values!r})"
 
     def __call__(self, rho: Partition) -> int:
-        return self.values[_type_index(self.n)[rho]]
+        return self.values[_index(self.n)[rho]]
 
     @property
     def degree(self) -> int:
         """Value at the identity class."""
-        return self((1,) * self.n) if self.n else 1
+        return self((1,) * self.n)
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         _same_degree(self, other)
@@ -234,27 +234,7 @@ def _slot_widths(n: int) -> tuple[int, int]:
     what psi loses at a class to the fewer than p irreducibles before it
     at most p*F*R."""
     f, p = factorial(n), len(_enumerate_partitions(n))
-    return tuple(b.bit_length() // 8 + 1 for b in (f * f, p * f * isqrt(f)))
-
-
-def _halves(count: int, width: int) -> int:
-    """Half a slot in each of count slots: added to signed slots, it makes
-    every slot an unsigned byte slice."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-
-
-def _pack(values, width: int) -> int:
-    """values in signed slots of width bytes, the first lowest."""
-    half = 1 << 8 * width - 1
-    data = b"".join((v + half).to_bytes(width, "little") for v in values)
-    return int.from_bytes(data, "little") - _halves(len(values), width)
-
-
-def _unpack(x: int, count: int, width: int) -> list[int]:
-    """The count lowest signed slots of x, lowest first."""
-    size, half, read = count * width, 1 << 8 * width - 1, int.from_bytes
-    data = ((x + _halves(count, width)) & (1 << 8 * size) - 1).to_bytes(size, "little")
-    return [read(data[k:k + width], "little") - half for k in range(0, size, width)]
+    return _slot_width(f * f), _slot_width(p * f * isqrt(f))
 
 
 def _pairings(f: ClassFunction, lam: Partition, columns, count: int) -> list[int]:
@@ -284,7 +264,7 @@ class MultiplicityTable(NamedTuple):
     characters: dict[Partition, ClassFunction]
 
     def __call__(self, mu: Partition, lam: Partition) -> int:
-        row, i = self.rows[lam], _type_index(self.n)[mu]
+        row, i = self.rows[lam], _index(self.n)[mu]
         return row[i] if i < len(row) else 0
 
 

@@ -76,6 +76,8 @@ def _clear(v: dict[int, int], c: int, b: dict[int, int]) -> None:
 
 def _primitive(v: dict[int, int], c: int) -> None:
     """Divide v by its content, the gcd of its entries, signed as v[c]."""
+    if v[c] == 1:
+        return  # content 1, pivot positive: the 0/1 rows of Statement 1
     g = gcd(*v.values())
     if v[c] < 0:
         g = -g

@@ -6,7 +6,12 @@ as immutable values, so everything here is safe to call concurrently.
 
 The enumeration order (descending lexicographic) is frozen: it is a linear
 extension of reverse dominance, which the character orthogonalization in
-:mod:`younglab.characters` relies on.
+:mod:`younglab.characters` relies on; `_index(n)` gives each partition's
+position in it.
+
+The one slot codec of the package is here too (`_pack`, `_unpack`,
+`_slot_width`): a vector of integers as one int, entry j in a signed slot
+of W bytes at bit 8Wj (Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -225,6 +230,38 @@ def _successors(rho: Partition) -> tuple[Partition, ...]:
     return tuple(successors(rho))
 
 
+@cache
+def _index(n: int) -> dict[Partition, int]:
+    """{lam: its position in the frozen order} over the partitions of n."""
+    return {lam: j for j, lam in enumerate(_enumerate_partitions(n))}
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per signed slot that holds every value of absolute value at
+    most bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _halves(count: int, width: int) -> int:
+    """Half a slot in each of count slots: added to signed slots, it makes
+    every slot an unsigned byte slice."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(values, width: int) -> int:
+    """values in signed slots of width bytes, the first lowest."""
+    half = 1 << 8 * width - 1
+    data = b"".join((v + half).to_bytes(width, "little") for v in values)
+    return int.from_bytes(data, "little") - _halves(len(values), width)
+
+
+def _unpack(x: int, count: int, width: int) -> list[int]:
+    """The count lowest signed slots of x, lowest first."""
+    size, half, read = count * width, 1 << 8 * width - 1, int.from_bytes
+    data = ((x + _halves(count, width)) & (1 << 8 * size) - 1).to_bytes(size, "little")
+    return [read(data[k:k + width], "little") - half for k in range(0, size, width)]
+
+
 class _BranchingSides:
     """Both sides of the branching recurrence for every pair (lam, rho),
     lam of n and rho of n - 1, from tables `big` of degree n and `small` of
@@ -241,18 +278,18 @@ class _BranchingSides:
     to lie in 0..isqrt(n!) first (Kostka numbers are at most f^mu, and
     multiplicities at most the square root of a double-coset count), so a
     slot, a sum of at most n of them, cannot spill and equal packed sides
-    are equal in every slot.  `pair` reads one pair back and keeps the
-    packed sides of lam.  Both memos hold values that depend only on the
-    tables, so two threads filling one entry fill it alike.  The shapes are
-    not checked."""
+    are equal in every slot.  `pair` reads one pair back; the sides of lam
+    are decoded once and kept.  Both memos hold values that depend only on
+    the tables, so two threads filling one entry fill it alike.  The shapes
+    are not checked."""
 
     __slots__ = ("big", "small", "bound", "width", "covers", "columns", "read")
 
     def __init__(self, big: dict, small: dict, n: int):
         self.big, self.small, self.columns, self.read = big, small, {}, {}
         self.bound = isqrt(factorial(n))
-        self.width = (n * self.bound).bit_length() // 8 + 1
-        index = {rho: j for j, rho in enumerate(_enumerate_partitions(n - 1))}
+        self.width = _slot_width(n * self.bound)
+        index = _index(n - 1)
         self.covers = [sum(1 << 8 * self.width * index[gamma] for gamma, _ in _predecessors(mu))
                        for mu in _enumerate_partitions(n)]
 
@@ -263,24 +300,20 @@ class _BranchingSides:
         return row
 
     def packed(self, lam: Partition) -> tuple[int, int]:
-        row, columns, width = self._row(self.big, lam), self.columns, self.width
+        row, columns = self._row(self.big, lam), self.columns
         left = sum([t * d for t, d in zip(row, self.covers) if t])
         for gamma, _ in _predecessors(lam):
             if gamma not in columns:
-                data = b"".join([v.to_bytes(width, "little") for v in self._row(self.small, gamma)])
-                columns[gamma] = int.from_bytes(data, "little")
+                columns[gamma] = _pack(self._row(self.small, gamma), self.width)
         return left, sum([c * columns[gamma] for gamma, c in _predecessors(lam)])
 
-    def slot(self, x: int, j: int) -> int:
-        return x >> 8 * self.width * j & (1 << 8 * self.width) - 1
-
     def pair(self, lam: Partition, rho: Partition) -> tuple[int, int]:
-        """Both sides for (lam, rho); lam's packed sides are kept."""
-        sides = self.read.get(lam)
+        """Both sides for (lam, rho); lam's sides are decoded once and kept."""
+        index, sides = _index(sum(rho)), self.read.get(lam)
         if sides is None:
-            sides = self.read[lam] = self.packed(lam)
-        j = _enumerate_partitions(sum(rho)).index(rho)
-        return self.slot(sides[0], j), self.slot(sides[1], j)
+            left, right = (_unpack(x, len(index), self.width) for x in self.packed(lam))
+            sides = self.read[lam] = list(zip(left, right))
+        return sides[index[rho]]
 
 
 def bar(lam: Partition) -> Partition:

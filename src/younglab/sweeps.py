@@ -19,7 +19,7 @@ time and read its tables unchecked: ``youngs-rule`` compares the
 multiplicity table with the Kostka table in one comparison, and ``eq1``
 and ``eq2`` compare the packed sides of each shape (the bodies behind
 ``eq1_check`` and ``eq2_check``) in one comparison per shape; only a
-mismatch is read pair by pair, in the order of the pairs.  ``theorem1``
+mismatch is read pair by pair (``pair``), in the order of the pairs.  ``theorem1``
 calls the one body behind ``theorem1_check`` and ``theorem1_components``.
 ``run_sweep`` refuses a ``max_n`` over the cap before any work, and every
 item is built from ``enumerate_partitions``, so a second check per item
@@ -134,8 +134,8 @@ def _recurrence(sides, n):
         left, right = sides.packed(lam)
         if left == right:
             continue
-        for j, rho in enumerate(enumerate_partitions(n - 1)):
-            a, b = sides.slot(left, j), sides.slot(right, j)
+        for rho in enumerate_partitions(n - 1):
+            a, b = sides.pair(lam, rho)
             if a != b:
                 records.append({"lambda": list(lam), "rho": list(rho), "left": a, "right": b})
     return records

@@ -380,6 +380,17 @@ class TestOrthogonalizationFaults:
             irreducible_characters(3)
         assert str(excinfo.value) == message
 
+    def test_degree_zero_dimension_is_checked(self, monkeypatch):
+        # chi^() = -1 has unit norm, so only the dimension check refuses it
+        assert ClassFunction(0, (2,)).degree == 2
+        real = characters._perm_characters
+        monkeypatch.setattr(
+            characters, "_perm_characters",
+            lambda n: {(): ClassFunction(0, (-1,))} if n == 0 else real(n),
+        )
+        with pytest.raises(OrthogonalizationError, match=r"^wrong dimension at \(\)$"):
+            irreducible_characters(0)
+
     def test_value_over_the_slot_bound_is_refused_before_decoding(self, monkeypatch):
         # |psi(rho)| <= 3! fixes the slot width; 3 + 6 * 2^64 at the
         # identity would spill the pairing with the trivial character out

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from oracles import (
@@ -19,6 +22,9 @@ from younglab.errors import EmptyPartitionError, LimitError, SelfCheckError, Siz
 from younglab.forms import statement2_check, theorem5_check, two_row_decomposition
 from younglab.linsys import polymorphism_feasibility, statement1_check
 from younglab.partitions import (
+    _index,
+    _pack,
+    _unpack,
     bar,
     check_partition,
     conjugate,
@@ -366,6 +372,53 @@ class TestWarmTables:
             door(lam, rho)
 
 
+class TestSlotCodec:
+    """The one slot layout: signed slots of whole bytes, entry j at bit 8Wj."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("count", range(6))
+    def test_extremes_round_trip(self, width, count):
+        top = (1 << 8 * width - 1) - 1
+        for values in ([0] * count, [top] * count, [-top] * count,
+                       [(-top, 0, top)[k % 3] for k in range(count)]):
+            assert _unpack(_pack(values, width), count, width) == values
+
+    def test_slots_are_whole_bytes_lowest_first(self):
+        assert _pack([1, 2, 3], 1) == 1 + (2 << 8) + (3 << 16)
+        assert _pack([-1, 1], 2) == -1 + (1 << 16)
+        assert _pack([], 2) == 0
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("value", ["over", "under"])
+    def test_a_value_outside_its_slot_raises_and_never_wraps(self, width, value):
+        half = 1 << 8 * width - 1
+        bad = half if value == "over" else -half - 1
+        with pytest.raises(OverflowError):
+            _pack([0, bad, 0], width)
+
+    def test_unpack_reads_the_first_slots_of_a_longer_packing(self):
+        values = [5, -7, 0, 127, -127]
+        x = _pack(values, 1)
+        for count in range(len(values) + 1):
+            assert _unpack(x, count, 1) == values[:count]
+
+    def test_only_partitions_converts_ints_to_bytes(self):
+        # the codec stays in one module: no other packs or reads slots itself
+        package = Path(partitions.__file__).parent
+        callers = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes"):
+                    callers.add(path.name)
+        assert callers == {"partitions.py"}
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_index_is_the_position_in_the_frozen_order(self, n):
+        shapes = enumerate_partitions(n)
+        assert list(_index(n)) == list(shapes)
+        assert [_index(n)[lam] for lam in shapes] == list(range(len(shapes)))
+
+
 @pytest.mark.usefixtures("fresh_sides")
 class TestBranchingSides:
     """eq1 and eq2 share the body `_BranchingSides`, not its tables."""
@@ -412,13 +465,13 @@ class TestBranchingSides:
         else:
             sides, big = characters._eq1_sides(n), multiplicity_table(n)
             small = multiplicity_table(n - 1)
+        shapes = enumerate_partitions(n - 1)
         for lam in enumerate_partitions(n):
-            left, right = sides.packed(lam)
-            for j, rho in enumerate(enumerate_partitions(n - 1)):
+            left, right = (_unpack(x, len(shapes), sides.width) for x in sides.packed(lam))
+            for rho, a, b in zip(shapes, left, right):
                 want = branching_sides_oracle(big, small, lam, rho)
-                assert (sides.slot(left, j), sides.slot(right, j)) == want
-                if j % 7 == 0:
-                    assert sides.pair(lam, rho) == want
+                assert (a, b) == want
+                assert sides.pair(lam, rho) == want
 
     def test_entry_over_the_slot_bound_is_refused_before_comparing(self, monkeypatch):
         # at n = 5 a slot is one byte (5 * isqrt(5!) = 50 < 128).  D_(4,1)

@@ -293,7 +293,7 @@ class TestStrips:
                 "younglab.partitions._standard_count",
                 "younglab.partitions._successors",
                 "younglab.partitions._predecessors",
-                "younglab.partitions._upsets",
+                "younglab.partitions._upsets", "younglab.partitions._index",
                 "younglab.characters._character_layer",
                 "younglab.characters._monomial_terms",
                 "younglab.tableaux._prefix_store"} <= sizes.keys()

@@ -154,29 +154,22 @@ def _cmd_bijection(args) -> int:
 
 def _cmd_character_table(args) -> int:
     n = args.n
-    chis = irreducible_characters(n)
+    chis = irreducible_characters(n)  # keyed in the frozen order, like the classes
     types = class_types(n)
+    names = [format_partition(p) for p in types]
+    sizes = [class_size(rho) for rho in types]
+    # per class, the value string of each character, read in class order
+    values = list(zip(*([str(v) for v in chi.values] for chi in chis.values())))
     payload = {
         "n": n,
-        "partitions": [format_partition(p) for p in chis],
+        "partitions": names,
         "classes": [
-            {
-                "cycle_type": format_partition(rho),
-                "class_size": class_size(rho),
-                "values": {
-                    format_partition(mu): str(chi(rho))
-                    for mu, chi in chis.items()
-                },
-            }
-            for rho in types
+            {"cycle_type": name, "class_size": size, "values": dict(zip(names, row))}
+            for name, size, row in zip(names, sizes, values)
         ],
     }
-    header = ["cycle_type", "class_size"] + [format_partition(mu) for mu in chis]
-    rows = [
-        [format_partition(rho), str(class_size(rho))]
-        + [str(chi(rho)) for chi in chis.values()]
-        for rho in types
-    ]
+    header = ["cycle_type", "class_size", *names]
+    rows = [[name, str(size), *row] for name, size, row in zip(names, sizes, values)]
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
     ascii_lines = [
         "  ".join(h.rjust(w) for h, w in zip(header, widths)),

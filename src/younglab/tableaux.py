@@ -65,30 +65,30 @@ def enumerate_ssyt(shape: Partition, weight: Weight) -> list[Tableau]:
     """All semistandard tableaux of the given shape and weight, in
     lexicographic order of the row-reading word, built by the strip
     recursion `_ssyt`.  The strips come from the process-wide `_strips`
-    table; the tableaux are memoized for this call only."""
+    table; the listing store is this call's own."""
     return _listed(_checked_shape(shape, weight), tuple(weight), {})
 
 
-def _listed(shape: Partition, weight: Weight, memo: dict) -> list[Tableau]:
-    """The tableaux of `_ssyt` in row-reading-word lex order (tuple order),
-    built and sorted per call; `_listed` puts nothing of its own in `memo`."""
-    return sorted(_ssyt(shape, weight, memo))
+def _listed(shape: Partition, weight: Weight, store: dict) -> list[Tableau]:
+    """The tableaux of shape and weight in row-reading-word lex order (tuple
+    order): the entry of `store` for (shape, weight), or else the sorted
+    `_ssyt` listing, put there whole once it is complete, so that an
+    interrupted or concurrent listing never leaves or reads a part of one
+    (two threads may both build an entry; either copy is whole).  The only
+    code that reads or writes a store; no caller may mutate an entry."""
+    found = store.get((shape, weight))
+    if found is None:
+        found = store[shape, weight] = sorted(_ssyt(shape, weight, store))
+    return found
 
 
-def _ssyt(mu: Partition, w: Weight, memo: dict) -> list[Tableau]:
+def _ssyt(mu: Partition, w: Weight, store: dict) -> list[Tableau]:
     """Tableaux of shape mu and weight w, unsorted: with k the last symbol
     that occurs (zero counts add no level), those of shape nu and weight
-    w[:k-1], for mu/nu a horizontal strip of w[k-1] cells, with k appended
-    row by row (nu[i] >= mu[i+1]: at most one new row, the last).
-    The strips are read from the `_strips` table, which lasts for the process.
-    The list for (mu, w) itself is not stored here; each list for a proper
-    prefix (nu, w[:k-1]) is read from `memo`, or built and then put there
-    whole, so that an interrupted or concurrent listing never leaves or
-    reads a part of one (two threads may both build a list; either copy is
-    whole).  `memo` is a listing's own (`enumerate_ssyt`) or the store of
-    one degree (`_prefix_store`); each of its lists depends on its key
-    alone, not on the certificate that built it, and no caller may mutate
-    them."""
+    w[:k-1], read through `_listed`, for mu/nu a horizontal strip of w[k-1]
+    cells, with k appended row by row (nu[i] >= mu[i+1]: at most one new
+    row, the last).  The strips are read from the `_strips` table, which
+    lasts for the process."""
     k = len(w)
     while k and not w[k - 1]:
         k -= 1
@@ -99,22 +99,17 @@ def _ssyt(mu: Partition, w: Weight, memo: dict) -> list[Tableau]:
     for nu in _strips(mu, w[k - 1]):
         if len(nu) >= k:  # more rows than the prefix has symbols
             continue
-        below = memo.get((nu, prefix))
-        if below is None:
-            below = memo[nu, prefix] = _ssyt(nu, prefix, memo)
         tails = [(k,) * (m - v) for m, v in zip(mu, nu)]
         new = ((k,) * mu[-1],) if len(nu) < len(mu) else ()
-        found += [(*map(add, t, tails), *new) for t in below]
+        found += [(*map(add, t, tails), *new) for t in _listed(nu, prefix, store)]
     return found
 
 
 @lru_cache(maxsize=1)
 def _prefix_store(n: int) -> dict:
-    """The `_ssyt` memo shared by every certificate of degree n, keyed by
-    (shape, weight): the unsorted lists of proper weight prefixes, and the
-    sorted left top levels (mu, lam) of `theorem4_bijection`, the only keys
-    of weight n (a proper prefix weighs less).  The right top levels are not
-    stored, and one degree is kept: the next degree's first certificate
+    """The listing store shared by every certificate of degree n: each
+    entry is the sorted listing of its key (shape, weight), written by
+    `_listed`.  One degree is kept: the next degree's first certificate
     drops it."""
     return {}
 
@@ -250,27 +245,34 @@ class BijectionCertificate(NamedTuple):
         lam (left) or of lam minus one x (right); words, weights and one set
         of right items per symbol x are made once per certificate.  With the
         shape a partition that is semistandardness with that weight, positive
-        entries at most len(lam) included.  No item may repeat, and the number of pairs must equal
-        both sides of the recurrence (Kostka numbers from the degree
-        tables).  Distinct members of a side, as many as the side has,
-        are the whole side.  The fields of a pair are read by position only,
-        so a plain 5-tuple answers like the equal `BijectionPair`.  A field
-        of another type (a tableau with list rows, say) or a pair of another
-        length makes the check answer False, not raise.  Nothing is listed,
-        and nothing is read from the store of listings (`_prefix_store`).
+        entries at most len(lam) included.  The `canonical` flag must say
+        whether the pair is the per-item rule's: x is the corner row r of
+        the left shape over rho (`_corners`, once per cover) and the right
+        item is `_canonical_image` of the left one at r.  No item may
+        repeat, and the number of pairs must equal both sides of the
+        recurrence (Kostka numbers from the degree tables).  Distinct
+        members of a side, as many as the side has, are the whole side.
+        The fields of a pair are read by position only, so a plain 5-tuple
+        answers like the equal `BijectionPair`.  A field of another type (a
+        tableau with list rows, say) or a pair of another length makes the
+        check answer False, not raise.  Nothing is listed, and nothing is
+        read from the store of listings (`_prefix_store`).
         """
         lam, rho = check_pair(self.lam, self.rho)
-        covers = set(_successors(rho))
+        corners = _corners(rho)
         word = [x for x, c in enumerate(lam, 1) for _ in range(c)]
         # x -> (lam minus one x, the word with its first x dropped, right items of x)
         sides = {x: (w, word[:i] + word[i + 1:], set()) for x, i, w
                  in zip(range(1, len(lam) + 1), accumulate((0,) + lam[:-1]), _weights(lam))}
         lefts = set()
         try:
-            for t, x, s, w, _ in self.pairs:
-                gamma, short, seen = sides[index(x)]
-                if not (w == gamma and tuple(map(len, t)) in covers and _fills(t, word)
-                        and tuple(map(len, s)) == rho and _fills(s, short)):
+            for t, x, s, w, flag in self.pairs:
+                x = index(x)
+                gamma, short, seen = sides[x]
+                r = corners[tuple(map(len, t))]
+                if not (w == gamma and _fills(t, word) and tuple(map(len, s)) == rho
+                        and _fills(s, short)
+                        and flag == (x == r and s == _canonical_image(t, r))):
                     return False
                 lefts.add(t)
                 seen.add(s)
@@ -301,9 +303,11 @@ def _weights(lam: Partition) -> list[Weight]:
     return [strip_weight(lam[:i] + (c - 1,) + lam[i + 1:]) for i, c in enumerate(lam)]
 
 
-def _corner_row(mu: Partition, rho: Partition) -> int:
-    """1-based row where mu, a cover of rho, exceeds rho by one cell."""
-    return next(i for i, (a, b) in enumerate(zip(mu, rho + (0,)), 1) if a != b)
+def _corners(rho: Partition) -> dict[Partition, int]:
+    """Each cover mu of rho, in `_successors` order, with the 1-based row
+    where mu exceeds rho by one cell."""
+    return {mu: next(i for i, (a, b) in enumerate(zip(mu, rho + (0,)), 1) if a != b)
+            for mu in _successors(rho)}
 
 
 def _canonical_image(t: Tableau, row: int) -> Tableau | None:
@@ -334,26 +338,22 @@ def theorem4_bijection(lam: Partition, rho: Partition) -> BijectionCertificate:
 
     Both partitions and the size cap are checked before any listing; the
     corner row is found once per cover of rho, the weight lam minus one x
-    once per symbol x.  Both sides are listed as `enumerate_ssyt` lists.
-    The lists of proper weight prefixes come from the store of the degree
-    (`_prefix_store`), which every certificate of that degree shares.  Each
-    left top level (mu, lam) is listed once per degree and kept there whole
-    for every rho that mu covers; each right top level (rho, lam minus one
-    x) is built and sorted here.
+    once per symbol x.  Both sides are listed as `enumerate_ssyt` lists,
+    through the store of the degree (`_prefix_store`), which every
+    certificate of that degree shares.  Each left top level (mu, lam) is
+    read through `_listed`: listed once per degree, then read again for
+    every rho that mu covers; each right top level (rho, lam minus one x)
+    is built and sorted here, and not stored.
     """
     lam, rho = check_pair(lam, rho)
-    memo = _prefix_store(sum(lam))
+    store = _prefix_store(sum(lam))
     weights = _weights(lam)
     # per removed symbol x, its right items in listing order
-    right = [dict.fromkeys(_listed(rho, w, memo), True) for w in weights]
+    right = [dict.fromkeys(sorted(_ssyt(rho, w, store)), True) for w in weights]
     pairs: list[BijectionPair | None] = []
     leftover: list[tuple[int, Tableau]] = []
-    for mu in _successors(rho):
-        found = memo.get((mu, lam))
-        if found is None:  # stored whole, like the prefix lists of `_ssyt`
-            found = memo[mu, lam] = _listed(mu, lam, memo)
-        r = _corner_row(mu, rho)
-        for t in found:
+    for mu, r in _corners(rho).items():
+        for t in _listed(mu, lam, store):
             s = _canonical_image(t, r)
             if s is not None and right[r - 1].pop(s, False):
                 pairs.append(BijectionPair(t, r, s, weights[r - 1], True))

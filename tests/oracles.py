@@ -730,8 +730,11 @@ def certificate_check_oracle(cert) -> bool:
     with a shape that covers rho; each removed symbol x lies in 1..len(lam)
     and its gamma weight is lam with one x removed (trailing zeros
     dropped); each right tableau is semistandard of shape rho and that
-    gamma weight; no left item and no (gamma, right) item repeats; and
-    there are as many pairs as backtracking finds tableaux on each side."""
+    gamma weight; the canonical flag is set exactly when x is the first
+    row where the left shape exceeds rho and the right tableau is the left
+    one with the last x of its row x deleted; no left item and no
+    (gamma, right) item repeats; and there are as many pairs as
+    backtracking finds tableaux on each side."""
     lam, rho = cert.lam, cert.rho
     covers = _covers_oracle(rho)
     gammas = {}
@@ -751,6 +754,10 @@ def certificate_check_oracle(cert) -> bool:
         if not (semistandard_oracle(s) and tableau_shape(s) == rho
                 and tableau_weight(s) == p.gamma_weight):
             return False
+        row = next(i for i, part in enumerate(tableau_shape(t), 1)
+                   if part != (rho[i - 1] if i <= len(rho) else 0))
+        if p.canonical != (p.removed_symbol == row and s == _delete_last_oracle(t, row)):
+            return False
     n = len(cert.pairs)
     if len({p.mu_tableau for p in cert.pairs}) != n:
         return False
@@ -759,6 +766,16 @@ def certificate_check_oracle(cert) -> bool:
     left = sum(_ssyt_count_oracle(mu, lam) for mu in covers)
     right = sum(_ssyt_count_oracle(rho, gamma) for gamma in gammas.values())
     return left == right == n
+
+
+def _delete_last_oracle(t, row: int):
+    """t with the last entry equal to `row` deleted from its row `row`, an
+    emptied row dropped; None when that row holds no such entry."""
+    cells = list(t[row - 1])
+    if row not in cells:
+        return None
+    del cells[len(cells) - 1 - cells[::-1].index(row)]
+    return tuple(t[:row - 1]) + ((tuple(cells),) if cells else ()) + tuple(t[row:])
 
 
 def min_cut_oracle(n: int, arcs, s: int, t: int) -> int:

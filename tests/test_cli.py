@@ -444,6 +444,16 @@ class TestErrorsAndDeterminism:
         _, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert sha256_hex(out) == digest
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("ascii", "03b284a88184c0ad555c77270bfb46a475a9771d18aadda6f26d44d2c6ca5bf2"),
+        ("tsv", "165415fb1eca557a0e62e043dcbcf39c3bc8e846297c9a58c9021f6cf6d46716"),
+    ])
+    def test_character_table_text_bytes(self, capsys, fmt, digest):
+        # the padded and tab-separated tables, next to the JSON pin above
+        code, out, _ = run_cli(capsys, "character-table", "--n", "8", "--format", fmt)
+        assert code == 0
+        assert sha256_hex(out) == digest
+
     @pytest.mark.parametrize("lam, fmt, digest", [
         ("2,2", "ascii", "479591cd5cc8c8961ec82ab5ee18b4276db5091b62d8c99a2ef183af46c7bfa8"),
         ("2,2", "tsv", "c099c4639aee86b3f7c2509280056545fd915a0b882674153d9fedec3e903e48"),

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -410,7 +411,8 @@ RIGHT_MUTANTS = {
 }
 MUTANTS = (*LEFT_MUTANTS, *(f"right-{name}" for name in RIGHT_MUTANTS),
            "right-of-wrong-weight", "right-of-wrong-shape",
-           "wrong-gamma-weight", "duplicated-left-item", "duplicated-right-item")
+           "wrong-gamma-weight", "duplicated-left-item", "duplicated-right-item",
+           "canonical-flag-forged", "canonical-flag-dropped")
 
 
 def certificate_mutants():
@@ -433,6 +435,10 @@ def certificate_mutants():
         "duplicated-right-item": (first, second._replace(
             removed_symbol=first.removed_symbol,
             rho_tableau=first.rho_tableau, gamma_weight=first.gamma_weight)),
+        # both pairs remove symbol 1: swapped right items keep the bijection
+        "canonical-flag-forged": (first._replace(rho_tableau=second.rho_tableau),
+                                  second._replace(rho_tableau=first.rho_tableau)),
+        "canonical-flag-dropped": (first._replace(canonical=False), second),
     }
     return cert, {name: cert._replace(pairs=(*two, *rest)) for name, two in changed.items()}
 
@@ -552,6 +558,19 @@ class TestBijection:
         assert semistandard_oracle(t) and tableau_weight(t) == (2, 2, 1)
         s = mutants["right-of-wrong-shape"].pairs[0].rho_tableau
         assert semistandard_oracle(s) and tableau_shape(s) == (4,)
+        # the forged pairs are a bijection whose only fault is its flags
+        forged = mutants["canonical-flag-forged"]
+        honest = (p._replace(canonical=False) for p in forged.pairs[:2])
+        assert cert.canonical and forged.canonical
+        assert forged._replace(pairs=(*honest, *forged.pairs[2:])).check()
+
+    def test_check_rejects_forged_canonical_flags(self):
+        cert = theorem4_bijection((3, 1, 1), (4,))
+        assert (cert.canonical_count, len(cert.pairs)) == (2, 3)
+        forged = cert._replace(pairs=tuple(p._replace(canonical=True) for p in cert.pairs))
+        assert forged.canonical
+        assert not forged.check()
+        assert not certificate_check_oracle(forged)
 
     @pytest.mark.parametrize("name", MUTANTS)
     def test_check_rejects_each_mutant(self, name):
@@ -583,10 +602,7 @@ class TestBijection:
     def test_check_rejects_a_certificate_missing_items(self, monkeypatch, fresh_store):
         # both sides lose as many tableaux, so the pairing still completes,
         # but it no longer covers either side
-        listed = tableaux._listed
-        monkeypatch.setattr(
-            tableaux, "_listed", lambda shape, weight, memo: listed(shape, weight, memo)[:-1]
-        )
+        top_levels_lose_one(monkeypatch, lambda shape: True)
         cert = theorem4_bijection((2, 2, 1), (3, 1))
         assert len(cert.pairs) == 2
         assert not cert.check()
@@ -594,14 +610,7 @@ class TestBijection:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_unequal_sides_raise(self, monkeypatch, fresh_store, side):
         lam, rho = (2, 2, 1), (3, 1)
-        listed = tableaux._listed
-
-        def lose_one(shape, weight, memo):
-            found = listed(shape, weight, memo)
-            on_left = tuple(shape) != rho
-            return found[:-1] if on_left == (side == "left") else found
-
-        monkeypatch.setattr(tableaux, "_listed", lose_one)
+        top_levels_lose_one(monkeypatch, lambda shape: (shape != rho) == (side == "left"))
         with pytest.raises(SelfCheckError):
             theorem4_bijection(lam, rho)
 
@@ -653,6 +662,24 @@ class TestBijection:
             theorem4_bijection((3, 2), (3, 2))
 
 
+def top_levels_lose_one(monkeypatch, loses):
+    """Patch `_ssyt` so that each top-level listing (one not made for the
+    prefix of another) whose shape `loses` is true for lacks one tableau.
+    The prefix lists stay whole."""
+    ssyt, depth = tableaux._ssyt, 0
+
+    def lose_one(shape, weight, store):
+        nonlocal depth
+        depth += 1
+        try:
+            found = ssyt(shape, weight, store)
+        finally:
+            depth -= 1
+        return found[:-1] if not depth and loses(shape) else found
+
+    monkeypatch.setattr(tableaux, "_ssyt", lose_one)
+
+
 def certificate_digest(certs):
     """SHA-256 over every pair of `certs`, in order."""
     digest = hashlib.sha256()
@@ -678,7 +705,8 @@ def degree_inputs(n):
 
 class TestPrefixStore:
     """Every certificate of a degree reads its proper-prefix lists and its
-    left top levels from one store; a certificate built warm must equal one
+    left top levels from one store, through `_listed`; each entry is the
+    sorted listing of its key, and a certificate built warm must equal one
     built cold."""
 
     def test_shuffled_degrees_match_cold_builds(self, fresh_store):
@@ -709,21 +737,48 @@ class TestPrefixStore:
         tops = {(mu, lam) for mu in shapes for lam in shapes}
         assert {key for key in six if sum(key[1]) == 6} == tops
         for (mu, w), found in six.items():
-            if (mu, w) in tops:
-                assert found == enumerate_ssyt(mu, w)  # stored sorted
-            else:
+            if (mu, w) not in tops:
                 assert w in prefixes and sum(w) < 6
-                assert sorted(found) == enumerate_ssyt(mu, w)
+            assert found == enumerate_ssyt(mu, w)  # stored sorted
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_entry_is_the_sorted_listing_of_its_key(self, fresh_store, n):
+        for pair in degree_inputs(n):
+            theorem4_bijection(*pair)
+        store = tableaux._prefix_store(n)
+        assert store
+        for (shape, weight), found in store.items():
+            assert found == sorted(found) == enumerate_ssyt(shape, weight), (shape, weight)
+
+    def test_only_listed_reads_or_writes_a_store(self):
+        # a store is a parameter annotated `dict` or a `_prefix_store` call,
+        # or a name bound to one; every other function only passes it on
+        def is_store_call(node):
+            return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_prefix_store"
+
+        tree = ast.parse(Path(tableaux.__file__).read_text())
+        users = set()
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            stores = {a.arg for a in func.args.args if getattr(a.annotation, "id", None) == "dict"}
+            stores |= {target.id for node in ast.walk(func)
+                       if isinstance(node, ast.Assign) and is_store_call(node.value)
+                       for target in node.targets if isinstance(target, ast.Name)}
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Subscript, ast.Attribute)) and (
+                        is_store_call(node.value)
+                        or isinstance(node.value, ast.Name) and node.value.id in stores):
+                    users.add(func.name)
+        assert users == {"_listed"}
 
     def test_each_left_top_level_is_listed_once_per_degree(self, monkeypatch, fresh_store):
-        listed, calls = tableaux._listed, Counter()
+        ssyt, calls = tableaux._ssyt, Counter()
 
-        def spy(shape, weight, memo):
+        def spy(shape, weight, store):
             if sum(weight) == 6:  # a left top level; the right ones weigh 5
                 calls[shape, weight] += 1
-            return listed(shape, weight, memo)
+            return ssyt(shape, weight, store)
 
-        monkeypatch.setattr(tableaux, "_listed", spy)
+        monkeypatch.setattr(tableaux, "_ssyt", spy)
         order = degree_inputs(6)
         random.Random(8).shuffle(order)
         warm = {pair: theorem4_bijection(*pair) for pair in order}
@@ -771,7 +826,7 @@ class TestPrefixStore:
             with pytest.raises(KeyboardInterrupt):
                 theorem4_bijection(lam, rho)
             for (mu, w), found in tableaux._prefix_store(6).items():
-                assert sorted(found) == enumerate_ssyt(mu, w), (stop, mu, w)
+                assert found == enumerate_ssyt(mu, w), (stop, mu, w)
             assert theorem4_bijection(lam, rho) == cold, stop
 
     def test_threads_build_a_degree_like_one(self, fresh_store):

@@ -71,6 +71,10 @@ def _emit(args, payload: dict, ascii_lines: list[str], tsv_lines: list[str]) -> 
         text = "".join(line + "\n" for line in tsv_lines)
     else:
         text = "".join(line + "\n" for line in ascii_lines)
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -160,22 +164,28 @@ def _cmd_character_table(args) -> int:
     sizes = [class_size(rho) for rho in types]
     # per class, the value string of each character, read in class order
     values = list(zip(*([str(v) for v in chi.values] for chi in chis.values())))
-    payload = {
-        "n": n,
-        "partitions": names,
-        "classes": [
-            {"cycle_type": name, "class_size": size, "values": dict(zip(names, row))}
-            for name, size, row in zip(names, sizes, values)
-        ],
-    }
+    # only the asked format is built: p(n)^2 cells make each one costly
+    if args.format == "json":
+        payload = {
+            "n": n,
+            "partitions": names,
+            "classes": [
+                {"cycle_type": name, "class_size": size, "values": dict(zip(names, row))}
+                for name, size, row in zip(names, sizes, values)
+            ],
+        }
+        _write(args, json.dumps(payload, indent=2) + "\n")
+        return 0
     header = ["cycle_type", "class_size", *names]
     rows = [[name, str(size), *row] for name, size, row in zip(names, sizes, values)]
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
-    ascii_lines = [
-        "  ".join(h.rjust(w) for h, w in zip(header, widths)),
-    ] + ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows]
-    tsv_lines = ["\t".join(header)] + ["\t".join(row) for row in rows]
-    _emit(args, payload, ascii_lines, tsv_lines)
+    if args.format == "tsv":
+        lines = ["\t".join(header)] + ["\t".join(row) for row in rows]
+    else:
+        widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
+        lines = [
+            "  ".join(h.rjust(w) for h, w in zip(header, widths)),
+        ] + ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows]
+    _write(args, "".join(line + "\n" for line in lines))
     return 0
 
 

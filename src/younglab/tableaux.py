@@ -240,17 +240,29 @@ class BijectionCertificate(NamedTuple):
         of the `_successors` cover table.  Each pair must hold a removed
         symbol x of lam with its weight `gamma_weight` equal to lam minus
         one x, a left item whose shape covers rho and a right item of shape
-        rho.  Each tableau is walked once by `_fills`: rows weakly and
+        rho.  Each left item is walked once by `_fills`: rows weakly and
         columns strictly increase, and its entries, sorted, are the word of
-        lam (left) or of lam minus one x (right); words, weights and one set
-        of right items per symbol x are made once per certificate.  With the
-        shape a partition that is semistandardness with that weight, positive
-        entries at most len(lam) included.  The `canonical` flag must say
-        whether the pair is the per-item rule's: x is the corner row r of
-        the left shape over rho (`_corners`, once per cover) and the right
-        item is `_canonical_image` of the left one at r.  No item may
-        repeat, and the number of pairs must equal both sides of the
-        recurrence (Kostka numbers from the degree tables).  Distinct
+        lam; with the shape a partition that is semistandardness with that
+        weight, positive entries at most len(lam) included.  The corner row
+        r of each cover over rho and the weights lam minus one x come from
+        the process tables `_corners` and `_weights`; words and one set of
+        right items per symbol x are made once per certificate.
+
+        The `canonical` flag must say whether the pair is the per-item
+        rule's: x is r and the right item s is `_canonical_image` of the
+        left item t at r.  Such an s needs no walk of its own.  Deleting one
+        r from row r of the semistandard t leaves the word of lam minus one
+        r and the shape rho.  Every row of s weakly increases (row r is t's
+        less one entry), and every pair of rows without row r is t's.  In
+        column j the new row r holds t's entry of column j or j + 1, at
+        least t's entry of column j, so it stays strictly below row r - 1.
+        The one pair this can break is the new row r against row r + 1,
+        and that pair is compared (when s has a row r + 1).  Every other
+        right item is walked by `_fills` against the word of lam minus one
+        x.
+
+        No item may repeat, and the number of pairs must equal both sides of
+        the recurrence (Kostka numbers from the degree tables).  Distinct
         members of a side, as many as the side has, are the whole side.
         The fields of a pair are read by position only, so a plain 5-tuple
         answers like the equal `BijectionPair`.  A field of another type (a
@@ -270,9 +282,12 @@ class BijectionCertificate(NamedTuple):
                 x = index(x)
                 gamma, short, seen = sides[x]
                 r = corners[tuple(map(len, t))]
-                if not (w == gamma and _fills(t, word) and tuple(map(len, s)) == rho
-                        and _fills(s, short)
-                        and flag == (x == r and s == _canonical_image(t, r))):
+                if not (w == gamma and _fills(t, word) and tuple(map(len, s)) == rho):
+                    return False
+                image = x == r and s == _canonical_image(t, r)
+                # an image needs only its row r against row r + 1 (see above)
+                fine = (r >= len(s) or all(map(lt, s[r - 1], s[r]))) if image else _fills(s, short)
+                if not (flag == image and fine):
                     return False
                 lefts.add(t)
                 seen.add(s)
@@ -297,29 +312,37 @@ def _fills(t: Tableau, word: list[int]) -> bool:
     return sorted(sum(t, ())) == word
 
 
-def _weights(lam: Partition) -> list[Weight]:
+@cache
+def _weights(lam: Partition) -> tuple[Weight, ...]:
     """The weights lam with one occurrence of symbol x removed, for
-    x = 1..len(lam), kept as compositions (trailing zeros dropped)."""
-    return [strip_weight(lam[:i] + (c - 1,) + lam[i + 1:]) for i, c in enumerate(lam)]
+    x = 1..len(lam), kept as compositions (trailing zeros dropped).  One
+    table for the process, like `_strips`, read by `theorem4_bijection`
+    and `check()`."""
+    return tuple(strip_weight(lam[:i] + (c - 1,) + lam[i + 1:]) for i, c in enumerate(lam))
 
 
+@cache
 def _corners(rho: Partition) -> dict[Partition, int]:
     """Each cover mu of rho, in `_successors` order, with the 1-based row
-    where mu exceeds rho by one cell."""
+    where mu exceeds rho by one cell.  One table for the process, like
+    `_weights`; no caller may mutate an entry."""
     return {mu: next(i for i, (a, b) in enumerate(zip(mu, rho + (0,)), 1) if a != b)
             for mu in _successors(rho)}
 
 
 def _canonical_image(t: Tableau, row: int) -> Tableau | None:
-    """Delete the rightmost entry equal to `row` in row `row` and close it.
+    """Delete one entry equal to `row` from row `row` and close the row up.
 
-    Returns None when the symbol is absent.  The result is not checked: one
-    that is not semistandard misses the caller's lookup in the right side.
+    The first equal entry is deleted: the row weakly increases, so its
+    equal entries are adjacent and deleting any one of them gives the same
+    row.  Returns None when the symbol is absent.  The result is not
+    checked: one that is not semistandard misses the caller's lookup in the
+    right side, and `check()` compares its row `row` with the next.
     """
     r = row - 1
     if row not in t[r]:
         return None
-    j = t[r].index(row)  # the row weakly increases: equal entries are alike
+    j = t[r].index(row)
     new_row = t[r][:j] + t[r][j + 1:]
     return t[:r] + ((new_row,) if new_row else ()) + t[r + 1:]
 
@@ -327,23 +350,23 @@ def _canonical_image(t: Tableau, row: int) -> Tableau | None:
 def theorem4_bijection(lam: Partition, rho: Partition) -> BijectionCertificate:
     """Pair the two sides of the Kostka recurrence for (lam, rho).
 
-    Per-item rule: a tableau whose shape covers rho in row r loses the
-    rightmost symbol r of its r-th row, and the row closes up.  Where the
-    result is an unused right item (that lookup is its only semistandardness
-    check), the pair reproduces the worked small cases exactly.  The left
-    items the rule leaves unpaired and the right items it does not reach
-    are then paired in listing order: the k-th leftover left item takes the
-    k-th unused right item.  Nothing relates the two tableaux of such a
-    pair, so only the bijection itself is certified.
+    Per-item rule: a tableau whose shape covers rho in row r loses one
+    symbol r of its r-th row (`_canonical_image`), and the row closes up.
+    Where the result is an unused right item (that lookup is its only
+    semistandardness check), the pair reproduces the worked small cases
+    exactly.  The left items the rule leaves unpaired and the right items
+    it does not reach are then paired in listing order: the k-th leftover
+    left item takes the k-th unused right item.  Nothing relates the two
+    tableaux of such a pair, so only the bijection itself is certified.
 
     Both partitions and the size cap are checked before any listing; the
-    corner row is found once per cover of rho, the weight lam minus one x
-    once per symbol x.  Both sides are listed as `enumerate_ssyt` lists,
-    through the store of the degree (`_prefix_store`), which every
-    certificate of that degree shares.  Each left top level (mu, lam) is
-    read through `_listed`: listed once per degree, then read again for
-    every rho that mu covers; each right top level (rho, lam minus one x)
-    is built and sorted here, and not stored.
+    corner rows of the covers of rho and the weights lam minus one x are
+    read from the process tables `_corners` and `_weights`.  Both sides are
+    listed as `enumerate_ssyt` lists, through the store of the degree
+    (`_prefix_store`), which every certificate of that degree shares.  Each
+    left top level (mu, lam) is read through `_listed`: listed once per
+    degree, then read again for every rho that mu covers; each right top
+    level (rho, lam minus one x) is built and sorted here, and not stored.
     """
     lam, rho = check_pair(lam, rho)
     store = _prefix_store(sum(lam))

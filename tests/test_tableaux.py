@@ -32,6 +32,7 @@ from younglab.partitions import (
 )
 from younglab.tableaux import (
     BijectionCertificate,
+    BijectionPair,
     enumerate_ssyt,
     enumerate_standard,
     eq2_check,
@@ -288,6 +289,7 @@ class TestStrips:
         assert done.returncode == 0, done.stderr
         sizes = json.loads(done.stdout)
         assert {"younglab.tableaux._strips", "younglab.tableaux._added",
+                "younglab.tableaux._corners", "younglab.tableaux._weights",
                 "younglab.tableaux._kostka_table",
                 "younglab.tableaux._eq2_sides", "younglab.characters._eq1_sides",
                 "younglab.partitions._enumerate_partitions",
@@ -412,13 +414,17 @@ RIGHT_MUTANTS = {
 MUTANTS = (*LEFT_MUTANTS, *(f"right-{name}" for name in RIGHT_MUTANTS),
            "right-of-wrong-weight", "right-of-wrong-shape",
            "wrong-gamma-weight", "duplicated-left-item", "duplicated-right-item",
-           "canonical-flag-forged", "canonical-flag-dropped")
+           "canonical-flag-forged", "canonical-flag-dropped",
+           "right-canonical-image-not-semistandard")
 
 
 def certificate_mutants():
     """The certificate of (2,2,1) over (3,1), and copies of it with its
     first two pairs changed so that one condition of `check()` fails, where
-    it can be, only that one."""
+    it can be, only that one.  One mutant is of the certificate of (1,1,1)
+    over (1,1): its leftover left item 1,3/2 is paired with its canonical
+    image 3/2, flagged canonical, which breaks only the column of rows 1
+    and 2 (the one pair of rows `check()` compares for such an image)."""
     cert = theorem4_bijection((2, 2, 1), (3, 1))
     first, second, *rest = cert.pairs
     other = next(p for p in cert.pairs if p.gamma_weight != first.gamma_weight)
@@ -440,7 +446,12 @@ def certificate_mutants():
                                   second._replace(rho_tableau=first.rho_tableau)),
         "canonical-flag-dropped": (first._replace(canonical=False), second),
     }
-    return cert, {name: cert._replace(pairs=(*two, *rest)) for name, two in changed.items()}
+    mutants = {name: cert._replace(pairs=(*two, *rest)) for name, two in changed.items()}
+    small = theorem4_bijection((1, 1, 1), (1, 1))
+    forged = BijectionPair(((1, 3), (2,)), 1, ((3,), (2,)), (0, 1, 1), True)
+    mutants["right-canonical-image-not-semistandard"] = small._replace(pairs=tuple(
+        forged if p.mu_tableau == forged.mu_tableau else p for p in small.pairs))
+    return cert, mutants
 
 
 class TestBijection:
@@ -563,6 +574,18 @@ class TestBijection:
         honest = (p._replace(canonical=False) for p in forged.pairs[:2])
         assert cert.canonical and forged.canonical
         assert forged._replace(pairs=(*honest, *forged.pairs[2:])).check()
+        # the image pair replaces a leftover pair: its only fault is that
+        # the image is not semistandard, in rows 1 and 2
+        image = mutants["right-canonical-image-not-semistandard"]
+        small = theorem4_bijection((1, 1, 1), (1, 1))
+        assert small.check() and len(image.pairs) == len(small.pairs) == 3
+        changed = [(p, q) for p, q in zip(image.pairs, small.pairs) if p != q]
+        assert len(changed) == 1
+        (t, x, s, w, flag), old = changed[0]
+        assert old.mu_tableau == t and not old.canonical and flag
+        assert tableaux._canonical_image(t, x) == s and tableau_shape(s) == (1, 1)
+        assert tableau_weight(s) == w == (0, 1, 1) and not semistandard_oracle(s)
+        assert len({p.rho_tableau for p in image.pairs}) == 3
 
     def test_check_rejects_forged_canonical_flags(self):
         cert = theorem4_bijection((3, 1, 1), (4,))
@@ -598,6 +621,27 @@ class TestBijection:
             for rho in enumerate_partitions(n - 1):
                 cert = theorem4_bijection(lam, rho)
                 assert cert.check() == certificate_check_oracle(cert) is True
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_row_rule_decides_each_canonical_image(self, n):
+        # check() passes a right item that is its left item's image at the
+        # corner row r when each entry of its row r is less than the one
+        # under it in row r + 1; for every left item with an image that must
+        # answer like the full walk and the shape check
+        answers = Counter()
+        for lam, rho in degree_inputs(n):
+            corners = tableaux._corners(rho)
+            for t in (p.mu_tableau for p in theorem4_bijection(lam, rho).pairs):
+                r = corners[tableau_shape(t)]
+                s = tableaux._canonical_image(t, r)
+                if s is None:
+                    continue
+                short = sorted(sum(t, ()))
+                short.remove(r)
+                rule = r >= len(s) or all(a < b for a, b in zip(s[r - 1], s[r]))
+                assert rule == (tableaux._fills(s, short) and tableau_shape(s) == rho)
+                answers[rule] += 1
+        assert answers[True] and (answers[False] or n < 3)
 
     def test_check_rejects_a_certificate_missing_items(self, monkeypatch, fresh_store):
         # both sides lose as many tableaux, so the pairing still completes,
